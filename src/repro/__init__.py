@@ -15,113 +15,71 @@ Quick start::
     print(f"speedup: {least.speedup_vs(base):.2f}x")
 """
 
-from repro.config import (
-    GPUConfig,
-    IOMMUConfig,
-    InterconnectConfig,
-    SystemConfig,
-    TLBLevelConfig,
-    TrackerConfig,
-    baseline_config,
-    dws_config,
-    infinite_iommu_config,
-    large_page_config,
-    local_page_table_config,
-    remote_latency_config,
-    scaled_config,
-    small_iommu_config,
-    spill_budget_config,
-)
-from repro.analysis import mm_c_wait, walker_operating_point
-from repro.core import (
-    DeviceAwareLeastTLBPolicy,
-    LeastTLBPolicy,
-    LocalTLBTracker,
-    estimate_overhead,
-)
-from repro.reporting import bar_chart, cdf_chart, result_to_dict, save_result_json
-from repro.policies import TranslationPolicy, make_policy, policy_names
-from repro.sim import (
-    AppResult,
-    MultiGPUSystem,
-    SimulationResult,
-    Snapshot,
-    run_alone,
-    run_mix,
-    run_multi_app,
-    run_single_app,
-    simulate,
-)
-from repro.workloads.trace_io import (
-    load_workload,
-    save_workload,
-    workload_from_page_streams,
-)
-from repro.workloads import (
-    APPLICATIONS,
-    MIX_WORKLOADS,
-    MULTI_APP_WORKLOADS,
-    SCALED_WORKLOADS,
-    SINGLE_APP_NAMES,
-    Workload,
-    build_alone_workload,
-    build_mix_workload,
-    build_multi_app_workload,
-    build_single_app_workload,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GPUConfig",
-    "IOMMUConfig",
-    "InterconnectConfig",
-    "SystemConfig",
-    "TLBLevelConfig",
-    "TrackerConfig",
-    "baseline_config",
-    "dws_config",
-    "infinite_iommu_config",
-    "large_page_config",
-    "local_page_table_config",
-    "remote_latency_config",
-    "scaled_config",
-    "small_iommu_config",
-    "spill_budget_config",
-    "DeviceAwareLeastTLBPolicy",
-    "LeastTLBPolicy",
-    "LocalTLBTracker",
-    "estimate_overhead",
-    "mm_c_wait",
-    "walker_operating_point",
-    "bar_chart",
-    "cdf_chart",
-    "result_to_dict",
-    "save_result_json",
-    "load_workload",
-    "save_workload",
-    "workload_from_page_streams",
-    "policy_names",
-    "TranslationPolicy",
-    "make_policy",
-    "AppResult",
-    "MultiGPUSystem",
-    "SimulationResult",
-    "Snapshot",
-    "run_alone",
-    "run_mix",
-    "run_multi_app",
-    "run_single_app",
-    "simulate",
-    "APPLICATIONS",
-    "MIX_WORKLOADS",
-    "MULTI_APP_WORKLOADS",
-    "SCALED_WORKLOADS",
-    "SINGLE_APP_NAMES",
-    "Workload",
-    "build_alone_workload",
-    "build_mix_workload",
-    "build_multi_app_workload",
-    "build_single_app_workload",
-    "__version__",
-]
+#: Public names by defining module; each module loads on first use
+#: (PEP 562), so ``import repro`` costs no numpy and no simulator.
+_EXPORTS = {
+    "repro.config.system": (
+        "GPUConfig",
+        "IOMMUConfig",
+        "InterconnectConfig",
+        "SystemConfig",
+        "TLBLevelConfig",
+        "TrackerConfig",
+    ),
+    "repro.config.presets": (
+        "baseline_config",
+        "dws_config",
+        "infinite_iommu_config",
+        "large_page_config",
+        "local_page_table_config",
+        "remote_latency_config",
+        "scaled_config",
+        "small_iommu_config",
+        "spill_budget_config",
+    ),
+    "repro.core.device_aware": ("DeviceAwareLeastTLBPolicy",),
+    "repro.core.least_tlb": ("LeastTLBPolicy",),
+    "repro.core.tracker": ("LocalTLBTracker",),
+    "repro.core.overhead": ("estimate_overhead",),
+    "repro.analysis.queueing": ("mm_c_wait", "walker_operating_point"),
+    "repro.reporting.charts": ("bar_chart", "cdf_chart"),
+    "repro.reporting.export": ("result_to_dict", "save_result_json"),
+    "repro.workloads.trace_io": (
+        "load_workload",
+        "save_workload",
+        "workload_from_page_streams",
+    ),
+    "repro.policies": ("policy_names", "make_policy"),
+    "repro.policies.base": ("TranslationPolicy",),
+    "repro.sim.results": ("AppResult", "SimulationResult", "Snapshot"),
+    "repro.sim.system": ("MultiGPUSystem",),
+    "repro.sim.driver": (
+        "run_alone",
+        "run_mix",
+        "run_multi_app",
+        "run_single_app",
+        "simulate",
+    ),
+    "repro.workloads.applications": ("APPLICATIONS",),
+    "repro.workloads.tables": (
+        "MIX_WORKLOADS",
+        "MULTI_APP_WORKLOADS",
+        "SCALED_WORKLOADS",
+        "SINGLE_APP_NAMES",
+    ),
+    "repro.workloads.trace": ("Workload",),
+    "repro.workloads.multi_app": (
+        "build_alone_workload",
+        "build_mix_workload",
+        "build_multi_app_workload",
+        "build_single_app_workload",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,31 +30,30 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Only numpy-free modules at the top: listing, validation and
+# cache-served reruns never load the simulator.  Each handler imports
+# what it runs (docs/performance.md, "Start-up").
 from repro.config.presets import CONFIG_PRESETS
 from repro.config.system import SystemConfig
-from repro.engine.watchdog import SimulationStalledError
-from repro.faults import FaultPlan, FaultPlanError, InvariantViolation
-from repro.metrics.reuse_distance import fraction_within, reuse_cdf, reuse_distances
 from repro.policies import policy_names
 from repro.reporting import bar_chart, cdf_chart, comparison_table, save_result_json
-from repro.sim.driver import simulate
-from repro.sim.results import SimulationResult
-from repro.sim.system import MultiGPUSystem
-from repro.telemetry import TelemetryConfig, export_chrome_trace, flame_summary
-from repro.workloads.applications import APPLICATIONS, classify_mpki
+from repro.sim.backends import BACKENDS, DEFAULT_BACKEND
 from repro.workloads.errors import TraceFormatError
-from repro.workloads.ingest import SPLIT_POLICIES, ingest_trace, sniff_format
-from repro.workloads.multi_app import (
+from repro.workloads.tables import (
+    APPLICATION_NAMES,
     MIX_WORKLOADS,
     MULTI_APP_WORKLOADS,
     SCALED_WORKLOADS,
-    build_mix_workload,
-    build_multi_app_workload,
-    build_single_app_workload,
 )
-from repro.workloads.trace import Workload
-from repro.workloads.trace_io import load_workload, save_workload
+from repro.workloads.trace_files import SPLIT_POLICIES, sniff_format
+
+if TYPE_CHECKING:
+    from repro.sim.results import SimulationResult
+    from repro.telemetry import TelemetryConfig
+    from repro.workloads.trace import Workload
+
 
 def _cli_error(message: str) -> SystemExit:
     """A usage error: ``error:``-prefixed message on stderr, exit status 2."""
@@ -104,8 +103,16 @@ def resolve_workload(
     per-GPU interleaving policy).  Malformed files are usage errors
     (exit 2), never tracebacks.
     """
+    from repro.workloads.ingest import ingest_trace
+    from repro.workloads.multi_app import (
+        build_mix_workload,
+        build_multi_app_workload,
+        build_single_app_workload,
+    )
+    from repro.workloads.trace_io import load_workload
+
     upper = name.upper()
-    if upper in APPLICATIONS:
+    if upper in APPLICATION_NAMES:
         return build_single_app_workload(upper, config, scale=scale, seed=seed)
     if upper in MULTI_APP_WORKLOADS or upper in SCALED_WORKLOADS:
         return build_multi_app_workload(upper, config, scale=scale, seed=seed)
@@ -144,6 +151,8 @@ def _print_result(result: SimulationResult) -> None:
 
 def cmd_list(_args: argparse.Namespace) -> int:
     """``repro list``: applications, workloads, policies, presets."""
+    from repro.workloads.applications import APPLICATIONS
+
     print("applications (Table 3 + SC):")
     for name, spec in sorted(APPLICATIONS.items()):
         print(f"  {name:<4} {spec.full_name:<26} {spec.suite:<11} "
@@ -208,6 +217,8 @@ def _telemetry_config(
 ) -> TelemetryConfig | None:
     """The telemetry config a command's flags ask for, or ``None`` for the
     zero-perturbation default (no hub is built at all)."""
+    from repro.telemetry import TelemetryConfig
+
     if trace_rate is None and timeline <= 0:
         return None
     try:
@@ -283,7 +294,7 @@ def _run_via_server(args: argparse.Namespace) -> int:
         job["workload"] = str(Path(trace_path).resolve())
     else:
         upper = args.workload.upper()
-        if not (upper in APPLICATIONS or upper in MULTI_APP_WORKLOADS
+        if not (upper in APPLICATION_NAMES or upper in MULTI_APP_WORKLOADS
                 or upper in SCALED_WORKLOADS or upper in MIX_WORKLOADS):
             raise _cli_error(
                 f"--server mode needs a named workload or --trace PATH, got "
@@ -352,6 +363,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise _cli_error(f"--trace: no such file: {trace_path!r}")
     if args.server:
         return _run_via_server(args)
+    from repro.engine.watchdog import SimulationStalledError
+    from repro.faults import FaultPlan, FaultPlanError, InvariantViolation
+    from repro.sim.system import MultiGPUSystem
+    from repro.telemetry import export_chrome_trace
+    from repro.workloads.ingest import ingest_trace
+
     config = _apply_seed(resolve_config(args.config), args.seed)
     policy = resolve_policy(args.policy)
     try:
@@ -494,6 +511,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace``: a traced run, Chrome-trace export, flame summary."""
+    from repro.engine.watchdog import SimulationStalledError
+    from repro.sim.system import MultiGPUSystem
+    from repro.telemetry import export_chrome_trace, flame_summary
+
     config = _apply_seed(resolve_config(args.config), args.seed)
     policy = resolve_policy(args.policy)
     telemetry = _telemetry_config(args.rate, args.timeline)
@@ -532,6 +553,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare``: run several policies and chart the speedups."""
+    from repro.sim.driver import simulate
+
     config = _apply_seed(resolve_config(args.config), args.seed)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
@@ -582,6 +605,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     """``repro characterize``: hit rates, MPKI, reuse-distance CDF."""
+    from repro.metrics.reuse_distance import fraction_within, reuse_cdf, reuse_distances
+    from repro.sim.driver import simulate
+
     config = _apply_seed(resolve_config(args.config), args.seed)
     workload = resolve_workload(args.workload, config, args.scale, args.seed)
     result = simulate(config, workload, "baseline", record_iommu_stream=True)
@@ -628,7 +654,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     """
     import math
 
+    from repro.metrics.reuse_distance import fraction_within, reuse_distances
     from repro.metrics.sharing import shared_fraction, sharing_degrees
+    from repro.sim.driver import simulate
+    from repro.workloads.applications import APPLICATIONS, classify_mpki
+    from repro.workloads.ingest import ingest_trace
+    from repro.workloads.trace_io import save_workload
 
     config = _apply_seed(resolve_config(args.config), args.seed)
     try:
@@ -1327,8 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(run, optional_workload=True)
     run.add_argument("--policy", default="baseline",
                      help=f"translation policy ({', '.join(policy_names())})")
-    run.add_argument("--backend", choices=("event", "functional", "vectorized"),
-                     default="event",
+    run.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
                      help="simulation backend: the discrete-event engine or one "
                           "of the bit-exact fast paths (see docs/backends.md)")
     run.add_argument("--shards", type=int, default=1, metavar="N",
@@ -1412,8 +1442,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace-length scale for every job (default 0.3)")
     bench.add_argument("--seed", type=int, default=None,
                        help="override the workload/config random seed")
-    bench.add_argument("--backend", choices=("event", "functional", "vectorized"),
-                       default="event",
+    bench.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
                        help="simulation backend for every job (functional/"
                             "vectorized = the bit-exact fast paths, see "
                             "docs/backends.md)")

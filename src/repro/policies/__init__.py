@@ -5,62 +5,71 @@ The DWS page-walk-stealing optimisation of Section 5.6 is not a policy —
 it is a walker-scheduler configuration (``IOMMUConfig.walker_scheduler =
 "dws"``, see :func:`repro.config.presets.dws_config`) that composes with
 any policy here, exactly as the paper composes it with least-TLB.
+
+The registry names each policy's class by module, so validating a policy
+name never imports the simulator; classes load on first use (see
+:mod:`repro._lazy`).
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Any
 
-from repro.policies.base import TranslationPolicy
-from repro.policies.exclusive import ExclusivePolicy
-from repro.policies.mostly_inclusive import MostlyInclusivePolicy
-from repro.policies.prefetch import SequentialPrefetchPolicy
-from repro.policies.strictly_inclusive import StrictlyInclusivePolicy
-from repro.policies.tlb_probing import TLBProbingPolicy
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.policies.base import TranslationPolicy
     from repro.sim.system import MultiGPUSystem
 
-
-def _registry() -> dict[str, type[TranslationPolicy]]:
-    # LeastTLBPolicy lives in repro.core (it is the paper's contribution)
-    # and subclasses TranslationPolicy from this package; importing it
-    # lazily keeps the package import order acyclic.
-    from repro.core.device_aware import DeviceAwareLeastTLBPolicy
-    from repro.core.least_tlb import LeastTLBPolicy
-
-    return {
-        "baseline": MostlyInclusivePolicy,
-        "mostly-inclusive": MostlyInclusivePolicy,
-        "strictly-inclusive": StrictlyInclusivePolicy,
-        "exclusive": ExclusivePolicy,
-        "tlb-probing": TLBProbingPolicy,
-        "prefetch": SequentialPrefetchPolicy,
-        "least-tlb": LeastTLBPolicy,
-        "least-tlb-qos": DeviceAwareLeastTLBPolicy,
-    }
+#: Registry name → (defining module, class).  LeastTLBPolicy lives in
+#: repro.core (it is the paper's contribution).
+_REGISTRY: dict[str, tuple[str, str]] = {
+    "baseline": ("repro.policies.mostly_inclusive", "MostlyInclusivePolicy"),
+    "mostly-inclusive": ("repro.policies.mostly_inclusive", "MostlyInclusivePolicy"),
+    "strictly-inclusive": ("repro.policies.strictly_inclusive", "StrictlyInclusivePolicy"),
+    "exclusive": ("repro.policies.exclusive", "ExclusivePolicy"),
+    "tlb-probing": ("repro.policies.tlb_probing", "TLBProbingPolicy"),
+    "prefetch": ("repro.policies.prefetch", "SequentialPrefetchPolicy"),
+    "least-tlb": ("repro.core.least_tlb", "LeastTLBPolicy"),
+    "least-tlb-qos": ("repro.core.device_aware", "DeviceAwareLeastTLBPolicy"),
+}
 
 
 def policy_names() -> list[str]:
     """All registered policy names."""
-    return sorted(_registry())
+    return sorted(_REGISTRY)
+
+
+def policy_class(name: str) -> type[TranslationPolicy]:
+    """The class registered under ``name`` (imported on first use)."""
+    try:
+        module, cls = _REGISTRY[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown policy {name!r}; choose from {policy_names()}"
+        ) from None
+    return getattr(importlib.import_module(module), cls)
 
 
 def make_policy(name: str, system: "MultiGPUSystem", **options: Any) -> TranslationPolicy:
     """Instantiate a policy by registry name."""
-    registry = _registry()
-    try:
-        cls = registry[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; choose from {sorted(registry)}"
-        ) from None
-    return cls(system, **options)
+    return policy_class(name)(system, **options)
 
+
+_EXPORTS = {
+    "repro.policies.base": ("TranslationPolicy",),
+    "repro.policies.mostly_inclusive": ("MostlyInclusivePolicy",),
+    "repro.policies.strictly_inclusive": ("StrictlyInclusivePolicy",),
+    "repro.policies.exclusive": ("ExclusivePolicy",),
+    "repro.policies.tlb_probing": ("TLBProbingPolicy",),
+    "repro.policies.prefetch": ("SequentialPrefetchPolicy",),
+}
 
 __all__ = [
     "policy_names",
     "make_policy",
+    "policy_class",
     "TranslationPolicy",
     "MostlyInclusivePolicy",
     "StrictlyInclusivePolicy",
@@ -68,3 +77,5 @@ __all__ = [
     "TLBProbingPolicy",
     "SequentialPrefetchPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

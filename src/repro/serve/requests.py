@@ -55,13 +55,13 @@ from repro.policies import policy_names
 from repro.sim.backends import BACKENDS
 from repro.sim.parallel import JobSpec, expand_matrix, select_benches
 from repro.telemetry import TelemetryConfig
-from repro.workloads.applications import APPLICATIONS
-from repro.workloads.ingest import SPLIT_POLICIES
-from repro.workloads.multi_app import (
+from repro.workloads.tables import (
+    APPLICATION_NAMES,
     MIX_WORKLOADS,
     MULTI_APP_WORKLOADS,
     SCALED_WORKLOADS,
 )
+from repro.workloads.trace_files import SPLIT_POLICIES
 
 #: Upper bound on jobs a single submission may expand to.
 MAX_JOBS_PER_REQUEST = 2048
@@ -123,7 +123,7 @@ def _as_scale(value: Any, field: str) -> float:
 def infer_kind(workload: str) -> str:
     """The runner kind a workload name implies (``repro run`` semantics)."""
     upper = workload.upper()
-    if upper in APPLICATIONS:
+    if upper in APPLICATION_NAMES:
         return "single"
     if upper in MULTI_APP_WORKLOADS or upper in SCALED_WORKLOADS:
         return "multi"
@@ -138,8 +138,8 @@ def infer_kind(workload: str) -> str:
 def _validate_workload(kind: str, workload: str) -> str:
     upper = workload.upper()
     tables: dict[str, bool] = {
-        "single": upper in APPLICATIONS,
-        "alone": upper in APPLICATIONS,
+        "single": upper in APPLICATION_NAMES,
+        "alone": upper in APPLICATION_NAMES,
         "multi": upper in MULTI_APP_WORKLOADS or upper in SCALED_WORKLOADS,
         "mix": upper in MIX_WORKLOADS,
         "trace": True,  # validated below: a server-local trace file path

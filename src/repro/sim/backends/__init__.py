@@ -23,8 +23,13 @@ two in lock-step.
 
 from __future__ import annotations
 
-from repro.sim.backends.functional import BackendUnsupported, run_functional
-from repro.sim.backends.vectorized import run_vectorized
+from repro._lazy import lazy_exports
+
+
+class BackendUnsupported(ValueError):
+    """The requested configuration needs timing machinery the functional
+    backend deliberately does not model; run the event engine instead."""
+
 
 #: The valid values of every ``--backend`` flag / ``backend=`` parameter.
 BACKENDS = ("event", "functional", "vectorized")
@@ -42,6 +47,14 @@ def validate_backend(backend: str) -> str:
     return name
 
 
+#: The backends themselves load on first use (see :mod:`repro._lazy`), so
+#: validating a backend name or catching :class:`BackendUnsupported`
+#: imports neither numpy nor the replay code.
+_EXPORTS = {
+    "repro.sim.backends.functional": ("run_functional",),
+    "repro.sim.backends.vectorized": ("run_vectorized",),
+}
+
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
@@ -50,3 +63,5 @@ __all__ = [
     "run_vectorized",
     "validate_backend",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

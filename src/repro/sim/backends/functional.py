@@ -57,15 +57,11 @@ from repro.core.protocol import (
 )
 from repro.core.tracker import LocalTLBTracker
 from repro.engine.watchdog import SimulationStalledError
+from repro.sim.backends import BackendUnsupported
 from repro.sim.results import AppResult, SimulationResult
 from repro.structures.cuckoo_filter import _splitmix64
 from repro.structures.tlb_array import VPN_BITS, InfinitePackedTLB, PackedTLB
 from repro.workloads.trace import Workload
-
-
-class BackendUnsupported(ValueError):
-    """The requested configuration needs timing machinery the functional
-    backend deliberately does not model; run the event engine instead."""
 
 
 #: Policies the functional backend replays, mapped to "is least-TLB".

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import time
 import warnings
@@ -45,8 +46,6 @@ try:  # advisory inter-process locking; absent on non-POSIX platforms
     import fcntl
 except ImportError:  # pragma: no cover - POSIX-only test environment
     fcntl = None  # type: ignore[assignment]
-
-import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.reporting.export import result_from_dict, result_to_dict
@@ -102,16 +101,13 @@ def canonicalize(value: Any) -> Any:
     generic ``hasattr(value, "item")`` probe alone would either raise on
     a multi-element array or silently collapse a one-element array to its
     scalar — two different option values fingerprinting identically.
+    They are recognised by their type's module, and numpy is then read
+    from ``sys.modules``: keying never imports numpy, and never touches
+    a numpy that another thread is still importing (the serve pool's
+    pre-fork preload runs beside the event loop, which keys requests).
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return {
-            "__ndarray__": {"dtype": str(value.dtype), "shape": list(value.shape)},
-            "data": value.tolist(),
-        }
     if isinstance(value, FaultPlan):
         return {"fault_plan": value.describe()}
     if is_dataclass(value) and not isinstance(value, type):
@@ -122,6 +118,15 @@ def canonicalize(value: Any) -> Any:
         return [canonicalize(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(canonicalize(v) for v in value)
+    if any(cls.__module__.partition(".")[0] == "numpy" for cls in type(value).__mro__):
+        np = sys.modules["numpy"]
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            return {
+                "__ndarray__": {"dtype": str(value.dtype), "shape": list(value.shape)},
+                "data": value.tolist(),
+            }
     if hasattr(value, "item") and callable(value.item):  # scalar-like wrappers
         return value.item()
     return repr(value)

@@ -42,22 +42,23 @@ from repro.config.presets import (
 from repro.config.system import SystemConfig
 from repro.sim.backends import validate_backend
 from repro.sim.cache import ResultCache, fingerprint_digest, run_fingerprint
-from repro.sim.driver import run_alone, run_mix, run_multi_app, run_single_app, run_trace
 from repro.sim.results import SimulationResult
-from repro.workloads.ingest import default_trace_name, trace_workload_key
-from repro.workloads.multi_app import (
+from repro.workloads.tables import (
     MIX_WORKLOADS,
     MULTI_APP_WORKLOADS,
     SCALED_WORKLOADS,
     SINGLE_APP_NAMES,
 )
+from repro.workloads.trace_files import default_trace_name, trace_workload_key
 
-_RUNNERS: dict[str, Callable[..., SimulationResult]] = {
-    "single": run_single_app,
-    "multi": run_multi_app,
-    "mix": run_mix,
-    "alone": run_alone,
-    "trace": run_trace,
+#: Job kind → the :mod:`repro.sim.driver` function that runs it.  Named,
+#: not imported: the simulator (and numpy) load only where a job executes.
+_RUNNERS: dict[str, str] = {
+    "single": "run_single_app",
+    "multi": "run_multi_app",
+    "mix": "run_mix",
+    "alone": "run_alone",
+    "trace": "run_trace",
 }
 
 
@@ -126,17 +127,14 @@ class JobSpec:
 
     def execute(self) -> SimulationResult:
         """Run the simulation in the current process."""
-        runner = _RUNNERS[self.kind]
+        from repro.sim import driver
+
+        runner = getattr(driver, _RUNNERS[self.kind])
         kwargs = dict(self.options)
         if self.backend != "event":
             kwargs["backend"] = self.backend
         if self.shards != 1:
             kwargs["shards"] = self.shards
-        if self.kind == "alone":
-            return run_alone(
-                self.workload, self.resolved_config(), self.policy,
-                scale=self.scale, seed=self.seed, **kwargs,
-            )
         return runner(
             self.workload, self.resolved_config(), self.policy,
             scale=self.scale, seed=self.seed, **kwargs,

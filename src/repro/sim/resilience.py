@@ -43,10 +43,12 @@ bit-identical to a first-try success.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
 import signal
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,6 +58,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.faults.plan import RUNNER_SITES, FaultPlan, FaultPlanError
+from repro.policies import policy_class, policy_names
+from repro.reporting.export import result_from_dict, result_to_dict
 from repro.sim.backends import BackendUnsupported
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import JobOutcome, JobSpec, dedupe_jobs, default_workers
@@ -319,6 +323,36 @@ class SweepJournal:
 
 # -- worker-side execution ---------------------------------------------------
 
+#: Every module a job imports when it runs, besides the policy classes:
+#: the run functions, both fast backends, the trace parser, and the numpy
+#: submodules numpy imports on first use (``np.random``; ``np.unique``
+#: reaches ``np.ma``).  The runner imports them before it forks, so
+#: workers inherit them instead of importing them per job;
+#: ``tests/sim/test_startup.py`` fails if a job imports anything else.
+JOB_CLOSURE = (
+    "repro.sim.driver",
+    "repro.sim.backends.functional",
+    "repro.sim.backends.vectorized",
+    "repro.workloads.ingest",
+    "numpy.random",
+    "numpy.ma",
+)
+
+_preload_lock = threading.Lock()
+
+
+def preload_job_closure() -> None:
+    """Import :data:`JOB_CLOSURE` and every policy class into this process.
+
+    Serialised, because the serve pool calls it from several
+    supervising threads at once.
+    """
+    with _preload_lock:
+        for module in JOB_CLOSURE:
+            importlib.import_module(module)
+        for name in policy_names():
+            policy_class(name)
+
 
 def _job_worker(conn: Any, spec: JobSpec, kill: bool, fail: bool, slow_ms: int) -> None:
     """One job attempt in a dedicated worker process.
@@ -334,8 +368,6 @@ def _job_worker(conn: Any, spec: JobSpec, kill: bool, fail: bool, slow_ms: int) 
             time.sleep(slow_ms / 1000.0)
         if fail:
             raise ChaosFault("injected transient worker failure")
-        from repro.reporting.export import result_to_dict
-
         start = time.perf_counter()
         result = spec.execute()
         seconds = time.perf_counter() - start
@@ -630,9 +662,11 @@ def _run_supervised(
     budget is spent.  ``on_tick`` is called once per supervision loop
     iteration (roughly every second while anything runs) — host-side
     only, it never touches simulation state.
-    """
-    from repro.reporting.export import result_from_dict
 
+    The job closure is imported here, before the first fork, so worker
+    processes import nothing.
+    """
+    preload_job_closure()
     ctx = get_context()
     outcomes: list[JobOutcome] = []
     waiting = deque(misses)

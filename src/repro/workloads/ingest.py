@@ -19,7 +19,8 @@ Memory guarantees (see ``docs/traces.md``):
   a time — so peak RSS never scales with the raw trace length, only with
   the run-compressed output (consecutive same-page accesses collapse into
   one run with a repeat count, the trace model's burst convention);
-* the streaming content digest (:func:`trace_digest`) hashes the raw
+* the streaming content digest
+  (:func:`~repro.workloads.trace_files.trace_digest`) hashes the raw
   bytes chunk-wise, never loading the file, and keys the persistent
   result cache: a trace job's fingerprint depends on the file's
   *content*, not its path or mtime.
@@ -42,10 +43,7 @@ Per-GPU splitting is a pluggable, deterministic, seed-independent policy
 from __future__ import annotations
 
 import gzip
-import hashlib
-import os
-import re
-import threading
+import io
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -56,30 +54,16 @@ import numpy as np
 from repro.workloads.applications import DEFAULT_WARMUP_FRAC
 from repro.workloads.errors import TraceFormatError
 from repro.workloads.trace import CUStream, Placement, Workload
-
-#: Recognised trace-file suffixes (``.gz`` may wrap any of them).
-TRACE_SUFFIXES = (".trc", ".k6", ".mase", ".trace", ".txt")
-
-#: k6-format commands → is_write (DRAMSim2's recommended format).
-K6_COMMANDS: dict[str, bool] = {
-    "P_MEM_RD": False,
-    "P_FETCH": False,
-    "P_LOCK_RD": False,
-    "P_MEM_WR": True,
-    "P_LOCK_WR": True,
-}
-
-#: mase-format commands → is_write.
-MASE_COMMANDS: dict[str, bool] = {
-    "READ": False,
-    "IFETCH": False,
-    "WRITE": True,
-}
-
-_FORMATS: dict[str, dict[str, bool]] = {"k6": K6_COMMANDS, "mase": MASE_COMMANDS}
-
-#: Per-GPU splitting/interleaving policies (see module docstring).
-SPLIT_POLICIES = ("round-robin", "address-hash", "contiguous-block")
+from repro.workloads.trace_files import (
+    _COMMENT_PREFIXES,
+    _FORMATS,
+    SPLIT_POLICIES,
+    _is_gzip,
+    _open_text,
+    default_trace_name,
+    sniff_format,
+    trace_digest,
+)
 
 #: Records parsed per chunk — the unit of bounded-memory streaming.
 DEFAULT_CHUNK_RECORDS = 65_536
@@ -91,66 +75,6 @@ DEFAULT_BLOCK_PAGES = 512
 #: Issue-gap clamp: trace cycle deltas outside [1, this] are clipped so a
 #: single bogus timestamp cannot distort MPKI/IPC accounting.
 DEFAULT_MAX_GAP = 100_000
-
-_COMMENT_PREFIXES = ("#", ";", "//")
-
-
-# -- format sniffing ---------------------------------------------------------
-
-
-def _is_gzip(path: Path) -> bool:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(2) == b"\x1f\x8b"
-    except OSError as exc:
-        raise TraceFormatError("cannot read trace", path=str(path), cause=exc) from exc
-
-
-def _open_text(path: Path) -> IO[str]:
-    if _is_gzip(path):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "rt", encoding="utf-8", errors="replace")
-
-
-def _first_data_line(path: Path) -> str | None:
-    with _open_text(path) as handle:
-        try:
-            for line in handle:
-                stripped = line.strip()
-                if stripped and not stripped.startswith(_COMMENT_PREFIXES):
-                    return stripped
-        except (EOFError, OSError) as exc:
-            raise TraceFormatError(
-                "truncated or corrupt compressed trace", path=str(path), cause=exc
-            ) from exc
-    return None
-
-
-def sniff_format(path: str | Path) -> str:
-    """Detect ``"k6"`` vs ``"mase"`` for ``path``.
-
-    Follows DRAMSim2's convention first — a file name starting with
-    ``k6`` or ``mase`` declares its format — then falls back to matching
-    the command column of the first data line.
-    """
-    path = Path(path)
-    stem = path.name.lower()
-    for fmt in _FORMATS:
-        if stem.startswith(fmt):
-            return fmt
-    line = _first_data_line(path)
-    if line is None:
-        raise TraceFormatError("trace contains no records", path=str(path))
-    fields = line.split()
-    command = fields[1] if len(fields) >= 2 else ""
-    for fmt, commands in _FORMATS.items():
-        if command in commands:
-            return fmt
-    raise TraceFormatError(
-        "cannot sniff trace format (expected a k6 command like P_MEM_RD or "
-        "a mase command like READ in column 2)",
-        path=str(path), line=1, text=line,
-    )
 
 
 # -- streaming record iterator -----------------------------------------------
@@ -263,58 +187,6 @@ def iter_trace_chunks(
                     cycles=np.asarray(cycles, dtype=np.int64),
                     last_line=line_no,
                 )
-
-
-# -- streaming content digest ------------------------------------------------
-
-_DIGEST_CACHE: dict[str, tuple[int, int, str]] = {}
-_DIGEST_LOCK = threading.Lock()
-
-
-def trace_digest(path: str | Path, *, chunk_bytes: int = 1 << 20) -> str:
-    """SHA-256 of the trace file's raw bytes, streamed chunk-wise.
-
-    The digest is over the *stored* bytes (compressed, for ``.gz``
-    inputs), so it never decompresses the trace.  Results are memoised
-    per ``(path, size, mtime)`` so repeated fingerprint computations —
-    bench dedup, serve canonicalization — re-hash only after the file
-    actually changes.
-    """
-    resolved = Path(path).resolve()
-    try:
-        stat = os.stat(resolved)
-    except OSError as exc:
-        raise TraceFormatError("cannot stat trace", path=str(path), cause=exc) from exc
-    key = str(resolved)
-    identity = (stat.st_size, stat.st_mtime_ns)
-    with _DIGEST_LOCK:
-        cached = _DIGEST_CACHE.get(key)
-        if cached is not None and cached[:2] == identity:
-            return cached[2]
-    digest = hashlib.sha256()
-    try:
-        with open(resolved, "rb") as handle:
-            while True:
-                block = handle.read(chunk_bytes)
-                if not block:
-                    break
-                digest.update(block)
-    except OSError as exc:
-        raise TraceFormatError("cannot read trace", path=str(path), cause=exc) from exc
-    value = digest.hexdigest()
-    with _DIGEST_LOCK:
-        _DIGEST_CACHE[key] = (*identity, value)
-    return value
-
-
-def trace_workload_key(path: str | Path) -> dict[str, str]:
-    """The cache-fingerprint identity of a trace workload.
-
-    Content-addressed: two paths holding identical bytes share cache
-    entries; editing the file invalidates them.  The name is deliberately
-    excluded so moving a trace keeps its cached results.
-    """
-    return {"trace_digest": trace_digest(path)}
 
 
 # -- splitting policies ------------------------------------------------------
@@ -486,16 +358,6 @@ class IngestResult:
     workload: Workload
     stats: IngestStats
     per_gpu_runs: dict[int, int] = field(default_factory=dict)
-
-
-def default_trace_name(path: str | Path) -> str:
-    """A workload name derived from the trace file name."""
-    stem = Path(path).name
-    for suffix in (".gz", *TRACE_SUFFIXES):
-        if stem.lower().endswith(suffix):
-            stem = stem[: -len(suffix)]
-    stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", stem).strip("_")
-    return stem or "trace"
 
 
 def _page_shift(page_size: int) -> int:
@@ -679,8 +541,15 @@ def write_k6_trace(
     large fixture never materialises the full text either.
     """
     path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "wt", encoding="utf-8") as handle:  # type: ignore[operator]
+    handle: IO[str]
+    if path.suffix == ".gz":
+        # mtime=0: the header would otherwise stamp the wall clock, and
+        # the same records written a second later would change the
+        # file's content digest (its result-cache key).
+        handle = io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8")
+    else:
+        handle = open(path, "wt", encoding="utf-8")
+    with handle:
         for start in range(0, len(addresses), batch_lines):
             chunk = slice(start, start + batch_lines)
             lines = [

@@ -8,7 +8,10 @@ re-simulation; mutating nothing yields a hit whose
 
 import dataclasses
 import json
+import sys
+import types
 
+import numpy as np
 import pytest
 
 from repro.config.presets import baseline_config
@@ -101,6 +104,21 @@ class TestFingerprint:
         b = canonicalize(baseline_config())
         assert a == b
         json.dumps(a)  # must be JSON-serialisable
+
+    def test_canonicalize_numpy_values(self):
+        assert canonicalize(np.int64(3)) == 3
+        assert canonicalize({"k": np.float32(1.5)}) == {"k": 1.5}
+        one = canonicalize(np.array([7]))
+        assert one == {"__ndarray__": {"dtype": "int64", "shape": [1]}, "data": [7]}
+        assert one != canonicalize(np.int64(7))
+
+    def test_keying_ignores_a_numpy_still_being_imported(self, monkeypatch):
+        # The serve pool imports numpy in a supervising thread while the
+        # event loop keys requests; a half-initialised numpy module in
+        # sys.modules must not break (or change) keying.
+        expected = fingerprint_digest(_fingerprint(options={"max_events": 9}))
+        monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
+        assert fingerprint_digest(_fingerprint(options={"max_events": 9})) == expected
 
 
 class TestResultCache:

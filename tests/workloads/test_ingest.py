@@ -10,6 +10,7 @@ its peak RSS under a fixed bound).
 import gzip
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,18 @@ class TestDigest:
         synthesize_k6_trace(a, accesses=2_000, seed=1)
         b = tmp_path / "b.trc.gz"
         b.write_bytes(a.read_bytes())
+        assert trace_digest(a) == trace_digest(b)
+
+    def test_synthesis_is_byte_identical_across_seconds(self, tmp_path):
+        # The gzip header's mtime must not stamp the wall clock, or a
+        # re-synthesised fixture gets a new digest and misses the cache.
+        first, second = tmp_path / "1", tmp_path / "2"
+        first.mkdir()
+        second.mkdir()
+        a = synthesize_k6_trace(first / "k6_same.trc.gz", accesses=500, seed=4)
+        time.sleep(1.1)
+        b = synthesize_k6_trace(second / "k6_same.trc.gz", accesses=500, seed=4)
+        assert a.read_bytes() == b.read_bytes()
         assert trace_digest(a) == trace_digest(b)
 
     def test_changes_with_content(self, tmp_path):
