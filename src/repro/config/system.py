@@ -132,6 +132,12 @@ class TrackerConfig:
             raise ValueError(f"unknown tracker kind: {self.kind!r}")
         if self.total_entries <= 0:
             raise ValueError(f"total_entries must be positive: {self.total_entries}")
+        if self.bucket_size < 1:
+            raise ValueError(f"bucket_size must be positive: {self.bucket_size}")
+        if not 2 <= self.fingerprint_bits <= 32:
+            raise ValueError(
+                f"fingerprint_bits must be in [2, 32]: {self.fingerprint_bits}"
+            )
 
 
 @dataclass(frozen=True)

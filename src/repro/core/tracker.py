@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.config.system import TrackerConfig
 from repro.structures.bloom_filter import CountingBloomFilter
-from repro.structures.cuckoo_filter import CuckooFilter
+from repro.structures.cuckoo_filter import CuckooFilter, CuckooHashing, probe_all
 
 
 class _PerfectFilter:
@@ -64,7 +64,12 @@ class TrackerStats:
 
 
 class LocalTLBTracker:
-    """Per-GPU membership filters over L2 TLB contents."""
+    """Per-GPU membership filters over L2 TLB contents.
+
+    Every cuckoo partition has the same bucket count, so they share one
+    :class:`CuckooHashing`: a key is hashed once per tracker, and a query
+    locates it once for all GPUs.
+    """
 
     def __init__(self, config: TrackerConfig, num_gpus: int, seed: int = 0) -> None:
         if num_gpus <= 0:
@@ -74,34 +79,53 @@ class LocalTLBTracker:
         per_gpu = max(config.bucket_size, config.total_entries // num_gpus)
         # Round down to a bucket multiple so the cuckoo geometry is valid.
         per_gpu -= per_gpu % config.bucket_size
-        self._filters = [self._make_filter(per_gpu, seed + g) for g in range(num_gpus)]
-        self.stats = TrackerStats()
-
-    def _make_filter(
-        self, entries: int, seed: int
-    ) -> CuckooFilter | CountingBloomFilter | _PerfectFilter:
-        if self.config.kind == "cuckoo":
-            return CuckooFilter(
-                num_entries=entries,
-                bucket_size=self.config.bucket_size,
-                fingerprint_bits=self.config.fingerprint_bits,
-                seed=seed,
+        self._filters: list[CuckooFilter | CountingBloomFilter | _PerfectFilter]
+        self._hashing: CuckooHashing | None = None
+        self._cuckoos: list[CuckooFilter] = []
+        if config.kind == "cuckoo":
+            hashing = CuckooHashing(
+                per_gpu // config.bucket_size, config.fingerprint_bits
             )
-        if self.config.kind == "bloom":
-            return CountingBloomFilter(num_cells=entries * 2, num_hashes=2)
-        return _PerfectFilter()
+            self._hashing = hashing
+            self._cuckoos = [
+                CuckooFilter(
+                    num_entries=per_gpu,
+                    bucket_size=config.bucket_size,
+                    fingerprint_bits=config.fingerprint_bits,
+                    seed=seed + g,
+                    hashing=hashing,
+                )
+                for g in range(num_gpus)
+            ]
+            self._filters = list(self._cuckoos)
+        elif config.kind == "bloom":
+            self._filters = [
+                CountingBloomFilter(num_cells=per_gpu * 2, num_hashes=2)
+                for _ in range(num_gpus)
+            ]
+        else:
+            self._filters = [_PerfectFilter() for _ in range(num_gpus)]
+        self.stats = TrackerStats()
 
     # -- protocol operations ---------------------------------------------------
 
     def register(self, gpu_id: int, pid: int, vpn: int) -> None:
         """A translation entered ``gpu_id``'s L2 TLB."""
         self.stats.registrations += 1
-        self._filters[gpu_id].insert(pid, vpn)
+        if self._hashing is not None:
+            fp, i1, i2 = self._hashing.locate(pid, vpn)
+            self._cuckoos[gpu_id].insert_at(fp, i1, i2)
+        else:
+            self._filters[gpu_id].insert(pid, vpn)
 
     def unregister(self, gpu_id: int, pid: int, vpn: int) -> None:
         """A translation left ``gpu_id``'s L2 TLB."""
         self.stats.unregistrations += 1
-        self._filters[gpu_id].delete(pid, vpn)
+        if self._hashing is not None:
+            fp, i1, i2 = self._hashing.locate(pid, vpn)
+            self._cuckoos[gpu_id].delete_at(fp, i1, i2)
+        else:
+            self._filters[gpu_id].delete(pid, vpn)
 
     def query(self, pid: int, vpn: int) -> list[int]:
         """GPUs whose filter reports the translation resident.
@@ -109,16 +133,21 @@ class LocalTLBTracker:
         May contain false positives (fingerprint aliasing) — the protocol
         tolerates this by racing the walk with the remote probe.
         """
-        self.stats.queries += 1
-        positives = [
-            gpu_id
-            for gpu_id, filt in enumerate(self._filters)
-            if filt.contains(pid, vpn)
-        ]
+        stats = self.stats
+        stats.queries += 1
+        if self._hashing is not None:
+            fp, i1, i2 = self._hashing.locate(pid, vpn)
+            positives = probe_all(self._cuckoos, fp, i1, i2)
+        else:
+            positives = [
+                gpu_id
+                for gpu_id, filt in enumerate(self._filters)
+                if filt.contains(pid, vpn)
+            ]
         if positives:
-            self.stats.positives += 1
+            stats.positives += 1
             if len(positives) > 1:
-                self.stats.multi_positives += 1
+                stats.multi_positives += 1
         return positives
 
     def clear(self, gpu_id: int | None = None) -> None:

@@ -19,6 +19,12 @@ same cycles, in the same same-cycle FIFO order — through one flat loop:
   bit-exact against ``SetAssociativeTLB`` with LRU replacement;
 * link serialization is two floats of per-link state updated inline with
   the exact arithmetic of :class:`repro.interconnect.link.Link.send`;
+* the page tables and the Local TLB Tracker are the event engine's own
+  :class:`~repro.structures.page_table.PageTableManager` and
+  :class:`~repro.core.tracker.LocalTLBTracker` (flat PTE dicts; cuckoo
+  partitions sharing one memoised key geometry), built in the same order
+  from the same seed, so every frame number, walk depth, bucket and RNG
+  draw is the engine's by construction;
 * protocol decisions (spill receiver, probe target, walk cycles, budget
   gates) come from :mod:`repro.core.protocol` — the same kernel the event
   engine calls — so the two backends cannot drift.
@@ -59,7 +65,7 @@ from repro.core.tracker import LocalTLBTracker
 from repro.engine.watchdog import SimulationStalledError
 from repro.sim.backends import BackendUnsupported
 from repro.sim.results import AppResult, SimulationResult
-from repro.structures.cuckoo_filter import _splitmix64
+from repro.structures.page_table import PageTableManager
 from repro.structures.tlb_array import VPN_BITS, InfinitePackedTLB, PackedTLB
 from repro.workloads.trace import Workload
 
@@ -187,223 +193,6 @@ class _Pend:
         self.ticket: list | None = None
 
 
-class _FlatPageTables:
-    """Flat mirror of :class:`repro.structures.page_table.PageTableManager`.
-
-    The event engine walks a real 4-level radix tree per request; with the
-    footprint prefaulted, every walk resolves to the same leaf lookup, so
-    the mirror keeps one ``{vpn: ppn}`` dict per PID and the shared
-    ``next_ppn`` allocator.  Allocation order (and therefore every PPN) is
-    identical to the radix manager's.
-
-    Faulted walks bill latency by the level where the walk hit a hole, so
-    the mirror must know which *intermediate* nodes exist.  Those are
-    exactly the level-``k`` VPN prefixes of the mapped pages (``map``
-    creates them, nothing in the replayed scope removes them); they are
-    materialised lazily on the first fault per PID since a fully prefaulted
-    run never faults at all.
-    """
-
-    __slots__ = ("levels", "bits", "maps", "_prefixes", "next_ppn")
-
-    def __init__(self, levels: int, bits_per_level: int = 9) -> None:
-        self.levels = levels
-        self.bits = bits_per_level
-        self.maps: dict[int, dict[int, int]] = {}
-        self._prefixes: dict[int, set[int]] = {}
-        self.next_ppn = 1  # PPN 0 reserved, like PageTableManager
-
-    def prefault(self, pid: int, vpns: list[int]) -> None:
-        mapping = self.maps.setdefault(pid, {})
-        nxt = self.next_ppn
-        for vpn in vpns:
-            if vpn not in mapping:
-                mapping[vpn] = nxt
-                nxt += 1
-        self.next_ppn = nxt
-        self._prefixes.pop(pid, None)  # rebuild lazily if a fault follows
-
-    def _prefix_set(self, pid: int) -> set[int]:
-        prefixes = self._prefixes.get(pid)
-        if prefixes is None:
-            prefixes = set()
-            bits = self.bits
-            for k in range(1, self.levels):
-                shift = bits * (self.levels - k)
-                tag = k << 60
-                for vpn in self.maps[pid]:
-                    prefixes.add(tag | (vpn >> shift))
-            self._prefixes[pid] = prefixes
-        return prefixes
-
-    def fault_levels(self, pid: int, vpn: int) -> int:
-        """``levels_touched`` of a walk that faulted on ``(pid, vpn)`` —
-        the index of the first radix level with a hole."""
-        if pid not in self.maps:
-            return 1  # unknown PID faults at the first level
-        prefixes = self._prefix_set(pid)
-        bits = self.bits
-        for k in range(1, self.levels):
-            if (k << 60) | (vpn >> (bits * (self.levels - k))) not in prefixes:
-                return k
-        return self.levels
-
-    def map_page(self, pid: int, vpn: int) -> int:
-        mapping = self.maps.setdefault(pid, {})
-        existing = mapping.get(vpn)
-        if existing is not None:
-            return existing
-        ppn = self.next_ppn
-        self.next_ppn += 1
-        mapping[vpn] = ppn
-        prefixes = self._prefixes.get(pid)
-        if prefixes is not None:
-            bits = self.bits
-            for k in range(1, self.levels):
-                prefixes.add((k << 60) | (vpn >> (bits * (self.levels - k))))
-        return ppn
-
-
-class _FlatCuckooTracker:
-    """Flat mirror of :class:`repro.core.tracker.LocalTLBTracker` over
-    cuckoo-filter partitions.
-
-    Two observations make this fast without changing a single observable:
-
-    * the hash geometry ``(fingerprint, i1, i2)`` of a key depends only on
-      the key and the (shared) bucket count — the per-partition seed feeds
-      only the relocation RNG — so one memo dict serves every GPU's filter,
-      and each key pays the two ``_splitmix64`` calls once per run instead
-      of twice per operation (a tracker *query* costs ``2 × num_gpus``
-      mixes in the object model);
-    * ``_splitmix64(fp)`` in the alternate-index computation ranges over at
-      most ``2**fingerprint_bits`` values, so it is a table lookup.
-
-    Bucket contents, relocation order, RNG draw sequence (``Random(seed +
-    gpu)``, consulted only when both candidate buckets are full), and the
-    :class:`TrackerStats` counters are bit-identical to the object model.
-    """
-
-    __slots__ = (
-        "num_buckets",
-        "bucket_size",
-        "max_kicks",
-        "fp_mask",
-        "buckets",
-        "rngs",
-        "sm_fp",
-        "memo",
-        "registrations",
-        "unregistrations",
-        "queries",
-        "positives",
-        "multi_positives",
-    )
-
-    def __init__(self, config: Any, num_gpus: int, seed: int) -> None:
-        per_gpu = max(config.bucket_size, config.total_entries // num_gpus)
-        per_gpu -= per_gpu % config.bucket_size  # bucket-multiple, like tracker
-        self.bucket_size = config.bucket_size
-        self.num_buckets = per_gpu // self.bucket_size
-        self.max_kicks = 64  # CuckooFilter default; tracker does not override
-        self.fp_mask = (1 << config.fingerprint_bits) - 1
-        self.buckets: list[list[list[int]]] = [
-            [[] for _ in range(self.num_buckets)] for _ in range(num_gpus)
-        ]
-        self.rngs = [random.Random(seed + g) for g in range(num_gpus)]
-        self.sm_fp = [_splitmix64(fp) for fp in range(self.fp_mask + 1)]
-        self.memo: dict[int, tuple[int, int, int]] = {}
-        self.registrations = 0
-        self.unregistrations = 0
-        self.queries = 0
-        self.positives = 0
-        self.multi_positives = 0
-
-    @property
-    def stats(self) -> "_FlatCuckooTracker":
-        """Duck-typed TrackerStats view (the counters live on ``self``)."""
-        return self
-
-    def _locate(self, pid: int, vpn: int) -> tuple[int, int, int]:
-        key = (pid << 48) ^ vpn
-        entry = self.memo.get(key)
-        if entry is None:
-            key_hash = _splitmix64(key)
-            fp = (key_hash >> 40) & self.fp_mask
-            if fp == 0:
-                fp = 1
-            i1 = key_hash % self.num_buckets
-            i2 = (i1 ^ self.sm_fp[fp]) % self.num_buckets
-            entry = (fp, i1, i2)
-            self.memo[key] = entry
-        return entry
-
-    def register(self, gpu_id: int, pid: int, vpn: int) -> None:
-        self.registrations += 1
-        fp, i1, i2 = self._locate(pid, vpn)
-        buckets = self.buckets[gpu_id]
-        size = self.bucket_size
-        for index in (i1, i2):
-            bucket = buckets[index]
-            if len(bucket) < size:
-                bucket.append(fp)
-                return
-        # Both buckets full: cuckoo relocation, exact RNG call sequence.
-        # ``Random.choice(seq)`` and ``Random.randrange(n)`` both reduce to
-        # ``_randbelow(n)`` — ``getrandbits(n.bit_length())`` redrawn while
-        # >= n — so the draws are replayed against ``getrandbits`` directly
-        # (no Python frames per draw).  tests pin this equivalence against
-        # the object model, so an interpreter that changed ``_randbelow``
-        # would be caught, not silently diverged from.
-        grb = self.rngs[gpu_id].getrandbits
-        sm_fp = self.sm_fp
-        nb = self.num_buckets
-        draw = grb(2)  # choice((i1, i2)): _randbelow(2), 2 bits
-        while draw >= 2:
-            draw = grb(2)
-        index = i2 if draw else i1
-        kbits = size.bit_length()  # randrange(size): _randbelow(size)
-        for _ in range(self.max_kicks):
-            slot = grb(kbits)
-            while slot >= size:
-                slot = grb(kbits)
-            bucket = buckets[index]
-            fp, bucket[slot] = bucket[slot], fp
-            index = (index ^ sm_fp[fp]) % nb
-            bucket = buckets[index]
-            if len(bucket) < size:
-                bucket.append(fp)
-                return
-        # Chain exhausted: the displaced fingerprint is dropped (a future
-        # false negative its key's owner tolerates via the PTW race).
-
-    def unregister(self, gpu_id: int, pid: int, vpn: int) -> None:
-        self.unregistrations += 1
-        fp, i1, i2 = self._locate(pid, vpn)
-        buckets = self.buckets[gpu_id]
-        bucket = buckets[i1]
-        if fp in bucket:
-            bucket.remove(fp)
-            return
-        bucket = buckets[i2]
-        if fp in bucket:
-            bucket.remove(fp)
-
-    def query(self, pid: int, vpn: int) -> list[int]:
-        self.queries += 1
-        fp, i1, i2 = self._locate(pid, vpn)
-        found = [
-            gpu_id
-            for gpu_id, buckets in enumerate(self.buckets)
-            if fp in buckets[i1] or fp in buckets[i2]
-        ]
-        if found:
-            self.positives += 1
-            if len(found) > 1:
-                self.multi_positives += 1
-        return found
-
-
 def _resolve_policy(
     workload: Workload, policy: str, policy_options: dict[str, Any]
 ) -> tuple[bool, str, bool, bool, bool, str]:
@@ -524,7 +313,7 @@ def run_functional(
                 f"has {num_gpus} GPUs"
             )
 
-    page_tables = _FlatPageTables(config.page_table_levels)
+    page_tables = PageTableManager(levels=config.page_table_levels)
     l1_cfg = config.gpu.l1_tlb
     l2_cfg = config.gpu.l2_tlb
     l1_assoc = l1_cfg.associativity
@@ -602,13 +391,11 @@ def run_functional(
         for pid, vpns in workload.footprints.items():
             page_tables.prefault(pid, vpns.tolist())
 
-    tracker: _FlatCuckooTracker | LocalTLBTracker | None = None
-    if is_least:
-        if config.tracker.kind == "cuckoo":
-            tracker = _FlatCuckooTracker(config.tracker, num_gpus, config.seed)
-        else:
-            # bloom / perfect ablations: the object model is cheap enough.
-            tracker = LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
+    tracker = (
+        LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
+        if is_least
+        else None
+    )
     receiver_rng = random.Random(config.seed) if is_least else None
     multi_probe_removes = probe_removes_entry(mode)
 
@@ -625,7 +412,6 @@ def run_functional(
     pt_levels = page_tables.levels
     # A non-faulted walk always touches every level → constant latency.
     walk_full_lat = walk_cycles(walk_latency_cfg, pt_levels, pt_levels)
-    pt_maps = page_tables.maps
     w_capacity = config.iommu.num_walkers * config.iommu.walker_threads
     pri_batch_size = config.iommu.pri_batch_size
     pri_timeout_cfg = config.iommu.pri_timeout
@@ -884,8 +670,8 @@ def run_functional(
         _heap=heap,
         _push=heappush,
         _ws=ws,
-        _pt_maps=pt_maps,
-        _pt=page_tables,
+        _translate=page_tables.translate,
+        _walk=page_tables.walk,
         _wlat=walk_latency_cfg,
         _levels=pt_levels,
         _full=walk_full_lat,
@@ -897,13 +683,12 @@ def run_functional(
         w_busy += 1
         _ws["walks_dispatched"] = _ws.get("walks_dispatched", 0) + 1
         req = ticket[1]
-        mapping = _pt_maps.get(req[1])
-        ppn = None if mapping is None else mapping.get(req[2])
+        ppn = _translate(req[1], req[2])
         if ppn is not None:
             _push(_heap, (now + _full, seq, _WALK_DONE, ticket, ppn, False))
         else:
             _ws["walks_faulted"] = _ws.get("walks_faulted", 0) + 1
-            touched = _pt.fault_levels(req[1], req[2])
+            touched = _walk(req[1], req[2]).levels_touched
             lat = walk_cycles(_wlat, touched, _levels)
             _push(_heap, (now + lat, seq, _WALK_DONE, ticket, 0, True))
         return seq + 1

@@ -26,11 +26,13 @@ restructuring the replay loop itself around batch-friendly machinery:
   demonstrates hit-dense chains (large-page traces, high-locality
   sweeps).  ``chunk_size`` bounds the lookahead (see
   ``docs/performance.md`` for tuning notes).
-* **Shared seeded structures.**  The cuckoo tracker, page tables, and
-  policy RNG are the functional backend's own (``_FlatCuckooTracker``,
-  ``_FlatPageTables``, ``random.Random(config.seed)``), so every draw
-  sequence — and therefore every bucket state and tracker counter — is
-  bit-identical by construction rather than by re-implementation.
+* **Shared seeded structures.**  The page tables, the Local TLB Tracker
+  and the policy RNG are the ones every backend builds
+  (:class:`~repro.structures.page_table.PageTableManager`,
+  :class:`~repro.core.tracker.LocalTLBTracker`,
+  ``random.Random(config.seed)``), so every draw sequence — and
+  therefore every bucket state and tracker counter — is bit-identical by
+  construction rather than by re-implementation.
 
 Scope and fallback behaviour match the functional backend: unsupported
 configurations raise :class:`BackendUnsupported`.  Sharded execution
@@ -78,12 +80,11 @@ from repro.sim.backends.functional import (
     _RUNNING,
     BackendUnsupported,
     _check_supported,
-    _FlatCuckooTracker,
-    _FlatPageTables,
     _Pend,
     _resolve_policy,
 )
 from repro.sim.results import AppResult, SimulationResult
+from repro.structures.page_table import PageTableManager
 from repro.structures.tlb_array import VPN_BITS, InfinitePackedTLB, PackedTLB, probe_tags
 from repro.workloads.trace import Workload
 import random
@@ -219,7 +220,7 @@ def run_vectorized(
                 f"has {num_gpus} GPUs"
             )
 
-    page_tables = _FlatPageTables(config.page_table_levels)
+    page_tables = PageTableManager(levels=config.page_table_levels)
     l1_cfg = config.gpu.l1_tlb
     l2_cfg = config.gpu.l2_tlb
     l1_assoc = l1_cfg.associativity
@@ -306,12 +307,11 @@ def run_vectorized(
         for pid, vpns in workload.footprints.items():
             page_tables.prefault(pid, vpns.tolist())
 
-    tracker: _FlatCuckooTracker | LocalTLBTracker | None = None
-    if is_least:
-        if config.tracker.kind == "cuckoo":
-            tracker = _FlatCuckooTracker(config.tracker, num_gpus, config.seed)
-        else:
-            tracker = LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
+    tracker = (
+        LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
+        if is_least
+        else None
+    )
     receiver_rng = random.Random(config.seed) if is_least else None
     multi_probe_removes = probe_removes_entry(mode)
 
@@ -327,7 +327,6 @@ def run_vectorized(
     walk_latency_cfg = config.iommu.walk_latency
     pt_levels = page_tables.levels
     walk_full_lat = walk_cycles(walk_latency_cfg, pt_levels, pt_levels)
-    pt_maps = page_tables.maps
     w_capacity = config.iommu.num_walkers * config.iommu.walker_threads
     pri_batch_size = config.iommu.pri_batch_size
     pri_timeout_cfg = config.iommu.pri_timeout
@@ -594,8 +593,8 @@ def run_vectorized(
         _times=times,
         _hp=heappush,
         _ws=ws,
-        _pt_maps=pt_maps,
-        _pt=page_tables,
+        _translate=page_tables.translate,
+        _walk=page_tables.walk,
         _wlat=walk_latency_cfg,
         _levels=pt_levels,
         _full=walk_full_lat,
@@ -607,14 +606,13 @@ def run_vectorized(
         w_busy += 1
         _ws["walks_dispatched"] = _ws.get("walks_dispatched", 0) + 1
         req = ticket[1]
-        mapping = _pt_maps.get(req[1])
-        ppn = None if mapping is None else mapping.get(req[2])
+        ppn = _translate(req[1], req[2])
         if ppn is not None:
             ta = now + _full
             ev = (_WALK_DONE, ticket, ppn, False)
         else:
             _ws["walks_faulted"] = _ws.get("walks_faulted", 0) + 1
-            touched = _pt.fault_levels(req[1], req[2])
+            touched = _walk(req[1], req[2]).levels_touched
             ta = now + walk_cycles(_wlat, touched, _levels)
             ev = (_WALK_DONE, ticket, 0, True)
         b = _b.get(ta)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 
 def _splitmix64(x: int) -> int:
@@ -46,6 +47,47 @@ class CuckooFilterStats:
     positives: int = 0
 
 
+class CuckooHashing:
+    """Where keys live in a filter of ``num_buckets`` buckets.
+
+    A key ``(pid, vpn)`` has a fingerprint and two candidate buckets that
+    depend only on the key, the bucket count and the fingerprint width —
+    not on a filter's seed or contents — so one instance serves every
+    partition of a tracker, and each key is hashed once per instance
+    (``locate`` memoises it).  ``mix`` caches ``_splitmix64(fp)`` for each
+    fingerprint seen, which is every fingerprint a bucket can hold.
+    """
+
+    __slots__ = ("num_buckets", "fp_mask", "mix", "_located")
+
+    def __init__(self, num_buckets: int, fingerprint_bits: int) -> None:
+        self.num_buckets = num_buckets
+        self.fp_mask = (1 << fingerprint_bits) - 1
+        self.mix: dict[int, int] = {}
+        self._located: dict[int, tuple[int, int, int]] = {}
+
+    def locate(self, pid: int, vpn: int) -> tuple[int, int, int]:
+        """``(fingerprint, i1, i2)`` of the key ``(pid, vpn)``."""
+        key = (pid << 48) ^ vpn
+        located = self._located.get(key)
+        if located is None:
+            key_hash = _splitmix64(key)
+            # The fingerprint comes from the HIGH bits of the key hash while
+            # the bucket index uses the low bits — deriving both from the
+            # same bits would correlate fingerprint with bucket and break
+            # the false-positive bound.  A fingerprint of zero is avoided so
+            # hardware-faithful encodings remain possible.
+            fp = (key_hash >> 40) & self.fp_mask or 1
+            mix = self.mix.get(fp)
+            if mix is None:
+                mix = self.mix[fp] = _splitmix64(fp)
+            i1 = key_hash % self.num_buckets
+            # A fingerprint in bucket i has its other candidate at
+            # (i ^ mix) % num_buckets; the kicks in insert_at rely on it.
+            located = self._located[key] = (fp, i1, (i1 ^ mix) % self.num_buckets)
+        return located
+
+
 class CuckooFilter:
     """A bucketised cuckoo filter over ``(pid, vpn)`` translation keys.
 
@@ -60,6 +102,14 @@ class CuckooFilter:
         Width of the stored fingerprint.  Smaller fingerprints save area but
         raise the false-positive probability; 6 bits lands near the paper's
         0.2 figure under high occupancy.
+    hashing:
+        Key geometry shared with other filters of the same bucket count and
+        fingerprint width (the tracker's partitions); by default the filter
+        gets its own.
+
+    ``insert``/``contains``/``delete`` take a key; ``insert_at``,
+    ``delete_at`` and :func:`probe_all` take the key's ``hashing.locate``
+    result, so a caller probing several filters hashes the key once.
     """
 
     __slots__ = (
@@ -67,7 +117,7 @@ class CuckooFilter:
         "bucket_size",
         "fingerprint_bits",
         "max_kicks",
-        "_fp_mask",
+        "hashing",
         "_buckets",
         "_rng",
         "stats",
@@ -80,6 +130,7 @@ class CuckooFilter:
         fingerprint_bits: int = 6,
         max_kicks: int = 64,
         seed: int = 0,
+        hashing: CuckooHashing | None = None,
     ) -> None:
         if num_entries <= 0 or num_entries % bucket_size != 0:
             raise ValueError(
@@ -92,32 +143,10 @@ class CuckooFilter:
         self.bucket_size = bucket_size
         self.fingerprint_bits = fingerprint_bits
         self.max_kicks = max_kicks
-        self._fp_mask = (1 << fingerprint_bits) - 1
+        self.hashing = hashing or CuckooHashing(self.num_buckets, fingerprint_bits)
         self._buckets: list[list[int]] = [[] for _ in range(self.num_buckets)]
         self._rng = random.Random(seed)
         self.stats = CuckooFilterStats()
-
-    # -- hashing -----------------------------------------------------------
-
-    def _key_hash(self, pid: int, vpn: int) -> int:
-        return _splitmix64((pid << 48) ^ vpn)
-
-    def _fingerprint(self, pid: int, vpn: int) -> int:
-        # Drawn from the HIGH bits of the key hash while the bucket index
-        # uses the low bits — deriving both from the same bits would
-        # correlate fingerprint with bucket and break the false-positive
-        # bound.  A fingerprint of zero is avoided so hardware-faithful
-        # encodings remain possible.
-        fp = (self._key_hash(pid, vpn) >> 40) & self._fp_mask
-        return fp if fp != 0 else 1
-
-    def _index_pair(self, pid: int, vpn: int, fp: int) -> tuple[int, int]:
-        i1 = self._key_hash(pid, vpn) % self.num_buckets
-        i2 = (i1 ^ _splitmix64(fp)) % self.num_buckets
-        return i1, i2
-
-    def _alt_index(self, index: int, fp: int) -> int:
-        return (index ^ _splitmix64(fp)) % self.num_buckets
 
     # -- operations ---------------------------------------------------------
 
@@ -125,21 +154,46 @@ class CuckooFilter:
         """Insert a key.  Returns ``False`` when an unrelated fingerprint had
         to be displaced to make room (a future false negative for its key);
         the new key itself is always stored."""
-        fp = self._fingerprint(pid, vpn)
-        i1, i2 = self._index_pair(pid, vpn, fp)
+        fp, i1, i2 = self.hashing.locate(pid, vpn)
+        return self.insert_at(fp, i1, i2)
+
+    def insert_at(self, fp: int, i1: int, i2: int) -> bool:
+        """``insert`` of a located key."""
         self.stats.insertions += 1
-        for index in (i1, i2):
-            if len(self._buckets[index]) < self.bucket_size:
-                self._buckets[index].append(fp)
-                return True
-        # Both buckets full: relocate resident fingerprints cuckoo-style.
-        index = self._rng.choice((i1, i2))
+        size = self.bucket_size
+        buckets = self._buckets
+        bucket = buckets[i1]
+        if len(bucket) < size:
+            bucket.append(fp)
+            return True
+        bucket = buckets[i2]
+        if len(bucket) < size:
+            bucket.append(fp)
+            return True
+        # Both buckets full: relocate resident fingerprints cuckoo-style,
+        # starting from a random candidate and kicking a random slot.  A
+        # draw below ``n`` takes ``n.bit_length()`` random bits and redraws
+        # while the value is ``>= n``: the draws ``Random.choice`` and
+        # ``Random.randrange`` make on CPython, defined here so results do
+        # not depend on the interpreter's private ``_randbelow``.
+        getrandbits = self._rng.getrandbits
+        draw = getrandbits(2)
+        while draw >= 2:
+            draw = getrandbits(2)
+        index = i2 if draw else i1
+        bits = size.bit_length()
+        mix = self.hashing.mix  # holds every resident fingerprint's mix
+        nb = self.num_buckets
         for _ in range(self.max_kicks):
-            slot = self._rng.randrange(self.bucket_size)
-            fp, self._buckets[index][slot] = self._buckets[index][slot], fp
-            index = self._alt_index(index, fp)
-            if len(self._buckets[index]) < self.bucket_size:
-                self._buckets[index].append(fp)
+            slot = getrandbits(bits)
+            while slot >= size:
+                slot = getrandbits(bits)
+            bucket = buckets[index]
+            fp, bucket[slot] = bucket[slot], fp
+            index = (index ^ mix[fp]) % nb
+            bucket = buckets[index]
+            if len(bucket) < size:
+                bucket.append(fp)
                 return True
         # Relocation chain exhausted: drop the orphaned fingerprint.  Its
         # original key becomes a false negative, which the translation
@@ -149,13 +203,8 @@ class CuckooFilter:
 
     def contains(self, pid: int, vpn: int) -> bool:
         """Membership test (may return false positives)."""
-        fp = self._fingerprint(pid, vpn)
-        i1, i2 = self._index_pair(pid, vpn, fp)
-        self.stats.queries += 1
-        found = fp in self._buckets[i1] or fp in self._buckets[i2]
-        if found:
-            self.stats.positives += 1
-        return found
+        fp, i1, i2 = self.hashing.locate(pid, vpn)
+        return bool(probe_all((self,), fp, i1, i2))
 
     def delete(self, pid: int, vpn: int) -> bool:
         """Remove one copy of the key's fingerprint.
@@ -163,16 +212,21 @@ class CuckooFilter:
         Returns ``False`` if no matching fingerprint was present (the key was
         never inserted, or its fingerprint was displaced earlier).
         """
-        fp = self._fingerprint(pid, vpn)
-        i1, i2 = self._index_pair(pid, vpn, fp)
-        for index in (i1, i2):
-            bucket = self._buckets[index]
-            if fp in bucket:
-                bucket.remove(fp)
-                self.stats.deletions += 1
-                return True
-        self.stats.failed_deletions += 1
-        return False
+        fp, i1, i2 = self.hashing.locate(pid, vpn)
+        return self.delete_at(fp, i1, i2)
+
+    def delete_at(self, fp: int, i1: int, i2: int) -> bool:
+        """``delete`` of a located key."""
+        buckets = self._buckets
+        bucket = buckets[i1]
+        if fp not in bucket:
+            bucket = buckets[i2]
+            if fp not in bucket:
+                self.stats.failed_deletions += 1
+                return False
+        bucket.remove(fp)
+        self.stats.deletions += 1
+        return True
 
     def clear(self) -> None:
         """Reset the filter (IOMMU TLB shootdown path, Section 4.4)."""
@@ -196,3 +250,18 @@ class CuckooFilter:
     def size_bytes(self) -> float:
         """Storage cost in bytes (fingerprints only, as the paper counts)."""
         return self.capacity * self.fingerprint_bits / 8
+
+
+def probe_all(filters: Sequence[CuckooFilter], fp: int, i1: int, i2: int) -> list[int]:
+    """Positions in ``filters`` whose membership test reports the located
+    key ``(fp, i1, i2)`` — ``contains`` on each filter, counted in each
+    filter's stats, in one call."""
+    found: list[int] = []
+    for position, filt in enumerate(filters):
+        stats = filt.stats
+        stats.queries += 1
+        buckets = filt._buckets
+        if fp in buckets[i1] or fp in buckets[i2]:
+            stats.positives += 1
+            found.append(position)
+    return found

@@ -4,15 +4,20 @@ The baseline system keeps all page tables in CPU memory under IOMMU control
 (Section 2.1); the Figure 23 variant additionally gives each GPU a local page
 table in device memory.  Both variants are backed by this module.
 
-The table is a real 4-level radix tree (x86-64-style, 9 bits per level for
-4 KB pages) rather than a flat dict, so a walk reports how many levels it
-actually touched — the page-walker latency model consumes that number.
+The table models a 4-level radix tree (x86-64-style, 9 bits per level for
+4 KB pages), so a walk reports how many levels it actually touched — the
+page-walker latency model consumes that number.  It is stored flat: one
+``{vpn: ppn}`` dict of leaf PTEs plus, per intermediate level, the set of
+VPN prefixes whose node exists.  A hit always touches every level, so the
+prefix sets matter only to faulting walks; they are built on the first
+faulting walk or ``unmap`` and kept current by ``map`` from then on, which
+makes prefaulting a footprint one dict loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 
 @dataclass(slots=True)
@@ -35,10 +40,12 @@ class PageTable:
     ``levels`` and ``bits_per_level`` fix the radix geometry; the defaults
     model 4-level x86-64 paging for 4 KB pages.  Large (2 MB) pages are
     modelled by the workload layer dividing the footprint into larger pages
-    (fewer VPNs) and the config shortening the walk by one level.
+    (fewer VPNs) and the config shortening the walk by one level.  VPNs are
+    not masked to ``levels * bits_per_level`` bits: the top level is as
+    wide as the largest VPN needs, so distinct VPNs never share a PTE.
     """
 
-    __slots__ = ("levels", "bits_per_level", "_root", "_mapped")
+    __slots__ = ("levels", "bits_per_level", "ptes", "_shifts", "_nodes")
 
     def __init__(self, levels: int = 4, bits_per_level: int = 9) -> None:
         if levels <= 0:
@@ -47,23 +54,46 @@ class PageTable:
             raise ValueError(f"bits_per_level must be positive, got {bits_per_level}")
         self.levels = levels
         self.bits_per_level = bits_per_level
-        self._root: dict = {}
-        self._mapped = 0
+        self.ptes: dict[int, int] = {}
+        """Installed leaf PTEs, ``vpn → ppn``."""
+        # The level-k node on a VPN's path (k = 1 .. levels-1) is named by
+        # the VPN's top k indices, ``vpn >> _shifts[k - 1]``.
+        self._shifts = tuple(
+            bits_per_level * (levels - k) for k in range(1, levels)
+        )
+        self._nodes: list[set[int]] | None = None
 
-    def _indices(self, vpn: int) -> list[int]:
-        mask = (1 << self.bits_per_level) - 1
-        shifts = range((self.levels - 1) * self.bits_per_level, -1, -self.bits_per_level)
-        return [(vpn >> s) & mask for s in shifts]
+    def _node_sets(self) -> list[set[int]]:
+        """The intermediate nodes, materialised on first use."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = [set() for _ in self._shifts]
+            self._add_nodes(nodes, self.ptes)
+        return nodes
+
+    def _add_nodes(self, nodes: list[set[int]], vpns: Collection[int]) -> None:
+        for level_nodes, shift in zip(nodes, self._shifts):
+            level_nodes.update(vpn >> shift for vpn in vpns)
 
     def map(self, vpn: int, ppn: int) -> None:
         """Install a ``vpn → ppn`` mapping, creating intermediate levels."""
-        node = self._root
-        indices = self._indices(vpn)
-        for index in indices[:-1]:
-            node = node.setdefault(index, {})
-        if indices[-1] not in node:
-            self._mapped += 1
-        node[indices[-1]] = ppn
+        self.ptes[vpn] = ppn
+        if self._nodes is not None:
+            self._add_nodes(self._nodes, (vpn,))
+
+    def map_missing(self, vpns: Iterable[int], next_ppn: int) -> int:
+        """Map each unmapped VPN of ``vpns`` to consecutive frames from
+        ``next_ppn``, in order; returns the next unused frame."""
+        ptes = self.ptes
+        for vpn in vpns:
+            if vpn not in ptes:
+                ptes[vpn] = next_ppn
+                next_ppn += 1
+        if self._nodes is not None:
+            # Set union: adds the new pages' nodes and keeps those whose
+            # pages were unmapped.
+            self._add_nodes(self._nodes, ptes)
+        return next_ppn
 
     def unmap(self, vpn: int) -> bool:
         """Remove a mapping.  Returns ``False`` if it was not present.
@@ -71,50 +101,43 @@ class PageTable:
         Intermediate nodes are left in place (as real OS page tables usually
         do between reclaim passes); only the leaf PTE is cleared.
         """
-        node = self._root
-        indices = self._indices(vpn)
-        for index in indices[:-1]:
-            child = node.get(index)
-            if child is None:
-                return False
-            node = child
-        if indices[-1] in node:
-            del node[indices[-1]]
-            self._mapped -= 1
-            return True
-        return False
+        if vpn not in self.ptes:
+            return False
+        self._node_sets()  # record the nodes before the last PTE under them goes
+        del self.ptes[vpn]
+        return True
 
     def walk(self, vpn: int) -> WalkResult:
-        """Traverse the radix tree for ``vpn``.
+        """Walk the radix tree for ``vpn``.
 
         ``levels_touched`` counts the page-table levels dereferenced,
         including the one where the walk terminated (by finding the PTE or a
         hole) — the walker's latency model multiplies this by its per-level
         memory latency.
         """
-        node = self._root
-        indices = self._indices(vpn)
-        touched = 0
-        for index in indices[:-1]:
-            touched += 1
-            child = node.get(index)
-            if child is None:
-                return WalkResult(ppn=None, levels_touched=touched, faulted=True)
-            node = child
-        touched += 1
-        ppn = node.get(indices[-1])
-        if ppn is None:
-            return WalkResult(ppn=None, levels_touched=touched, faulted=True)
-        return WalkResult(ppn=ppn, levels_touched=touched, faulted=False)
+        ppn = self.ptes.get(vpn)
+        if ppn is not None:
+            return WalkResult(ppn, self.levels, False)
+        return WalkResult(None, self._fault_depth(vpn), True)
+
+    def _fault_depth(self, vpn: int) -> int:
+        """``levels_touched`` of a walk for an unmapped ``vpn``: the level of
+        the first missing node on its path, or the leaf level."""
+        for level, (nodes, shift) in enumerate(
+            zip(self._node_sets(), self._shifts), start=1
+        ):
+            if vpn >> shift not in nodes:
+                return level
+        return self.levels
 
     def translate(self, vpn: int) -> int | None:
         """Convenience wrapper: the PPN or ``None``."""
-        return self.walk(vpn).ppn
+        return self.ptes.get(vpn)
 
     @property
     def mapped_pages(self) -> int:
         """Number of leaf PTEs currently installed."""
-        return self._mapped
+        return len(self.ptes)
 
 
 class PageTableManager:
@@ -148,7 +171,7 @@ class PageTableManager:
         Idempotent: re-mapping an existing page returns the existing frame.
         """
         table = self.table_for(pid)
-        existing = table.translate(vpn)
+        existing = table.ptes.get(vpn)
         if existing is not None:
             return existing
         ppn = self._next_ppn
@@ -158,14 +181,9 @@ class PageTableManager:
 
     def prefault(self, pid: int, vpns: Iterable[int]) -> int:
         """Map every VPN in ``vpns``; returns the number of new mappings."""
-        table = self.table_for(pid)
-        created = 0
-        for vpn in vpns:
-            if table.translate(vpn) is None:
-                table.map(vpn, self._next_ppn)
-                self._next_ppn += 1
-                created += 1
-        return created
+        first = self._next_ppn
+        self._next_ppn = self.table_for(pid).map_missing(vpns, first)
+        return self._next_ppn - first
 
     def walk(self, pid: int, vpn: int) -> WalkResult:
         """Walk ``pid``'s table; an unknown PID faults at the first level."""
@@ -173,6 +191,12 @@ class PageTableManager:
         if table is None:
             return WalkResult(ppn=None, levels_touched=1, faulted=True)
         return table.walk(vpn)
+
+    def translate(self, pid: int, vpn: int) -> int | None:
+        """The frame mapped for ``(pid, vpn)``, or ``None``: a walk's
+        outcome without its depth (a hit always touches every level)."""
+        table = self._tables.get(pid)
+        return None if table is None else table.ptes.get(vpn)
 
     def remove_process(self, pid: int) -> bool:
         """Tear down a process's address space."""

@@ -13,6 +13,10 @@ across shard counts.
 """
 
 import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,47 @@ def test_real_trace_is_bit_identical(backend, policy):
     ref = run_single_app("MM", policy=policy, scale=0.02)
     fast = run_single_app("MM", policy=policy, scale=0.02, backend=backend)
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+FINGERPRINT_SCRIPT = """
+import dataclasses, json, resource, sys
+# A cap, so a per-fingerprint table of 2**bits entries fails fast with
+# MemoryError instead of exhausting the machine.
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, {src!r})
+from repro.config.presets import baseline_config
+from repro.sim.driver import run_single_app
+config = baseline_config()
+config = config.derive(
+    tracker=dataclasses.replace(config.tracker, fingerprint_bits={bits})
+)
+event, functional = (
+    run_single_app("FIR", config, "least-tlb", scale=0.02, backend=backend)
+    for backend in ("event", "functional")
+)
+assert dataclasses.asdict(event) == dataclasses.asdict(functional)
+print(json.dumps({{
+    "rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "events": event.events_executed,
+}}))
+"""
+
+
+def test_wide_fingerprints_keep_memory_bounded():
+    """The tracker caches a fingerprint's mix only once it is seen, so a
+    32-bit fingerprint costs no more memory than the paper's 6 bits."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    runs = {}
+    for bits in (6, 32):
+        proc = subprocess.run(
+            [sys.executable, "-c", FINGERPRINT_SCRIPT.format(src=src, bits=bits)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs[bits] = json.loads(proc.stdout)
+    assert runs[32]["events"] > 0
+    grown_mib = (runs[32]["rss_kib"] - runs[6]["rss_kib"]) / 1024
+    assert grown_mib < 8, f"32-bit fingerprints cost {grown_mib:.1f} MiB more"
 
 
 class TestScopeRejections:

@@ -77,6 +77,26 @@ class TestSubConfigs:
         with pytest.raises(ValueError):
             TrackerConfig(total_entries=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bucket_size", 0),
+            ("bucket_size", -2),
+            ("fingerprint_bits", 0),
+            ("fingerprint_bits", 1),
+            ("fingerprint_bits", 33),
+        ],
+    )
+    def test_tracker_geometry_rejected_at_construction(self, field, value):
+        # Each of these used to surface mid-run (ZeroDivisionError,
+        # IndexError) or to run on one backend and raise on the other.
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(**{field: value})
+
+    @pytest.mark.parametrize("bits", [2, 32])
+    def test_fingerprint_bits_bounds_accepted(self, bits):
+        assert TrackerConfig(fingerprint_bits=bits).fingerprint_bits == bits
+
     def test_interconnect_validation(self):
         with pytest.raises(ValueError):
             InterconnectConfig(host_link_latency=-1)
