@@ -13,12 +13,6 @@ writes them to ``BENCH_kernel.json``:
 * **fastpath throughput** — events/second of the functional backend
   (``repro.sim.backends``) replaying the same kernel cases, plus its
   speedup over the event engine (see ``docs/backends.md``);
-* **vectorized throughput** — events/second of the vectorized backend on
-  the same cases at ``--shards 1``, 2 and 4 (``repro.sim.sharding``),
-  each with its speedup over the event engine and the multi-shard rows
-  with their scaling versus the single-shard run.  Shard rows measure
-  the *sharded semantics* (see ``docs/backends.md``): wall-clock scaling
-  only appears when real cores back the worker processes;
 * **serve throughput** — the ``repro serve`` daemon (``docs/service.md``)
   measured through a real HTTP client: cached submissions/second (the
   dedup + transport overhead) and cold single-job end-to-end jobs/second
@@ -37,7 +31,8 @@ Usage::
 
 With ``--baseline``, the harness exits non-zero if any gated section's
 throughput falls more than ``--max-regression`` below the
-baseline file's (used by the CI perf-smoke job).  Numbers are machine-relative: compare
+baseline file's, or if a gated baseline row was not measured at all
+(used by the CI perf-smoke job).  Numbers are machine-relative: compare
 trajectories on one machine, not across machines — the ``machine`` stamp
 records where a baseline came from.
 """
@@ -57,8 +52,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config.presets import baseline_config  # noqa: E402
-from repro.sim.backends import run_functional, run_vectorized  # noqa: E402
-from repro.sim.sharding import run_sharded  # noqa: E402
+from repro.sim.backends import run_functional  # noqa: E402
 from repro.sim.cache import ResultCache, code_version_hash  # noqa: E402
 from repro.sim.parallel import expand_matrix, matrix_summary, run_matrix, select_benches  # noqa: E402
 from repro.sim.system import MultiGPUSystem  # noqa: E402
@@ -146,72 +140,6 @@ def measure_fastpath(scale: float, repeats: int, kernel_rows: list[dict]) -> lis
             f"{events / best:>10,.0f} events/s"
             + (f"  ({speedup:.2f}x event)" if speedup is not None else "")
         )
-    return rows
-
-
-#: Shard counts measured by the ``vectorized`` section.
-SHARD_COUNTS = (1, 2, 4)
-
-
-def measure_vectorized(
-    scale: float, repeats: int, kernel_rows: list[dict]
-) -> list[dict]:
-    """Best-of-N vectorized-backend throughput, single-shard and sharded.
-
-    One row per (case, shard count).  ``speedup_vs_event`` relates every
-    row to the event engine's single-process run of the same case;
-    ``scaling_vs_1shard`` relates the sharded rows to the vectorized
-    single-shard row (>1 needs real cores behind the workers — on a
-    single-core box the worker processes serialise and the ratio mostly
-    shows process overhead).
-    """
-    event_rows = {row["name"]: row for row in kernel_rows}
-    rows = []
-    for label, name, policy, builder in KERNEL_CASES:
-        config = baseline_config()
-        workload = builder(name, config, scale=scale)
-        shard1_eps = None
-        for shards in SHARD_COUNTS:
-            best = None
-            events = 0
-            for _ in range(repeats):
-                start = time.perf_counter()
-                if shards == 1:
-                    result = run_vectorized(config, workload, policy)
-                else:
-                    result = run_sharded(
-                        config, workload, policy,
-                        backend="vectorized", shards=shards,
-                    )
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None or elapsed < best else best
-                events = result.events_executed
-            eps = events / best
-            if shards == 1:
-                shard1_eps = eps
-            event = event_rows.get(label)
-            row = {
-                "name": f"{label}@s{shards}" if shards != 1 else label,
-                "scale": scale,
-                "shards": shards,
-                "wall_seconds": round(best, 6),
-                "events": events,
-                "events_per_sec": round(eps, 1),
-                "speedup_vs_event": (
-                    round(eps / event["events_per_sec"], 3)
-                    if event and event["events_per_sec"] > 0
-                    else None
-                ),
-            }
-            if shards != 1 and shard1_eps:
-                row["scaling_vs_1shard"] = round(eps / shard1_eps, 3)
-            rows.append(row)
-            print(
-                f"vectorized {row['name']:<17} {events:>9,} events  "
-                f"{best:.3f}s  {eps:>10,.0f} events/s"
-                + (f"  ({row['speedup_vs_event']:.2f}x event)"
-                   if row["speedup_vs_event"] is not None else "")
-            )
     return rows
 
 
@@ -313,7 +241,7 @@ def measure_ingest(scale: float, repeats: int) -> list[dict]:
     All rows report their rate in the shared ``events_per_sec`` field so
     :func:`check_regression` gates them like every other section.
     """
-    from repro.workloads import ingest as ingest_mod
+    from repro.workloads import trace_files
     from repro.workloads.ingest import ingest_trace, synthesize_k6_trace, trace_digest
 
     accesses = max(20_000, int(INGEST_ACCESSES_PER_SCALE * scale))
@@ -349,7 +277,7 @@ def measure_ingest(scale: float, repeats: int) -> list[dict]:
         best = None
         digest = ""
         for _ in range(repeats):
-            ingest_mod._DIGEST_CACHE.clear()  # force the streaming hash
+            trace_files._DIGEST_CACHE.clear()  # force the streaming hash
             start = time.perf_counter()
             digest = trace_digest(path)
             elapsed = time.perf_counter() - start
@@ -427,18 +355,24 @@ def machine_stamp() -> dict:
 
 
 def check_regression(report: dict, baseline_path: Path, max_regression: float) -> int:
-    """Compare kernel events/sec against a committed baseline report."""
+    """Compare every gated baseline row's events/sec against this run's;
+    a baseline row the run did not measure fails as well."""
     try:
         baseline = json.loads(baseline_path.read_text())
     except (OSError, ValueError) as exc:
         print(f"error: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    for section in ("kernel", "fastpath", "vectorized", "serve", "ingest"):
-        base_rows = {row["name"]: row for row in baseline.get(section, [])}
-        for row in report.get(section, []):
-            base = base_rows.get(row["name"])
-            if base is None:
+    for section in ("kernel", "fastpath", "serve", "ingest"):
+        rows = {row["name"]: row for row in report.get(section, [])}
+        for base in baseline.get(section, []):
+            row = rows.get(base["name"])
+            if row is None:
+                print(
+                    f"regression-check {section} {base['name']:<14} MISSING "
+                    "(in the baseline, not measured by this run)"
+                )
+                failures += 1
                 continue
             floor = base["events_per_sec"] * (1.0 - max_regression)
             status = "ok" if row["events_per_sec"] >= floor else "REGRESSION"
@@ -452,7 +386,7 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
     if failures:
         print(
             f"error: {failures} case(s) regressed more than "
-            f"{max_regression:.0%} below {baseline_path}",
+            f"{max_regression:.0%} below {baseline_path} or went unmeasured",
             file=sys.stderr,
         )
         return 1
@@ -489,9 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         "kernel": measure_kernel(args.scale, args.repeats),
     }
     report["fastpath"] = measure_fastpath(
-        args.scale, args.repeats, report["kernel"]
-    )
-    report["vectorized"] = measure_vectorized(
         args.scale, args.repeats, report["kernel"]
     )
     report["serve"] = measure_serve(args.scale, args.repeats)

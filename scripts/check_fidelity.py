@@ -1,31 +1,23 @@
 #!/usr/bin/env python
-"""Cross-backend fidelity gate for the fast paths.
+"""Cross-backend fidelity gate for the functional fast path.
 
 Expands the fig02/fig14/fig16/fig19/fig20 bench families into their job
-specs, runs every spec on **all three** backends (the discrete-event
-engine and the functional and vectorized exact-schedule replays) across
-several seeds, and fails when anything observable diverges:
+specs, runs every spec on **both** backends (the discrete-event engine
+and the functional exact-schedule replay) across several seeds, and
+fails when anything observable diverges:
 
-* **backend divergence** — every backend must produce a result dataclass
-  *identical* to the event engine's: every hit/miss/eviction/spill
-  counter, sharing degree, latency mean, ``total_cycles``, and
-  ``events_executed``;
-* **sharded divergence** — with ``--shards N`` (default 4), every case
-  additionally runs sharded (:mod:`repro.sim.sharding`) on the event and
-  vectorized backends; the two merged results must be identical
-  (``shards>1`` is a deterministic partitioned-system approximation, so
-  it is compared backend-vs-backend and digest-pinned, never against the
-  unsharded numbers);
+* **backend divergence** — the two backends must produce *identical*
+  result dataclasses: every hit/miss/eviction/spill counter, sharing
+  degree, latency mean, ``total_cycles``, and ``events_executed``;
 * **golden drift** — the event engine's results are compared against the
   checked-in golden file (``scripts/fidelity_goldens.json``): integer
   counters must match exactly, floating-point latency means within
-  ``--float-tolerance`` (relative), and the sharded-run digest exactly.
-  Every case that ran is checked whenever ``--scale`` equals the pinned
-  scale and the requested benches and seeds are among the pinned ones;
-  sharded digests are checked only at the pinned ``--shards``, and a
-  pinned case that never ran is an error only when the full pinned set
-  was requested.  Goldens pin simulation semantics, so an intentional
-  protocol change regenerates them with ``--update-goldens``;
+  ``--float-tolerance`` (relative).  Every case that ran is checked
+  whenever ``--scale`` equals the pinned scale and the requested benches
+  and seeds are among the pinned ones, and a pinned case that never ran
+  is an error only when the full pinned set was requested.  Goldens pin
+  simulation semantics, so an intentional protocol change regenerates
+  them with ``--update-goldens``;
 * optionally **speedup shortfall** — with ``--min-speedup``, the
   functional backend's aggregate wall-clock advantage must meet the bar
   (the nightly job uses a deliberately loose bar; see
@@ -39,7 +31,7 @@ Usage::
     PYTHONPATH=src python scripts/check_fidelity.py                    # full gate
     PYTHONPATH=src python scripts/check_fidelity.py --scale 0.05 --seeds 0
     PYTHONPATH=src python scripts/check_fidelity.py \
-        --benches fig14_single_app_perf --seeds 0 --shards 1       # golden subset
+        --benches fig14_single_app_perf --seeds 0                  # golden subset
     PYTHONPATH=src python scripts/check_fidelity.py --update-goldens   # re-pin
 """
 
@@ -162,23 +154,11 @@ def diff_fields(a: SimulationResult, b: SimulationResult) -> list[str]:
     return [f.name for f in dataclasses.fields(a) if da[f.name] != db[f.name]]
 
 
-def check_golden(
-    record: dict, golden: dict, float_tolerance: float, sharded: bool
-) -> list[str]:
-    """Problems between one measured record and its golden entry;
-    ``sharded`` says whether the record's sharded digest is comparable."""
-    problems: list[str] = []
-    if sharded and "sharded_digest" in golden and (
-        record.get("sharded_digest") != golden["sharded_digest"]
-    ):
-        # The sharded merge is digest-pinned separately: it can drift
-        # (merge-logic change) even when the unsharded run is unchanged.
-        problems.append(
-            f"sharded digest {golden['sharded_digest'][:12]} -> "
-            f"{str(record.get('sharded_digest'))[:12]}"
-        )
+def check_golden(record: dict, golden: dict, float_tolerance: float) -> list[str]:
+    """Problems between one measured record and its golden entry."""
     if record["digest"] == golden["digest"]:
-        return problems
+        return []
+    problems: list[str] = []
     for field in ("events", "cycles"):
         if record[field] != golden.get(field):
             problems.append(
@@ -218,9 +198,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--float-tolerance", type=float, default=1e-9,
                         help="relative tolerance for latency means "
                              "(default 1e-9)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="also cross-check event vs vectorized at this "
-                             "shard count (1 disables; default 4)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail if the functional backend's aggregate "
                              "wall-clock speedup is below this (default: off)")
@@ -238,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
 
     golden_path = Path(args.goldens)
     goldens: dict = {}
-    full_golden_set = compare_sharded = False
+    full_golden_set = False
     if not args.update_goldens:
         try:
             golden_file = json.loads(golden_path.read_text())
@@ -258,7 +235,6 @@ def main(argv: list[str] | None = None) -> int:
                 full_golden_set = (
                     set(benches) == pinned_benches and set(seeds) == pinned_seeds
                 )
-                compare_sharded = golden_file.get("shards", 1) == args.shards
             else:
                 print(
                     "note: golden file was pinned for "
@@ -271,35 +247,20 @@ def main(argv: list[str] | None = None) -> int:
     cases = []
     divergences = 0
     golden_failures = 0
-    event_seconds = functional_seconds = vectorized_seconds = 0.0
+    event_seconds = functional_seconds = 0.0
     new_goldens: dict[str, dict] = {}
     for spec in specs:
         cid = case_id(spec)
         start = time.perf_counter()
         ref = replace(spec, backend="event").execute()
         t_event = time.perf_counter() - start
+        start = time.perf_counter()
+        fun = replace(spec, backend="functional").execute()
+        t_func = time.perf_counter() - start
         event_seconds += t_event
-        mismatched: dict[str, list[str]] = {}
-        fast_seconds: dict[str, float] = {}
-        for backend in ("functional", "vectorized"):
-            start = time.perf_counter()
-            fast = replace(spec, backend=backend).execute()
-            fast_seconds[backend] = time.perf_counter() - start
-            fields = diff_fields(ref, fast)
-            if fields:
-                mismatched[backend] = fields
-        functional_seconds += fast_seconds["functional"]
-        vectorized_seconds += fast_seconds["vectorized"]
+        functional_seconds += t_func
+        mismatched = diff_fields(ref, fun)
         record = compact(ref)
-        if args.shards > 1:
-            sharded_ref = replace(spec, backend="event",
-                                  shards=args.shards).execute()
-            sharded_vec = replace(spec, backend="vectorized",
-                                  shards=args.shards).execute()
-            fields = diff_fields(sharded_ref, sharded_vec)
-            if fields:
-                mismatched[f"vectorized@s{args.shards}"] = fields
-            record["sharded_digest"] = result_digest(sharded_ref)
         new_goldens[cid] = record
         golden_problems: list[str] = []
         if goldens:
@@ -308,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
                 golden_problems = ["case missing from golden file"]
             else:
                 golden_problems = check_golden(
-                    record, golden, args.float_tolerance, compare_sharded
+                    record, golden, args.float_tolerance
                 )
         status = "ok"
         if mismatched:
@@ -317,20 +278,14 @@ def main(argv: list[str] | None = None) -> int:
         if golden_problems:
             status = "GOLDEN-DRIFT" if status == "ok" else status
             golden_failures += 1
-        speedup = (
-            t_event / fast_seconds["functional"]
-            if fast_seconds["functional"] > 0 else float("inf")
-        )
+        speedup = t_event / t_func if t_func > 0 else float("inf")
         print(
             f"  {cid:<44} {ref.events_executed:>8,} ev  "
-            f"event {t_event:6.2f}s  functional "
-            f"{fast_seconds['functional']:6.2f}s  vectorized "
-            f"{fast_seconds['vectorized']:6.2f}s  {speedup:4.1f}x  {status}"
+            f"event {t_event:6.2f}s  functional {t_func:6.2f}s  "
+            f"{speedup:4.1f}x  {status}"
         )
-        for backend, fields in mismatched.items():
-            for field in fields:
-                print(f"    {backend} diverged field: {field}",
-                      file=sys.stderr)
+        for field in mismatched:
+            print(f"    diverged field: {field}", file=sys.stderr)
         for problem in golden_problems:
             print(f"    golden: {problem}", file=sys.stderr)
         cases.append(
@@ -339,8 +294,7 @@ def main(argv: list[str] | None = None) -> int:
                 "events": ref.events_executed,
                 "total_cycles": ref.total_cycles,
                 "event_seconds": round(t_event, 4),
-                "functional_seconds": round(fast_seconds["functional"], 4),
-                "vectorized_seconds": round(fast_seconds["vectorized"], 4),
+                "functional_seconds": round(t_func, 4),
                 "speedup": round(speedup, 3),
                 "identical": not mismatched,
                 "mismatched_fields": mismatched,
@@ -357,13 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     speedup = (
         event_seconds / functional_seconds if functional_seconds > 0 else 0.0
     )
-    vec_speedup = (
-        event_seconds / vectorized_seconds if vectorized_seconds > 0 else 0.0
-    )
     print(
         f"\naggregate: event {event_seconds:.1f}s, functional "
-        f"{functional_seconds:.1f}s ({speedup:.2f}x), vectorized "
-        f"{vectorized_seconds:.1f}s ({vec_speedup:.2f}x); "
+        f"{functional_seconds:.1f}s -> {speedup:.2f}x; "
         f"{divergences} divergences, {golden_failures} golden failures"
     )
 
@@ -384,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
                     "scale": args.scale,
                     "seeds": seeds,
                     "benches": benches,
-                    "shards": args.shards,
                     "cases": new_goldens,
                 },
                 indent=2,
@@ -400,7 +349,6 @@ def main(argv: list[str] | None = None) -> int:
             "scale": args.scale,
             "seeds": seeds,
             "benches": benches,
-            "shards": args.shards,
             "golden_comparison": bool(goldens),
             "summary": {
                 "cases": len(cases),
@@ -408,9 +356,7 @@ def main(argv: list[str] | None = None) -> int:
                 "golden_failures": golden_failures,
                 "event_seconds": round(event_seconds, 2),
                 "functional_seconds": round(functional_seconds, 2),
-                "vectorized_seconds": round(vectorized_seconds, 2),
                 "speedup": round(speedup, 3),
-                "vectorized_speedup": round(vec_speedup, 3),
             },
             "cases": cases,
         }

@@ -284,7 +284,6 @@ def _run_via_server(args: argparse.Namespace) -> int:
         "config": args.config,
         "scale": args.scale,
         "backend": args.backend,
-        "shards": args.shards,
     }
     if trace_path is not None:
         # The daemon reads the file itself, so the path must be visible
@@ -400,44 +399,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             config, args.scale, args.seed, split=args.split,
         )
 
-    if args.shards < 1:
-        raise _cli_error(f"--shards must be >= 1, got {args.shards}")
-
     system: MultiGPUSystem | None = None
-    if args.shards != 1:
-        from repro.sim.backends import BackendUnsupported
-        from repro.sim.sharding import run_sharded
+    if args.backend == "functional":
+        from repro.sim.backends import BackendUnsupported, run_functional
 
         def execute() -> SimulationResult:
             try:
-                return run_sharded(
-                    config, workload, policy,
-                    backend=args.backend,
-                    shards=args.shards,
-                    max_cycles=args.max_cycles,
-                    max_events=args.max_events,
-                    record_iommu_stream=args.record_stream,
-                    snapshot_interval=args.snapshot_interval,
-                    faults=faults,
-                    check_invariants=args.check_invariants,
-                    telemetry=telemetry,
-                )
-            except BackendUnsupported as exc:
-                raise _cli_error(f"--backend {args.backend}: {exc}") from None
-            except ValueError as exc:
-                raise _cli_error(f"--shards {args.shards}: {exc}") from None
-    elif args.backend in ("functional", "vectorized"):
-        from repro.sim.backends import (
-            BackendUnsupported,
-            run_functional,
-            run_vectorized,
-        )
-
-        runner = run_functional if args.backend == "functional" else run_vectorized
-
-        def execute() -> SimulationResult:
-            try:
-                return runner(
+                return run_functional(
                     config, workload, policy,
                     max_cycles=args.max_cycles,
                     max_events=args.max_events,
@@ -770,7 +738,6 @@ def _bench_via_server(args: argparse.Namespace) -> int:
         "benches": [args.only or "*"],
         "scale": args.scale,
         "backend": args.backend,
-        "shards": args.shards,
     }
     if args.seed is not None:
         payload["seed"] = args.seed
@@ -935,16 +902,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"cleared {removed} cache entries from {cache.cache_dir}")
 
-    if args.shards < 1:
-        raise _cli_error(f"--shards must be >= 1, got {args.shards}")
     pairs = expand_matrix(
         benches, scale=args.scale, seed=args.seed, backend=args.backend,
-        shards=args.shards,
     )
     if include_trace:
         pairs = pairs + trace_bench_pairs(
             args.trace, scale=args.scale, seed=args.seed, split=args.split,
-            backend=args.backend, shards=args.shards,
+            backend=args.backend,
         )
     workers = args.jobs if args.jobs is not None else default_workers()
     if args.profile:
@@ -1359,12 +1323,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", default="baseline",
                      help=f"translation policy ({', '.join(policy_names())})")
     run.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                     help="simulation backend: the discrete-event engine or one "
-                          "of the bit-exact fast paths (see docs/backends.md)")
-    run.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="split the run into N GPU-block worker processes "
-                          "with a deterministic merge (see docs/backends.md; "
-                          "N>1 is a partitioned-system approximation)")
+                     help="simulation backend: the discrete-event engine or "
+                          "the bit-exact fast path (see docs/backends.md)")
     run.add_argument("--json", help="write the result to this JSON file")
     run.add_argument("--record-stream", action="store_true",
                      help="record the IOMMU request stream")
@@ -1443,13 +1403,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=None,
                        help="override the workload/config random seed")
     bench.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                       help="simulation backend for every job (functional/"
-                            "vectorized = the bit-exact fast paths, see "
-                            "docs/backends.md)")
-    bench.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="worker-process shards per job (N>1 is a "
-                            "deterministic partitioned-system approximation, "
-                            "see docs/backends.md)")
+                       help="simulation backend for every job (functional "
+                            "= the bit-exact fast path, see docs/backends.md)")
     bench.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default: one per core)")
     bench.add_argument("--retries", type=int, default=1, metavar="N",

@@ -15,12 +15,12 @@ families, or both::
       "jobs": [
         {"kind": "single", "workload": "MM", "policy": "least-tlb",
          "config": "baseline", "scale": 0.2, "seed": 0,
-         "backend": "functional", "shards": 1,
+         "backend": "functional",
          "options": {"timeline": 5000}}
       ],
       "benches": ["fig02*"],              // glob/substring, like --only
       "scale": 0.2, "seed": 0,            // matrix-wide for "benches"
-      "backend": "event", "shards": 1
+      "backend": "event"
     }
 
 Semantics mirror the CLI exactly:
@@ -30,7 +30,7 @@ Semantics mirror the CLI exactly:
   derives the config seed, like ``repro run --seed`` does;
 * ``benches`` follow ``repro bench``: families expand through
   :func:`repro.sim.parallel.expand_matrix` with the request's
-  scale/seed/backend/shards, producing fingerprints identical to a local
+  scale/seed/backend, producing fingerprints identical to a local
   ``repro bench`` of the same flags (shared persistent cache entries);
 * ``kind`` may be omitted for explicit jobs — it is inferred from the
   workload name the same way ``repro run`` resolves one ("single" for a
@@ -195,7 +195,7 @@ def parse_job(payload: Any) -> JobSpec:
     _require(isinstance(payload, dict), f"each job must be an object, got {payload!r}")
     unknown = set(payload) - {
         "kind", "workload", "policy", "config", "scale", "seed",
-        "backend", "shards", "options",
+        "backend", "options",
     }
     _require(not unknown, f"unknown job field(s): {', '.join(sorted(unknown))}")
     workload = payload.get("workload")
@@ -224,7 +224,6 @@ def parse_job(payload: Any) -> JobSpec:
     backend = payload.get("backend", "event")
     _require(backend in BACKENDS,
              f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
-    shards = _as_int(payload.get("shards", 1), "job.shards", minimum=1)
 
     options = parse_options(payload.get("options"))
     if kind == "trace":
@@ -254,7 +253,6 @@ def parse_job(payload: Any) -> JobSpec:
         seed=seed,
         options=options,
         backend=backend,
-        shards=shards,
     )
 
 
@@ -262,8 +260,7 @@ def parse_request(payload: Any) -> ParsedRequest:
     """Canonicalize one submission payload into ``(bench, spec)`` pairs."""
     _require(isinstance(payload, dict), "request body must be a JSON object")
     unknown = set(payload) - {
-        "client", "jobs", "benches", "scale", "seed", "backend", "shards",
-        "options",
+        "client", "jobs", "benches", "scale", "seed", "backend", "options",
     }
     _require(not unknown, f"unknown request field(s): {', '.join(sorted(unknown))}")
 
@@ -290,7 +287,6 @@ def parse_request(payload: Any) -> ParsedRequest:
         backend = payload.get("backend", "event")
         _require(backend in BACKENDS,
                  f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
-        shards = _as_int(payload.get("shards", 1), "shards", minimum=1)
         names: list[str] = []
         for pattern in benches:
             _require(isinstance(pattern, str), "benches entries must be strings")
@@ -302,8 +298,7 @@ def parse_request(payload: Any) -> ParsedRequest:
                 ) from None
             names.extend(n for n in matched if n not in names)
         pairs.extend(
-            expand_matrix(names, scale=scale, seed=seed, backend=backend,
-                          shards=shards)
+            expand_matrix(names, scale=scale, seed=seed, backend=backend)
         )
 
     _require(bool(pairs), "request must carry jobs and/or benches")
@@ -341,7 +336,6 @@ def spec_request(spec: JobSpec) -> dict[str, Any] | None:
         "policy": spec.policy,
         "scale": spec.scale,
         "backend": spec.backend,
-        "shards": spec.shards,
     }
     if preset_name is not None and preset_name != "baseline":
         payload["config"] = preset_name

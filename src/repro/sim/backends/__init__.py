@@ -10,11 +10,6 @@ Two backends execute a workload:
   for statistics-only runs at a fraction of the cost.  Raises
   :class:`BackendUnsupported` outside its replayable scope (non-LRU
   replacement, fault injection, telemetry, snapshots, …).
-* ``vectorized`` — :func:`run_vectorized`, the same exact-schedule replay
-  on a calendar event queue with numpy-chunked L1 resolution for long hit
-  bursts.  Identical scope and bit-identical results to ``functional``;
-  fastest on hit-heavy configurations.  ``--shards N``
-  (:mod:`repro.sim.sharding`) composes with any backend.
 
 ``docs/backends.md`` documents the scope and the cross-validation gates
 (`scripts/check_fidelity.py`, the nightly CI fidelity job) that keep the
@@ -32,19 +27,19 @@ class BackendUnsupported(ValueError):
 
 
 #: The valid values of every ``--backend`` flag / ``backend=`` parameter.
-BACKENDS = ("event", "functional", "vectorized")
+BACKENDS = ("event", "functional")
 
 DEFAULT_BACKEND = "event"
 
 
 def validate_backend(backend: str) -> str:
-    """Normalise and validate a backend name."""
-    name = backend.lower()
-    if name not in BACKENDS:
+    """Validate a backend name; it must match a :data:`BACKENDS` entry
+    exactly, so one backend has one spelling in labels and cache keys."""
+    if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
         )
-    return name
+    return backend
 
 
 #: The backends themselves load on first use (see :mod:`repro._lazy`), so
@@ -52,7 +47,6 @@ def validate_backend(backend: str) -> str:
 #: imports neither numpy nor the replay code.
 _EXPORTS = {
     "repro.sim.backends.functional": ("run_functional",),
-    "repro.sim.backends.vectorized": ("run_vectorized",),
 }
 
 __all__ = [
@@ -60,7 +54,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "BackendUnsupported",
     "run_functional",
-    "run_vectorized",
     "validate_backend",
 ]
 

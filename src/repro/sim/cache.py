@@ -142,7 +142,6 @@ def run_fingerprint(
     seed: int | None,
     options: dict[str, Any] | None = None,
     backend: str = "event",
-    shards: int = 1,
 ) -> dict[str, Any]:
     """The complete identity of one simulation as a plain dictionary.
 
@@ -155,11 +154,6 @@ def run_fingerprint(
     separate means a fidelity regression can never poison (or be masked
     by) the event engine's cache, and ``scripts/check_fidelity.py`` always
     measures a real run per backend.
-
-    ``shards`` is keyed for the same reason: ``shards>1`` is a documented
-    partitioned-system approximation (see :mod:`repro.sim.sharding`), so
-    a sharded result must never be served for an unsharded request or
-    vice versa.
     """
     resolved_seed = seed
     if resolved_seed is None:
@@ -169,7 +163,6 @@ def run_fingerprint(
         "code": code_version_hash(),
         "kind": kind,
         "backend": backend,
-        "shards": shards,
         "workload": canonicalize(workload),
         "policy": policy,
         "scale": scale,

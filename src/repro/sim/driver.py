@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.config.presets import baseline_config
 from repro.config.system import SystemConfig
-from repro.sim.backends import run_functional, run_vectorized, validate_backend
+from repro.sim.backends import run_functional, validate_backend
 from repro.sim.results import SimulationResult
 from repro.sim.system import MultiGPUSystem
 from repro.workloads.multi_app import (
@@ -57,32 +57,14 @@ def simulate(
     policy: str = "baseline",
     *,
     backend: str = "event",
-    shards: int = 1,
     max_cycles: int | None = None,
     max_events: int | None = None,
     **system_kwargs: Any,
 ) -> SimulationResult:
-    """Build a system around ``workload`` and run it to completion.
-
-    ``shards > 1`` splits the run into contiguous GPU blocks simulated in
-    parallel worker processes and deterministically merged — see
-    :mod:`repro.sim.sharding` for the exact semantics.
-    """
+    """Build a system around ``workload`` and run it to completion."""
     backend = validate_backend(backend)
-    if shards != 1:
-        from repro.sim.sharding import run_sharded
-
-        return run_sharded(
-            config, workload, policy, backend=backend, shards=shards,
-            max_cycles=max_cycles, max_events=max_events, **system_kwargs,
-        )
     if backend == "functional":
         return run_functional(
-            config, workload, policy,
-            max_cycles=max_cycles, max_events=max_events, **system_kwargs,
-        )
-    if backend == "vectorized":
-        return run_vectorized(
             config, workload, policy,
             max_cycles=max_cycles, max_events=max_events, **system_kwargs,
         )

@@ -324,7 +324,7 @@ class SweepJournal:
 # -- worker-side execution ---------------------------------------------------
 
 #: Every module a job imports when it runs, besides the policy classes:
-#: the run functions, both fast backends, the trace parser, and the numpy
+#: the run functions, the functional backend, the trace parser, and the numpy
 #: submodules numpy imports on first use (``np.random``; ``np.unique``
 #: reaches ``np.ma``).  The runner imports them before it forks, so
 #: workers inherit them instead of importing them per job;
@@ -332,7 +332,6 @@ class SweepJournal:
 JOB_CLOSURE = (
     "repro.sim.driver",
     "repro.sim.backends.functional",
-    "repro.sim.backends.vectorized",
     "repro.workloads.ingest",
     "numpy.random",
     "numpy.ma",
@@ -664,7 +663,8 @@ def _run_supervised(
     only, it never touches simulation state.
 
     The job closure is imported here, before the first fork, so worker
-    processes import nothing.
+    processes import nothing.  Outcomes are returned in ``misses`` order,
+    not completion order, which depends on host timing.
     """
     preload_job_closure()
     ctx = get_context()
@@ -794,4 +794,5 @@ def _run_supervised(
             journal.interrupted()
         raise
 
-    return outcomes
+    order = {job.digest: job.index for job in misses}
+    return sorted(outcomes, key=lambda outcome: order[outcome.digest])

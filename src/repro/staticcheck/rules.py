@@ -547,9 +547,8 @@ class UnseededRNGRule(Rule):
     makes the run irreproducible, which in a replay backend also means
     silent divergence from the event engine.
 
-    Inside backend code (``repro/sim/backends/``, ``repro/sim/
-    sharding.py``) the rule is stricter: *any* ``numpy.random``
-    construction is flagged, seeded or not.  Bit-identical replay
+    Inside backend code (``repro/sim/backends/``) the rule is stricter:
+    *any* ``numpy.random`` construction is flagged, seeded or not.  Bit-identical replay
     requires backends to draw randomness through the seeded structures
     they share with the event engine (the tracker's ``Random(seed)``
     chain), never through a generator of their own — a numpy generator
@@ -567,7 +566,7 @@ class UnseededRNGRule(Rule):
     _CONSTRUCTORS = frozenset(
         {"Random", "default_rng", "SeedSequence", "PCG64", "Philox"}
     )
-    _BACKEND_PATHS = ("/sim/backends/", "/sim/sharding")
+    _BACKEND_PATH = "/sim/backends/"
 
     def interests(self) -> Iterable[type[ast.AST]]:
         return (ast.Call,)
@@ -579,7 +578,7 @@ class UnseededRNGRule(Rule):
             return
         dotted = dotted_name(node.func) or name
         path = ctx.path.replace("\\", "/")
-        in_backend = any(marker in path for marker in self._BACKEND_PATHS)
+        in_backend = self._BACKEND_PATH in path
         if in_backend and "random" in dotted.split(".") and name != "Random":
             # np.random.default_rng(seed) et al.: seeded, but a foreign
             # draw sequence — backends must share the engine's RNGs.

@@ -19,7 +19,7 @@ The replacement behaviour is a bit-exact mirror of ``SetAssociativeTLB``
 with the default LRU policy: same set-index function (mask for
 power-of-two set counts, modulo otherwise), same refresh-in-place on
 duplicate insert, same head-of-set victim once a set reaches its
-associativity.  ``tests/test_tlb_array.py`` pins the equivalence
+associativity.  ``tests/structures/test_tlb_array.py`` pins the equivalence
 differentially against the reference model.
 
 Only LRU is mirrored; the functional backend refuses configurations using
@@ -29,8 +29,6 @@ other replacement policies (see :mod:`repro.sim.backends`).
 from __future__ import annotations
 
 from collections import OrderedDict
-
-import numpy as np
 
 VPN_BITS = 48
 """VPN field width in a packed key; PIDs occupy the bits above."""
@@ -157,198 +155,6 @@ class PackedTLB:
     def __contains__(self, item: tuple[int, int]) -> bool:
         key, vpn = item
         return key in self._set_for(vpn)
-
-
-class ArrayTLB:
-    """Numpy-promoted mirror of :class:`PackedTLB` for the vectorized
-    backend: tags, payloads, and LRU stamps live in dense 2-D per-set
-    arrays so whole chunks of lookups resolve with one array compare.
-
-    Layout (``S`` sets × ``A`` ways):
-
-    * ``tags[S, A]`` — packed keys; ``-1`` marks an invalid way (the
-      valid bit), so a membership test is one equality compare;
-    * ``values[S, A]`` — packed payloads, position-aligned with ``tags``;
-    * ``stamps[S, A]`` — last-touch times from a monotone ``clock``.
-
-    LRU equivalence with the insertion-ordered :class:`PackedTLB` sets:
-    promoting a key assigns it a strictly larger stamp, so the head of an
-    ``OrderedDict`` set is exactly the way with the minimal stamp, and the
-    two models pick identical victims in every state (pinned differentially
-    by ``tests/test_tlb_array.py``).
-
-    The scalar path keeps a per-set ``{key: way}`` dict so single lookups
-    stay O(1); the arrays exist for the batch path
-    (:meth:`probe_chunk`, :meth:`touch_chunk`) where one vectorized
-    compare replaces a chunk of dict probes.
-    """
-
-    __slots__ = (
-        "num_entries",
-        "associativity",
-        "num_sets",
-        "tags",
-        "values",
-        "stamps",
-        "clock",
-        "_mask",
-        "_index",
-        "_free",
-    )
-
-    def __init__(self, num_entries: int, associativity: int) -> None:
-        if num_entries <= 0:
-            raise ValueError(f"num_entries must be positive, got {num_entries}")
-        if associativity <= 0 or num_entries % associativity != 0:
-            raise ValueError(
-                f"associativity {associativity} must divide num_entries {num_entries}"
-            )
-        self.num_entries = num_entries
-        self.associativity = associativity
-        self.num_sets = num_entries // associativity
-        self.tags = np.full((self.num_sets, associativity), -1, dtype=np.int64)
-        self.values = np.zeros((self.num_sets, associativity), dtype=np.int64)
-        self.stamps = np.zeros((self.num_sets, associativity), dtype=np.int64)
-        self.clock = 0
-        self._mask = (
-            self.num_sets - 1 if self.num_sets & (self.num_sets - 1) == 0 else -1
-        )
-        # Scalar-path mirrors: per-set key→way dict and free-way stacks.
-        self._index: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._free: list[list[int]] = [
-            list(range(associativity - 1, -1, -1)) for _ in range(self.num_sets)
-        ]
-
-    def set_index(self, vpn: int) -> int:
-        """The set a VPN maps to (mask for power-of-two set counts)."""
-        mask = self._mask
-        return vpn & mask if mask >= 0 else vpn % self.num_sets
-
-    # -- scalar operations (bit-exact against PackedTLB) --------------------
-
-    def lookup(self, key: int, vpn: int) -> int | None:
-        """Payload for ``key``, promoting it to most-recent; None on miss."""
-        row = self.set_index(vpn)
-        way = self._index[row].get(key)
-        if way is None:
-            return None
-        self.stamps[row, way] = self.clock
-        self.clock += 1
-        return int(self.values[row, way])
-
-    def peek(self, key: int, vpn: int) -> int | None:
-        """Payload for ``key`` without touching recency."""
-        row = self.set_index(vpn)
-        way = self._index[row].get(key)
-        return None if way is None else int(self.values[row, way])
-
-    def has(self, key: int, vpn: int) -> bool:
-        """Presence test with no recency side effects."""
-        return key in self._index[self.set_index(vpn)]
-
-    def touch(self, key: int, vpn: int) -> bool:
-        """Promote ``key`` to most-recent without recording anything."""
-        row = self.set_index(vpn)
-        way = self._index[row].get(key)
-        if way is None:
-            return False
-        self.stamps[row, way] = self.clock
-        self.clock += 1
-        return True
-
-    def insert(self, key: int, vpn: int, value: int) -> tuple[int, int] | None:
-        """Insert ``key → value``; returns the evicted ``(key, value)``
-        pair if the set was full, else None.  Duplicate inserts refresh
-        the payload in place and promote, exactly like :class:`PackedTLB`."""
-        row = self.set_index(vpn)
-        index = self._index[row]
-        way = index.get(key)
-        if way is not None:
-            self.values[row, way] = value
-            self.stamps[row, way] = self.clock
-            self.clock += 1
-            return None
-        free = self._free[row]
-        victim: tuple[int, int] | None = None
-        if free:
-            way = free.pop()
-        else:
-            row_stamps = self.stamps[row]
-            way = int(row_stamps.argmin())
-            vkey = int(self.tags[row, way])
-            victim = (vkey, int(self.values[row, way]))
-            del index[vkey]
-        self.tags[row, way] = key
-        self.values[row, way] = value
-        self.stamps[row, way] = self.clock
-        self.clock += 1
-        index[key] = way
-        return victim
-
-    def remove(self, key: int, vpn: int) -> int | None:
-        """Remove ``key``; returns its payload or None if absent."""
-        row = self.set_index(vpn)
-        index = self._index[row]
-        way = index.pop(key, None)
-        if way is None:
-            return None
-        value = int(self.values[row, way])
-        self.tags[row, way] = -1
-        self._free[row].append(way)
-        return value
-
-    def __len__(self) -> int:
-        return sum(len(index) for index in self._index)
-
-    def __contains__(self, item: tuple[int, int]) -> bool:
-        key, vpn = item
-        return key in self._index[self.set_index(vpn)]
-
-    # -- batch operations ----------------------------------------------------
-
-    def set_rows(self, vpns: np.ndarray) -> np.ndarray:
-        """Set indices for a chunk of VPNs."""
-        mask = self._mask
-        return vpns & mask if mask >= 0 else vpns % self.num_sets
-
-    def probe_chunk(
-        self, keys: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve a chunk of lookups with one array compare.
-
-        Returns ``(hits, ways)``: a boolean hit mask and, for hits, the
-        way each key currently occupies (misses hold way 0; mask first).
-        The probe reads a *frozen* snapshot — it touches no recency, so
-        callers batch-apply promotions afterwards via :meth:`touch_chunk`.
-        """
-        match = self.tags[rows] == keys[:, None]
-        return match.any(axis=1), match.argmax(axis=1)
-
-    def touch_chunk(self, rows: np.ndarray, ways: np.ndarray) -> None:
-        """Batch-promote ``(row, way)`` pairs in chunk order.
-
-        Fancy assignment keeps the **last** value for duplicate indices,
-        which is exactly last-touch-wins LRU, so one vectorized store
-        replays the whole chunk's promotion sequence.
-        """
-        count = len(rows)
-        if not count:
-            return
-        clock = self.clock
-        self.stamps[rows, ways] = np.arange(clock, clock + count, dtype=np.int64)
-        self.clock = clock + count
-
-
-def probe_tags(tags: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership of a chunk of packed keys against one frozen tag row.
-
-    The free-standing form of :meth:`ArrayTLB.probe_chunk` for callers
-    that hold a bare tag vector (e.g. the vectorized backend's L1
-    snapshot of a fully-associative set): one broadcast compare yields
-    the whole chunk's hit mask.  ``tags`` may be empty, in which case
-    every key misses.
-    """
-    return (keys[:, None] == tags[None, :]).any(axis=1)
 
 
 class InfinitePackedTLB:

@@ -9,21 +9,23 @@ behind the cache.
 
 import pytest
 
+from benchmarks.common import ResultLab
 from repro.config.presets import baseline_config
 from repro.sim.backends import BACKENDS, validate_backend
-from repro.sim.cache import fingerprint_digest, run_fingerprint
+from repro.sim.cache import ResultCache, fingerprint_digest, run_fingerprint
 from repro.sim.parallel import JobSpec, expand_matrix
 
 
 class TestValidateBackend:
     def test_known_backends(self):
-        assert BACKENDS == ("event", "functional", "vectorized")
+        assert BACKENDS == ("event", "functional")
         for name in BACKENDS:
             assert validate_backend(name) == name
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend 'quantum'"):
-            validate_backend("quantum")
+        for name in ("quantum", "Functional"):
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                validate_backend(name)
 
 
 class TestFingerprint:
@@ -35,31 +37,11 @@ class TestFingerprint:
 
     def test_backend_is_keyed(self):
         digests = set()
-        for backend in ("event", "functional", "vectorized"):
+        for backend in BACKENDS:
             fingerprint = self._fingerprint(backend)
             assert fingerprint["backend"] == backend
             digests.add(fingerprint_digest(fingerprint))
-        assert len(digests) == 3
-
-    def test_shards_are_keyed(self):
-        unsharded = run_fingerprint(
-            kind="single", workload="MM", policy="baseline",
-            config=baseline_config(), scale=0.05, seed=None, shards=1,
-        )
-        sharded = run_fingerprint(
-            kind="single", workload="MM", policy="baseline",
-            config=baseline_config(), scale=0.05, seed=None, shards=4,
-        )
-        assert unsharded["shards"] == 1
-        assert sharded["shards"] == 4
-        assert fingerprint_digest(unsharded) != fingerprint_digest(sharded)
-
-    def test_default_shards_is_one(self):
-        fingerprint = run_fingerprint(
-            kind="single", workload="MM", policy="baseline",
-            config=baseline_config(), scale=0.05, seed=None,
-        )
-        assert fingerprint["shards"] == 1
+        assert len(digests) == 2
 
     def test_default_backend_is_event(self):
         fingerprint = run_fingerprint(
@@ -86,8 +68,9 @@ class TestJobSpec:
         assert spec.fingerprint()["backend"] == "functional"
 
     def test_invalid_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            self._spec(backend="quantum")
+        for name in ("quantum", "Functional"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                self._spec(backend=name)
 
     def test_execute_routes_to_functional(self):
         import dataclasses
@@ -95,27 +78,6 @@ class TestJobSpec:
         ref = self._spec(scale=0.02).execute()
         fast = self._spec(scale=0.02, backend="functional").execute()
         assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
-
-    def test_default_shards(self):
-        spec = self._spec()
-        assert spec.shards == 1
-        assert "+s" not in spec.label
-        assert spec.fingerprint()["shards"] == 1
-
-    def test_sharded_label_and_fingerprint(self):
-        spec = self._spec(shards=4)
-        assert spec.label.endswith("+s4")
-        assert spec.fingerprint()["shards"] == 4
-
-    def test_invalid_shards_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="shards"):
-            self._spec(shards=0)
-
-    def test_execute_routes_to_sharded(self):
-        result = self._spec(scale=0.02, shards=2).execute()
-        assert result.metadata["shards"] == 2
-        assert result.events_executed > 0
-
 
 class TestExpandMatrix:
     def test_backend_applied_to_every_spec(self):
@@ -126,17 +88,17 @@ class TestExpandMatrix:
         assert all(spec.backend == "functional" for _, spec in pairs)
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            expand_matrix(["fig02_baseline_hit_rates"], scale=0.05,
-                          backend="quantum")
+        for name in ("quantum", "Functional"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                expand_matrix(["fig02_baseline_hit_rates"], scale=0.05,
+                              backend=name)
 
-    def test_shards_applied_to_every_spec(self):
-        pairs = expand_matrix(
-            ["fig02_baseline_hit_rates"], scale=0.05, shards=2
-        )
-        assert pairs
-        assert all(spec.shards == 2 for _, spec in pairs)
 
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            expand_matrix(["fig02_baseline_hit_rates"], scale=0.05, shards=0)
+class TestResultLab:
+    def test_backend_must_be_auto_or_exact_name(self):
+        cache = ResultCache(enabled=False)
+        for name in ("auto", *BACKENDS):
+            assert ResultLab(cache=cache, backend=name).backend == name
+        for name in ("Functional", "AUTO", "quantum"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                ResultLab(cache=cache, backend=name)

@@ -1,15 +1,14 @@
-"""Cross-backend equivalence: the fast paths must be bit-identical to
+"""Cross-backend equivalence: the fast path must be bit-identical to
 the event engine.
 
-The functional and vectorized backends (:mod:`repro.sim.backends`) are
-only allowed to exist because every observable they produce — hit/miss/
-eviction/spill counters, sharing degrees, latency means,
-``total_cycles``, ``events_executed`` — equals the event engine's
-exactly.  These tests pin that contract over randomized workloads, GPU
-counts, seeds, and both supported policies, plus real traced
-applications; ``scripts/check_fidelity.py`` extends the same check to
-the full bench families, and ``tests/sim/test_sharding.py`` extends it
-across shard counts.
+The functional backend (:mod:`repro.sim.backends`) is only allowed to
+exist because every observable it produces — hit/miss/eviction/spill
+counters, sharing degrees, latency means, ``total_cycles``,
+``events_executed`` — equals the event engine's exactly.  These tests
+pin that contract over randomized workloads, GPU counts, seeds, and both
+supported policies, plus real traced applications;
+``scripts/check_fidelity.py`` extends the same check to the full bench
+families.
 """
 
 import dataclasses
@@ -96,7 +95,7 @@ def scenarios(draw):
     return num_gpus, gpu_vpns, seed
 
 
-@pytest.mark.parametrize("backend", ["functional", "vectorized"])
+@pytest.mark.parametrize("backend", ["functional"])
 @pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
 @pytest.mark.parametrize("kind", ["single", "multi"])
 @given(scenario=scenarios())
@@ -112,7 +111,7 @@ def test_fast_backends_are_bit_identical(backend, policy, kind, scenario):
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
 
 
-@pytest.mark.parametrize("backend", ["functional", "vectorized"])
+@pytest.mark.parametrize("backend", ["functional"])
 @pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
 def test_real_trace_is_bit_identical(backend, policy):
     ref = run_single_app("MM", policy=policy, scale=0.02)
@@ -171,12 +170,6 @@ class TestScopeRejections:
     def test_unsupported_policy(self):
         with pytest.raises(BackendUnsupported, match="policy 'tlb-probing'"):
             run_functional(tiny_config(), self._workload(), "tlb-probing")
-
-    def test_vectorized_shares_the_scope_checks(self):
-        from repro.sim.backends import run_vectorized
-
-        with pytest.raises(BackendUnsupported, match="policy 'tlb-probing'"):
-            run_vectorized(tiny_config(), self._workload(), "tlb-probing")
 
     def test_local_page_tables(self):
         config = dataclasses.replace(tiny_config(), local_page_tables=True)

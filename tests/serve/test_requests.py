@@ -20,7 +20,7 @@ from repro.serve.requests import (
 
 WORKLOADS = st.sampled_from(["MM", "FFT", "ST", "W1", "W5", "W17"])
 POLICIES = st.sampled_from(["baseline", "least-tlb", "tlb-probing"])
-BACKENDS = st.sampled_from(["event", "functional", "vectorized"])
+BACKENDS = st.sampled_from(["event", "functional"])
 
 JOB_PAYLOADS = st.fixed_dictionaries(
     {"workload": WORKLOADS},
@@ -30,7 +30,6 @@ JOB_PAYLOADS = st.fixed_dictionaries(
                            allow_nan=False, allow_infinity=False),
         "seed": st.integers(min_value=0, max_value=2**31),
         "backend": BACKENDS,
-        "shards": st.integers(min_value=1, max_value=4),
         "options": st.fixed_dictionaries({}, optional={
             "record_stream": st.booleans(),
             "timeline": st.integers(min_value=0, max_value=10_000),
@@ -65,7 +64,7 @@ class TestParseJob:
         a local ``repro bench`` of the same flags computes, so the daemon
         and the CLI share persistent cache entries."""
         local = expand_matrix(select_benches("fig02"), scale=0.2, seed=7,
-                              backend="functional", shards=1)
+                              backend="functional")
         served = parse_request({"benches": ["fig02"], "scale": 0.2,
                                 "seed": 7, "backend": "functional"})
         assert [
@@ -77,8 +76,7 @@ class TestParseJob:
         its cache entry with the identical bench-matrix spec."""
         matrix_spec = JobSpec(kind="single", workload="MM",
                               policy="baseline", config=None, scale=0.2,
-                              seed=None, options=(), backend="functional",
-                              shards=1)
+                              seed=None, options=(), backend="functional")
         served = parse_job({"workload": "MM", "scale": 0.2,
                             "backend": "functional"})
         assert fingerprint_digest(served.fingerprint()) == \
@@ -91,7 +89,7 @@ class TestParseJob:
         expected = JobSpec(
             kind="single", workload="MM", policy="baseline",
             config=resolve_preset("dws").derive(seed=11),
-            scale=0.3, seed=11, options=(), backend="event", shards=1,
+            scale=0.3, seed=11, options=(), backend="event",
         )
         assert fingerprint_digest(spec.fingerprint()) == \
             fingerprint_digest(expected.fingerprint())
@@ -112,7 +110,9 @@ class TestParseJob:
         {"workload": "MM", "scale": 99.0},
         {"workload": "MM", "seed": -1},
         {"workload": "MM", "backend": "quantum"},
+        {"workload": "MM", "backend": "vectorized"},
         {"workload": "MM", "shards": 0},
+        {"workload": "MM", "shards": 1},
         {"workload": "MM", "options": {"unknown": 1}},
         {"workload": "MM", "options": {"record_stream": "yes"}},
         {"workload": "MM", "kind": "mix"},  # MM is not a mix workload
@@ -132,7 +132,7 @@ class TestParseRequest:
         })
         assert len(parsed.pairs) == 1 + len(
             expand_matrix(select_benches("fig02"), scale=0.1, seed=0,
-                          backend="functional", shards=1))
+                          backend="functional"))
 
     def test_client_field(self):
         parsed = parse_request({"client": "alice",
@@ -150,6 +150,7 @@ class TestParseRequest:
         {"client": "", "jobs": [{"workload": "MM"}]},
         {"client": "x" * 65, "jobs": [{"workload": "MM"}]},
         {"benches": ["*"], "scale": -1.0},
+        {"benches": ["fig02*"], "shards": 1},
     ])
     def test_malformed_requests_rejected(self, payload):
         with pytest.raises(RequestError):

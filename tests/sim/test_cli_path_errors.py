@@ -63,32 +63,25 @@ class TestFunctionalBackendCli:
         assert excinfo.value.code == 2
         assert "error: --backend functional" in capsys.readouterr().err
 
-    def test_run_vectorized_backend(self):
-        assert main([
-            "run", "FIR", "--scale", "0.02", "--backend", "vectorized",
-        ]) == 0
 
+class TestRemovedOptions:
+    """``--backend vectorized`` and ``--shards`` are not options: naming
+    either is an argparse usage error, never a silently different run."""
 
-class TestShardedCli:
-    def test_run_sharded(self):
-        assert main([
-            "run", "W1", "--scale", "0.02", "--backend", "vectorized",
-            "--shards", "2",
-        ]) == 0
-
-    def test_run_rejects_zero_shards(self, capsys):
+    @pytest.mark.parametrize(
+        ("argv", "token"),
+        [
+            (["run", "FIR", "--backend", "vectorized"], "vectorized"),
+            (["run", "FIR", "--shards", "2"], "--shards"),
+            (["bench", "--only", "fig02*", "--shards", "2"], "--shards"),
+        ],
+        ids=["run-backend-vectorized", "run-shards", "bench-shards"],
+    )
+    def test_removed_option_is_usage_error(self, capsys, argv, token):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "FIR", "--scale", "0.02", "--shards", "0"])
+            main(argv)
         assert excinfo.value.code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_run_rejects_global_order_options_with_shards(self, capsys):
-        # Snapshots need one global event order; sharding must refuse
-        # loudly rather than approximate them per-shard.
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "run", "FIR", "--scale", "0.02", "--shards", "2",
-                "--snapshot-interval", "100",
-            ])
-        assert excinfo.value.code == 2
-        assert "error: --shards 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert token in err
+        assert "Traceback" not in err

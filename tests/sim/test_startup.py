@@ -37,7 +37,6 @@ HEAVY = (
     "numpy",
     "repro.sim.system",
     "repro.sim.backends.functional",
-    "repro.sim.backends.vectorized",
 )
 
 FAMILY = "fig02_baseline_hit_rates"

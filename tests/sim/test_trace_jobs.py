@@ -75,11 +75,10 @@ class TestRunTrace:
     def test_backends_agree_bit_identically(self, trace):
         config = baseline_config()
         reference = run_trace(str(trace), config, "baseline", scale=SCALE)
-        for backend in ("functional", "vectorized"):
-            other = run_trace(str(trace), config, "baseline", scale=SCALE,
-                              backend=backend)
-            assert other.total_cycles == reference.total_cycles, backend
-            assert other.apps[1].counters == reference.apps[1].counters, backend
+        other = run_trace(str(trace), config, "baseline", scale=SCALE,
+                          backend="functional")
+        assert other.total_cycles == reference.total_cycles
+        assert other.apps[1].counters == reference.apps[1].counters
 
 
 class TestBenchFamily:

@@ -90,11 +90,11 @@ def test_get_rule_unknown_raises():
 
 
 class TestD9BackendScope:
-    """D9's stricter backend clause: inside ``repro/sim/backends/`` (and
-    ``sharding.py``) even a *seeded* numpy generator is flagged — replay
-    fidelity requires drawing through the engine's own seeded
-    structures, and an identically-seeded numpy generator still yields a
-    different draw sequence than CPython's Mersenne Twister."""
+    """D9's stricter backend clause: inside ``repro/sim/backends/`` even
+    a *seeded* numpy generator is flagged — replay fidelity requires
+    drawing through the engine's own seeded structures, and an
+    identically-seeded numpy generator still yields a different draw
+    sequence than CPython's Mersenne Twister."""
 
     SEEDED_NUMPY = "import numpy as np\nrng = np.random.default_rng(7)\n"
     SEEDED_STDLIB = "import random\nrng = random.Random(7)\n"
@@ -103,13 +103,11 @@ class TestD9BackendScope:
         return check_source(source, path, rules=[get_rule("D9")])
 
     def test_seeded_numpy_generator_fires_in_backend_code(self):
-        for path in (
-            "src/repro/sim/backends/vectorized.py",
-            "src/repro/sim/sharding.py",
-        ):
-            violations = self._check(self.SEEDED_NUMPY, path)
-            assert [v.line for v in violations] == [2], path
-            assert "backend" in violations[0].message
+        violations = self._check(
+            self.SEEDED_NUMPY, "src/repro/sim/backends/functional.py"
+        )
+        assert [v.line for v in violations] == [2]
+        assert "backend" in violations[0].message
 
     def test_seeded_numpy_generator_is_fine_elsewhere(self):
         assert self._check(self.SEEDED_NUMPY, "src/repro/workloads/gen.py") == []

@@ -7,7 +7,6 @@ the reference object model.  These tests drive both through randomized
 operation streams and compare full state after every step.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from repro.structures.tlb_array import (
     PackedTLB,
     pack_key,
     pack_value,
-    probe_tags,
     unpack_key,
     value_budget,
     value_owner,
@@ -114,29 +112,6 @@ def test_packed_tlb_matches_reference(num_entries, associativity, ops):
             key = pack_key(pid, vpn)
             assert packed.has(key, vpn) == (ref.peek(pid, vpn) is not None)
             assert ((key, vpn) in packed) == (ref.peek(pid, vpn) is not None)
-
-
-class TestProbeTags:
-    """``probe_tags`` is the vectorized backend's chunk primitive: one
-    broadcast compare must equal per-key membership exactly."""
-
-    @given(
-        tags=st.lists(st.integers(0, 1 << 50), max_size=16),
-        keys=st.lists(st.integers(0, 1 << 50), min_size=1, max_size=64),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_matches_scalar_membership(self, tags, keys):
-        tag_arr = np.array(tags, dtype=np.int64)
-        key_arr = np.array(keys, dtype=np.int64)
-        mask = probe_tags(tag_arr, key_arr)
-        assert mask.dtype == np.bool_
-        assert mask.tolist() == [k in set(tags) for k in keys]
-
-    def test_empty_tags_all_miss(self):
-        keys = np.array([1, 2, 3], dtype=np.int64)
-        assert probe_tags(np.array([], dtype=np.int64), keys).tolist() == [
-            False, False, False,
-        ]
 
 
 @given(ops=ops_st)

@@ -1,0 +1,57 @@
+"""The perf gate in ``scripts/bench_perf.py``: a gated baseline row the
+run did not measure must fail the gate, never pass silently, and the
+gated sections must run at all."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_perf.py"
+
+
+def _load_bench_perf():
+    spec = importlib.util.spec_from_file_location("bench_perf", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _rows(*names, eps=100.0):
+    return [{"name": name, "events_per_sec": eps} for name in names]
+
+
+BASELINE = {
+    "kernel": _rows("MM-least-tlb", "W8-baseline"),
+    "fastpath": _rows("MM-least-tlb", "W8-baseline"),
+    "ingest": _rows("ingest-cold-parse"),
+}
+
+
+def _check(tmp_path, report):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(BASELINE))
+    return _load_bench_perf().check_regression(report, baseline, 0.30)
+
+
+def test_complete_report_passes(tmp_path):
+    assert _check(tmp_path, BASELINE) == 0
+
+
+def test_unmeasured_baseline_row_fails_and_is_named(tmp_path, capsys):
+    report = {**BASELINE, "fastpath": _rows("MM-least-tlb")}
+    assert _check(tmp_path, report) == 1
+    out = capsys.readouterr().out
+    assert "fastpath W8-baseline" in out
+    assert "MISSING" in out
+
+
+def test_regressed_row_fails(tmp_path):
+    report = {**BASELINE, "kernel": _rows("MM-least-tlb", "W8-baseline", eps=50.0)}
+    assert _check(tmp_path, report) == 1
+
+
+def test_ingest_section_measures_its_gated_rows():
+    rows = _load_bench_perf().measure_ingest(scale=0.01, repeats=1)
+    assert [row["name"] for row in rows] == [
+        "ingest-cold-parse", "ingest-digest-cold", "ingest-digest-cached",
+    ]
