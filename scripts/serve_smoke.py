@@ -8,7 +8,10 @@ end-to-end:
    events to completion;
 2. submit the identical request again and assert it is served entirely
    by dedup (persistent cache / in-flight attach — zero new work);
-3. SIGTERM the daemon and assert a clean drain: exit code 0 and a
+3. run one ``repro run`` with ``--server`` and once locally, and assert
+   both write the same JSON and print the same report apart from the
+   ``served by`` line;
+4. SIGTERM the daemon and assert a clean drain: exit code 0 and a
    journal whose terminal records cover the run.
 
 The daemon's combined output is teed to ``--log`` (uploaded as a CI
@@ -134,7 +137,38 @@ def main(argv: list[str] | None = None) -> int:
             check(health["stats"]["tasks_executed"] == len(executed),
                   "daemon executed each unique spec exactly once")
 
-            # 3. Graceful drain on SIGTERM.
+            # 3. Thin client: `repro run --server` reports what a local
+            # run does.  Each writes run.json in its own directory, so
+            # the printed `wrote` lines match too.
+            reports = {}
+            for mode, extra in (("served", ["--server", url]), ("local", [])):
+                where = Path(tmp) / mode
+                where.mkdir()
+                done = subprocess.run(
+                    [sys.executable, "-m", "repro.cli", "run", "FIR",
+                     "--scale", str(args.scale), "--policy", "least-tlb",
+                     "--check-invariants", "--json", "run.json", *extra],
+                    cwd=where, env=env, capture_output=True, text=True,
+                    timeout=args.timeout)
+                check(done.returncode == 0, f"{mode} repro run exited 0")
+                reports[mode] = (done.stdout,
+                                 json.loads((where / "run.json").read_text()))
+            check(reports["served"][1] == reports["local"][1],
+                  "served and local repro run wrote equal JSON")
+            served_by = re.search(r"^served by \S+ \(job (\S+),",
+                                  reports["served"][0], re.MULTILINE)
+            check(served_by is not None, "served repro run named its job")
+            printed = {
+                mode: [line for line in stdout.splitlines()
+                       if not line.startswith("served by ")]
+                for mode, (stdout, _data) in reports.items()
+            }
+            check(printed["served"] == printed["local"],
+                  "served and local repro run printed the same report")
+            run_job = client.job(served_by.group(1))
+            executed.update(t["digest"] for t in run_job["tasks"])
+
+            # 4. Graceful drain on SIGTERM.
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=120)
             check(rc == 0, "daemon drained and exited 0 on SIGTERM")

@@ -29,8 +29,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 # Only numpy-free modules at the top: listing, validation and
 # cache-served reruns never load the simulator.  Each handler imports
@@ -50,9 +51,20 @@ from repro.workloads.tables import (
 from repro.workloads.trace_files import SPLIT_POLICIES, sniff_format
 
 if TYPE_CHECKING:
+    from repro.faults import FaultPlan
+    from repro.sim.parallel import JobSpec
     from repro.sim.results import SimulationResult
-    from repro.telemetry import TelemetryConfig
     from repro.workloads.trace import Workload
+
+
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` with the repo's usage-error convention
+    (docs/robustness.md): the ``error:`` line first, then the usage, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
+        raise SystemExit(2)
 
 
 def _cli_error(message: str) -> SystemExit:
@@ -70,6 +82,14 @@ def _write_output(write, path: str) -> None:
     except OSError as exc:
         detail = exc.strerror or str(exc)
         raise _cli_error(f"cannot write {path!r}: {detail}") from None
+
+
+def _write_json(payload: Any, path: str) -> None:
+    """Write a command's ``--json`` report to ``path``."""
+    _write_output(
+        lambda: Path(path).write_text(json.dumps(payload, indent=2) + "\n"), path
+    )
+    print(f"\nwrote {path}")
 
 
 def resolve_config(name: str) -> SystemConfig:
@@ -128,7 +148,11 @@ def resolve_workload(
             ).workload
         except TraceFormatError as exc:
             raise _cli_error(str(exc)) from None
-    raise _cli_error(
+    raise _cli_error(_unknown_workload(name))
+
+
+def _unknown_workload(name: str) -> str:
+    return (
         f"unknown workload {name!r}: not an application, a workload name, "
         "or an existing .npz/trace file"
     )
@@ -147,6 +171,24 @@ def _print_result(result: SimulationResult) -> None:
     print(comparison_table(
         rows, ["app", "exec cycles", "IPC", "MPKI", "L2 hit", "IOMMU hit", "remote"]
     ))
+
+
+def _print_telemetry(summary: dict[str, Any] | None) -> None:
+    """The per-site latency percentile table of a run that collected
+    telemetry (its result's ``telemetry`` block)."""
+    if not summary or not summary["histograms"]:
+        return
+    rows = [
+        [site, hist["count"], hist["min"], hist["p50"], hist["p90"],
+         hist["p99"], hist["max"]]
+        for site, hist in summary["histograms"].items()
+    ]
+    print("\nlatency sites (cycles):")
+    print(comparison_table(
+        rows, ["site", "samples", "min", "p50", "p90", "p99", "max"]
+    ))
+    if summary["traces"]:
+        print(f"\ntraced {summary['traces']} requests ({summary['spans']} spans)")
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -186,10 +228,37 @@ def _profiled(call, *, sort: str = "cumulative", top: int = 25, dump: str | None
     finally:
         profiler.disable()
         if dump:
-            profiler.dump_stats(dump)
+            _write_output(lambda: profiler.dump_stats(dump), dump)
             print(f"profile dump written to {dump}", file=sys.stderr)
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats(sort).print_stats(top)
+
+
+def _simulate(
+    execute: Callable[[], SimulationResult], *, backend: str = "event",
+    profile: bool = False, profile_dump: str | None = None,
+) -> SimulationResult | None:
+    """Run ``execute()``: the result, or ``None`` once a stall's
+    diagnostics or an invariant violation are printed (exit 3).  A
+    configuration the backend cannot run and a malformed trace file are
+    usage errors."""
+    from repro.engine.watchdog import SimulationStalledError
+    from repro.faults import InvariantViolation
+    from repro.sim.backends import BackendUnsupported
+
+    try:
+        return _profiled(execute, dump=profile_dump) if profile else execute()
+    except BackendUnsupported as exc:
+        raise _cli_error(f"--backend {backend}: {exc}") from None
+    except TraceFormatError as exc:
+        raise _cli_error(str(exc)) from None
+    except SimulationStalledError as exc:
+        print(f"error: simulation stalled: {exc}", file=sys.stderr)
+        for key, value in sorted(exc.diagnostics.items()):
+            print(f"  {key}: {value}", file=sys.stderr)
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
 
 
 DEFAULT_TRACE_OUT = "repro-trace.json"
@@ -212,121 +281,152 @@ def _interpret_trace_flag(value: str | None) -> tuple[float | None, str | None]:
         return None, value
 
 
-def _telemetry_config(
-    trace_rate: float | None, timeline: int
-) -> TelemetryConfig | None:
-    """The telemetry config a command's flags ask for, or ``None`` for the
-    zero-perturbation default (no hub is built at all)."""
-    from repro.telemetry import TelemetryConfig
+def _span_run(
+    args: argparse.Namespace, rate: float, out: str, *, split: str = "round-robin",
+    max_cycles: int = 0, profile: bool = False, profile_dump: str | None = None,
+    **system_kwargs: Any,
+) -> tuple[SimulationResult, list] | None:
+    """The span-sampled run ``repro trace`` and ``repro run --trace RATE``
+    share, its traces exported to ``out`` as Chrome trace JSON.  It runs a
+    system, not a job, because the export needs the live telemetry hub,
+    which a result does not carry.  Returns the result and its traces, or
+    ``None`` after a stall (exit 3)."""
+    from repro.sim.system import MultiGPUSystem
+    from repro.telemetry import TelemetryConfig, export_chrome_trace
 
-    if trace_rate is None and timeline <= 0:
-        return None
     try:
-        return TelemetryConfig(
-            sample_rate=trace_rate if trace_rate is not None else 0.0,
-            timeline_interval=max(0, timeline),
-        )
+        telemetry = TelemetryConfig(sample_rate=rate, timeline_interval=args.timeline)
     except ValueError as exc:
         raise _cli_error(str(exc)) from None
-
-
-def _print_telemetry(hub) -> None:
-    """The per-site latency percentile table of a telemetry-enabled run."""
-    if not hub.histograms:
-        return
-    rows = [
-        [site, hist.count, hist.min, int(hist.p50), int(hist.p90),
-         int(hist.p99), hist.max]
-        for site, hist in sorted(hub.histograms.items())
-    ]
-    print("\nlatency sites (cycles):")
-    print(comparison_table(
-        rows, ["site", "samples", "min", "p50", "p90", "p99", "max"]
-    ))
-    if hub.traces:
-        print(f"\ntraced {len(hub.traces)} requests "
-              f"({sum(len(t) for t in hub.traces)} spans)")
-
-
-def _server_options(args: argparse.Namespace) -> dict:
-    """The ``options`` object of a served job, from ``repro run`` flags."""
-    options: dict = {}
-    if args.record_stream:
-        options["record_stream"] = True
-    if args.snapshot_interval:
-        options["snapshot_interval"] = args.snapshot_interval
-    if args.timeline:
-        options["timeline"] = args.timeline
-    if args.max_cycles:
-        options["max_cycles"] = args.max_cycles
-    if args.max_events:
-        options["max_events"] = args.max_events
-    if args.check_invariants:
-        options["check_invariants"] = True
-    return options
-
-
-def _run_via_server(args: argparse.Namespace) -> int:
-    """``repro run --server``: submit to a daemon instead of simulating."""
-    from repro.reporting.export import result_from_dict
-    from repro.serve.client import ServeClient, ServeClientError
-
-    trace_rate, trace_path = _interpret_trace_flag(args.trace)
-    for flag, unsupported in (
-        ("--profile", args.profile),
-        ("--trace RATE", trace_rate is not None),
-        ("--faults", args.faults is not None),
-    ):
-        if unsupported:
-            raise _cli_error(f"{flag} is not supported in --server mode")
-    job: dict = {
-        "policy": args.policy,
-        "config": args.config,
-        "scale": args.scale,
-        "backend": args.backend,
+    if telemetry.stride == 0:
+        raise _cli_error("the span-sampling rate must be > 0 to collect traces")
+    config = _apply_seed(resolve_config(args.config), args.seed)
+    policy = resolve_policy(args.policy)
+    workload = resolve_workload(args.workload, config, args.scale, args.seed, split=split)
+    system = MultiGPUSystem(config, workload, policy, telemetry=telemetry, **system_kwargs)
+    result = _simulate(
+        lambda: system.run(max_cycles or None, max_events=args.max_events or None),
+        profile=profile, profile_dump=profile_dump,
+    )
+    if result is None:
+        return None
+    traces = system.telemetry.traces
+    run_info = {
+        "workload": result.workload_name,
+        "policy": result.policy_name,
+        "sample_rate": rate,
     }
-    if trace_path is not None:
-        # The daemon reads the file itself, so the path must be visible
-        # on the *server's* filesystem — resolve it so a localhost daemon
-        # started from another directory still finds it.
-        job["kind"] = "trace"
-        job["workload"] = str(Path(trace_path).resolve())
-    else:
-        upper = args.workload.upper()
-        if not (upper in APPLICATION_NAMES or upper in MULTI_APP_WORKLOADS
-                or upper in SCALED_WORKLOADS or upper in MIX_WORKLOADS):
-            raise _cli_error(
-                f"--server mode needs a named workload or --trace PATH, got "
-                f"{args.workload!r} (.npz paths only exist on this machine)"
-            )
-        job["workload"] = upper
-    if args.seed is not None:
-        job["seed"] = args.seed
-    options = _server_options(args)
-    if trace_path is not None:
-        options["split"] = args.split
-    if options:
-        job["options"] = options
+    _write_output(lambda: export_chrome_trace(traces, out, run_info=run_info), out)
+    return result, traces
 
-    client = ServeClient(args.server, client_name=args.client)
+
+def _run_kind(name: str, *, trace_flag: bool) -> str:
+    """The job kind ``repro run`` reads ``name`` as: a table workload's
+    kind, ``trace`` for a trace file, or ``npz`` for a workload archive
+    (the resolution order of :func:`resolve_workload`)."""
+    from repro.sim.jobs import RequestError, infer_kind
+
+    if not trace_flag:
+        try:
+            return infer_kind(name)
+        except RequestError:
+            pass
+    path = Path(name)
+    if not path.exists():
+        raise _cli_error(
+            f"--trace: no such file: {name!r}" if trace_flag else _unknown_workload(name)
+        )
+    return "npz" if path.suffix == ".npz" else "trace"
+
+
+def _fault_plan(text: str | None) -> FaultPlan | None:
+    """``--faults``, parsed before the run starts so a typo fails fast."""
+    from repro.faults import FaultPlan, FaultPlanError
+
+    if text is None:
+        return None
     try:
-        submitted = client.submit({"jobs": [job]})
-        body = client.wait(submitted["job"], timeout=args.wait_timeout)
+        faults = FaultPlan.parse(text)
+    except FaultPlanError as exc:
+        raise _cli_error(str(exc)) from None
+    if faults.runner_specs():
+        sites = ", ".join(s.site for s in faults.runner_specs())
+        raise _cli_error(
+            f"--faults: {sites} are runner-level chaos sites; use "
+            "`repro bench --chaos` instead"
+        )
+    return faults
+
+
+def _refuse_local_flags(flags: dict[str, bool]) -> None:
+    """``--server`` mode: a flag only a local run honours is a usage error
+    (docs/service.md lists them)."""
+    for flag, given in flags.items():
+        if given:
+            raise _cli_error(
+                f"{flag} only applies to a local run; it is not supported "
+                "with --server (see docs/service.md)"
+            )
+
+
+def _served(call: Callable[[], dict[str, Any]]) -> dict[str, Any] | None:
+    """``call()`` against a ``repro serve`` daemon: the response body, or
+    ``None`` once the reason it failed is printed (exit 3).  A request the
+    daemon rejects as malformed (HTTP 400) is a usage error."""
+    from repro.serve.client import ServeClientError
+
+    try:
+        return call()
     except ServeClientError as exc:
         if exc.status == 400:
             raise _cli_error(str(exc)) from None
         if exc.status == 429:
-            retry = exc.retry_after
-            print(
-                f"error: server over capacity: {exc}"
-                + (f" (retry after {retry:.0f}s)" if retry else ""),
-                file=sys.stderr,
-            )
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+            retry = f" (retry after {exc.retry_after:.0f}s)" if exc.retry_after else ""
+            print(f"error: server over capacity: {exc}{retry}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
     except TimeoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def _report_run(
+    args: argparse.Namespace, result: SimulationResult, note: str | None = None
+) -> None:
+    """What ``repro run`` prints and writes for a result, local or served:
+    the result table, the invariant audit, the latency percentiles, the
+    mode's ``note`` line, and the ``--json`` export."""
+    _print_result(result)
+    if args.check_invariants:
+        print(f"invariants OK ({result.metadata.get('invariant_checks', 0)} checks)")
+    _print_telemetry(result.telemetry)
+    if note:
+        print(note)
+    if args.json:
+        _write_output(
+            lambda: save_result_json(result, args.json, include_stream=args.record_stream),
+            args.json,
+        )
+        print(f"\nwrote {args.json}")
+
+
+def _run_served(args: argparse.Namespace, spec: JobSpec) -> int:
+    """``repro run --server``: the daemon executes the job a local run would."""
+    from repro.reporting.export import result_from_dict
+    from repro.serve.client import ServeClient
+    from repro.sim.jobs import spec_request
+
+    if spec.kind == "trace":
+        # The daemon reads the file itself, so the path must be visible
+        # on the *server's* filesystem — resolve it so a localhost daemon
+        # started from another directory still finds it.
+        spec = replace(spec, workload=str(Path(spec.workload).resolve()))
+    client = ServeClient(args.server, client_name=args.client)
+    body = _served(lambda: client.wait(
+        client.submit({"jobs": [spec_request(spec)]})["job"],
+        timeout=args.wait_timeout,
+    ))
+    if body is None:
         return 3
     task = body["tasks"][0]
     if task["state"] != "done":
@@ -337,19 +437,48 @@ def _run_via_server(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    result = result_from_dict(task["result"])
-    _print_result(result)
-    print(f"\nserved by {args.server} "
-          f"(job {body['job']}, source: {task['source']}, "
-          f"{task['seconds']:.2f}s server-side)")
-    if args.json:
-        path = save_result_json(result, args.json, include_stream=args.record_stream)
-        print(f"wrote {path}")
+    _report_run(
+        args, result_from_dict(task["result"]),
+        f"served by {args.server} (job {body['job']}, source: {task['source']}, "
+        f"{task['seconds']:.2f}s server-side)",
+    )
+    return 0
+
+
+def _run_spans(args: argparse.Namespace, rate: float) -> int:
+    """``repro run --trace RATE``: the span path ``repro trace`` takes,
+    with the rest of ``repro run``'s flags and report."""
+    if args.backend != "event":
+        raise _cli_error(
+            f"--backend {args.backend}: span tracing (--trace RATE) runs on "
+            "the event engine"
+        )
+    out = args.trace_out
+    traced = _span_run(
+        args, rate, out, split=args.split, max_cycles=args.max_cycles,
+        profile=args.profile, profile_dump=args.profile_dump,
+        record_iommu_stream=args.record_stream,
+        snapshot_interval=args.snapshot_interval,
+        faults=_fault_plan(args.faults), check_invariants=args.check_invariants,
+    )
+    if traced is None:
+        return 3
+    result, traces = traced
+    _report_run(args, result, f"wrote Chrome trace {out} ({len(traces)} traces)")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: one simulation, optionally exported to JSON."""
+    """``repro run``: one simulation, locally or on a ``repro serve`` daemon.
+
+    A named workload or a trace file becomes the one :class:`JobSpec`
+    :func:`repro.sim.jobs.job_spec` canonicalizes: a local run executes
+    it, ``--server`` submits it, and both report the result it returns.
+    Only a ``.npz`` archive and a span-sampled ``--trace RATE`` run take
+    paths of their own.
+    """
+    from repro.sim.jobs import RequestError, job_spec, parse_options
+
     trace_rate, trace_path = _interpret_trace_flag(args.trace)
     if trace_path is not None and args.workload is not None:
         raise _cli_error(
@@ -358,162 +487,81 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if trace_path is None and args.workload is None:
         raise _cli_error("a workload name (or --trace PATH) is required")
-    if trace_path is not None and not Path(trace_path).exists():
-        raise _cli_error(f"--trace: no such file: {trace_path!r}")
     if args.server:
-        return _run_via_server(args)
-    from repro.engine.watchdog import SimulationStalledError
-    from repro.faults import FaultPlan, FaultPlanError, InvariantViolation
-    from repro.sim.system import MultiGPUSystem
-    from repro.telemetry import export_chrome_trace
-    from repro.workloads.ingest import ingest_trace
-
-    config = _apply_seed(resolve_config(args.config), args.seed)
-    policy = resolve_policy(args.policy)
-    try:
-        # Parsed eagerly so a typo in the plan fails before the run starts.
-        faults = FaultPlan.parse(args.faults) if args.faults is not None else None
-    except FaultPlanError as exc:
-        raise _cli_error(str(exc)) from None
-    if faults is not None and faults.runner_specs():
-        sites = ", ".join(s.site for s in faults.runner_specs())
+        _refuse_local_flags({
+            "--profile": args.profile,
+            "--trace RATE": trace_rate is not None,
+            "--faults": args.faults is not None,
+        })
+    name = trace_path if trace_path is not None else args.workload
+    kind = _run_kind(name, trace_flag=trace_path is not None)
+    if kind == "npz" and args.server:
         raise _cli_error(
-            f"--faults: {sites} are runner-level chaos sites; use "
-            "`repro bench --chaos` instead"
+            f"--server runs a workload name or a trace file; {name!r} is a "
+            ".npz archive, which only exists on this machine"
         )
-    telemetry = _telemetry_config(trace_rate, args.timeline)
-    ingest_stats = None
-    if trace_path is not None and Path(trace_path).suffix != ".npz":
-        # Ingested directly (not via resolve_workload) so the stats can
-        # stamp the result with trace provenance, like run_trace does.
+    if trace_rate is not None:
+        return _run_spans(args, trace_rate)
+
+    options = {key: getattr(args, key) for key in (
+        "record_stream", "snapshot_interval", "timeline", "max_cycles",
+        "max_events", "check_invariants",
+    )}
+    if kind == "trace":
+        options["split"] = args.split
+    faults = _fault_plan(args.faults)
+    if kind == "npz":
+        from repro.sim.driver import simulate
+
+        config = _apply_seed(resolve_config(args.config), args.seed)
+        policy = resolve_policy(args.policy)
+        workload = resolve_workload(name, config, args.scale, args.seed)
+        kwargs = dict(parse_options(options))
+        if faults is not None:
+            kwargs["faults"] = faults
+
+        def execute() -> SimulationResult:
+            return simulate(config, workload, policy, backend=args.backend, **kwargs)
+    else:
         try:
-            ingested = ingest_trace(
-                trace_path, config=config, split=args.split, scale=args.scale
+            spec = job_spec(
+                workload=name, kind=kind, policy=args.policy, config=args.config,
+                scale=args.scale, seed=args.seed, backend=args.backend,
+                options=options,
             )
-        except TraceFormatError as exc:
+        except RequestError as exc:
             raise _cli_error(str(exc)) from None
-        workload, ingest_stats = ingested.workload, ingested.stats
-    else:
-        workload = resolve_workload(
-            trace_path if trace_path is not None else args.workload,
-            config, args.scale, args.seed, split=args.split,
-        )
+        if args.server:
+            return _run_served(args, spec)
+        if faults is not None:
+            # Local-only, so never part of what --server submits.
+            spec = replace(spec, options=tuple(sorted((*spec.options, ("faults", faults)))))
+        execute = spec.execute
 
-    system: MultiGPUSystem | None = None
-    if args.backend == "functional":
-        from repro.sim.backends import BackendUnsupported, run_functional
-
-        def execute() -> SimulationResult:
-            try:
-                return run_functional(
-                    config, workload, policy,
-                    max_cycles=args.max_cycles,
-                    max_events=args.max_events,
-                    record_iommu_stream=args.record_stream,
-                    snapshot_interval=args.snapshot_interval,
-                    faults=faults,
-                    check_invariants=args.check_invariants,
-                    telemetry=telemetry,
-                )
-            except BackendUnsupported as exc:
-                raise _cli_error(f"--backend {args.backend}: {exc}") from None
-    else:
-        # Built as a system (not via ``simulate``) so the telemetry hub
-        # stays reachable for the Chrome-trace export after the run.
-        system = MultiGPUSystem(
-            config, workload, policy,
-            record_iommu_stream=args.record_stream,
-            snapshot_interval=args.snapshot_interval,
-            faults=faults,
-            check_invariants=args.check_invariants,
-            telemetry=telemetry,
-        )
-
-        def execute() -> SimulationResult:
-            return system.run(args.max_cycles, max_events=args.max_events)
-
-    try:
-        if args.profile:
-            result = _profiled(execute, dump=args.profile_dump)
-        else:
-            result = execute()
-    except SimulationStalledError as exc:
-        print(f"error: simulation stalled: {exc}", file=sys.stderr)
-        for key, value in sorted(exc.diagnostics.items()):
-            print(f"  {key}: {value}", file=sys.stderr)
+    result = _simulate(
+        execute, backend=args.backend, profile=args.profile,
+        profile_dump=args.profile_dump,
+    )
+    if result is None:
         return 3
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if ingest_stats is not None:
-        result.metadata["trace"] = {
-            "digest": ingest_stats.digest,
-            "split": ingest_stats.split,
-            "format": ingest_stats.format,
-            "records": ingest_stats.records,
-            "unique_pages": ingest_stats.unique_pages,
-            "path": str(trace_path),
-        }
-    _print_result(result)
-    if args.check_invariants:
-        print(f"invariants OK ({result.metadata.get('invariant_checks', 0)} checks)")
-    if system is not None and system.telemetry is not None:
-        _print_telemetry(system.telemetry)
-    if system is not None and trace_rate is not None:
-        out = args.trace_out or DEFAULT_TRACE_OUT
-        path = export_chrome_trace(
-            system.telemetry.traces, out,
-            run_info={
-                "workload": result.workload_name,
-                "policy": result.policy_name,
-                "sample_rate": trace_rate,
-            },
-        )
-        print(f"wrote Chrome trace {path} "
-              f"({len(system.telemetry.traces)} traces)")
-    if args.json:
-        path = save_result_json(result, args.json, include_stream=args.record_stream)
-        print(f"\nwrote {path}")
+    _report_run(args, result)
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace``: a traced run, Chrome-trace export, flame summary."""
-    from repro.engine.watchdog import SimulationStalledError
-    from repro.sim.system import MultiGPUSystem
-    from repro.telemetry import export_chrome_trace, flame_summary
+    from repro.telemetry import flame_summary
 
-    config = _apply_seed(resolve_config(args.config), args.seed)
-    policy = resolve_policy(args.policy)
-    telemetry = _telemetry_config(args.rate, args.timeline)
-    assert telemetry is not None  # --rate always set (default 0.05)
-    if telemetry.stride == 0:
-        raise _cli_error("--rate must be > 0 to collect traces")
-    workload = resolve_workload(args.workload, config, args.scale, args.seed)
-    system = MultiGPUSystem(config, workload, policy, telemetry=telemetry)
-    try:
-        result = system.run(max_events=args.max_events)
-    except SimulationStalledError as exc:
-        print(f"error: simulation stalled: {exc}", file=sys.stderr)
+    traced = _span_run(args, args.rate, args.out)
+    if traced is None:
         return 3
-    hub = system.telemetry
+    result, traces = traced
     print(f"workload {result.workload_name}, policy {result.policy_name}: "
-          f"{result.total_cycles:,} cycles, {len(hub.traces)} traces sampled "
+          f"{result.total_cycles:,} cycles, {len(traces)} traces sampled "
           f"at rate {args.rate}")
     print()
-    print(flame_summary(hub.traces))
-    _print_telemetry(hub)
-    _write_output(
-        lambda: export_chrome_trace(
-            hub.traces, args.out,
-            run_info={
-                "workload": result.workload_name,
-                "policy": result.policy_name,
-                "sample_rate": args.rate,
-            },
-        ),
-        args.out,
-    )
+    print(flame_summary(traces))
+    _print_telemetry(result.telemetry)
     print(f"\nwrote Chrome trace {args.out} — open in chrome://tracing or "
           "https://ui.perfetto.dev")
     return 0
@@ -548,7 +596,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     print(comparison_table(rows, ["policy", "exec cycles", "IOMMU hit", "remote hit"]))
     if args.json:
-        payload = {
+        _write_json({
             "workload": args.workload,
             "scale": args.scale,
             "reference": policies[0],
@@ -565,9 +613,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 }
                 for policy, r in results.items()
             },
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"\nwrote {args.json}")
+        }, args.json)
     return 0
 
 
@@ -589,7 +635,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     captured = fraction_within(distances, capacity)
     print(f"\ncapturable by the {capacity}-entry IOMMU TLB: {captured:.1%}")
     if args.json:
-        payload = {
+        _write_json({
             "workload": args.workload,
             "scale": args.scale,
             "iommu_requests": len(result.iommu_stream),
@@ -606,9 +652,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
                 }
                 for a in result.apps.values()
             },
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"\nwrote {args.json}")
+        }, args.json)
     return 0
 
 
@@ -707,33 +751,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         _write_output(lambda: save_workload(workload, args.out), args.out)
         print(f"\nwrote workload archive {args.out}")
     if args.json:
-        payload = {"trace": stats.to_dict(), "calibration": calibration}
-        _write_output(
-            lambda: Path(args.json).write_text(json.dumps(payload, indent=2) + "\n"),
-            args.json,
-        )
-        print(f"wrote {args.json}")
+        _write_json({"trace": stats.to_dict(), "calibration": calibration}, args.json)
     return 0
 
 
 def _bench_via_server(args: argparse.Namespace) -> int:
     """``repro bench --server``: run the matrix on a daemon."""
-    from repro.serve.client import ServeClient, ServeClientError
+    from repro.serve.client import ServeClient
 
-    for flag, unsupported in (
-        ("--chaos", args.chaos is not None),
-        ("--profile", args.profile),
-        ("--resume", args.resume),
-        ("--clear-cache", args.clear_cache),
-        ("--no-cache", args.no_cache),
-        ("--cache-dir", args.cache_dir is not None),
-        ("--jobs", args.jobs is not None),
-    ):
-        if unsupported:
-            raise _cli_error(
-                f"{flag} is a local-runner flag; the daemon owns its own "
-                "cache and worker pool in --server mode"
-            )
     payload: dict = {
         "benches": [args.only or "*"],
         "scale": args.scale,
@@ -744,33 +769,22 @@ def _bench_via_server(args: argparse.Namespace) -> int:
 
     client = ServeClient(args.server, client_name=args.client)
     start = time.perf_counter()
-    try:
+
+    def submit_and_wait() -> dict[str, Any]:
         submitted = client.submit(payload)
         if args.verbose:
             for event in client.events(submitted["job"]):
                 print(f"  {event.get('event')}: "
                       f"{event.get('label', event.get('state', ''))}",
                       file=sys.stderr)
-        body = client.wait(submitted["job"], timeout=args.wait_timeout)
-    except ServeClientError as exc:
-        if exc.status == 400:
-            raise _cli_error(str(exc)) from None
-        if exc.status == 429:
-            retry = exc.retry_after
-            print(
-                f"error: server over capacity: {exc}"
-                + (f" (retry after {retry:.0f}s)" if retry else ""),
-                file=sys.stderr,
-            )
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return client.wait(submitted["job"], timeout=args.wait_timeout)
+
+    body = _served(submit_and_wait)
+    if body is None:
         return 3
     wall = time.perf_counter() - start
 
-    status = client.job(submitted["job"])
+    status = client.job(body["job"])
     rows = [
         [t["label"], t["state"], t["source"],
          f"{t.get('seconds', 0.0):.2f}s" if t["state"] in ("done", "failed") else "-"]
@@ -786,13 +800,7 @@ def _bench_via_server(args: argparse.Namespace) -> int:
         f"in {wall:.2f}s wall"
     )
     if args.json:
-        _write_output(
-            lambda: Path(args.json).write_text(
-                json.dumps({"status": status, "results": body}, indent=2) + "\n"
-            ),
-            args.json,
-        )
-        print(f"wrote {args.json}")
+        _write_json({"status": status, "results": body}, args.json)
     failed = counts["failed"]
     if failed:
         print(f"error: {failed} served job(s) failed", file=sys.stderr)
@@ -826,14 +834,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.sim.resilience import ChaosState, ResiliencePolicy, SweepJournal
 
+    if args.server:
+        # The daemon owns its cache and worker pool, and reads no local file.
+        _refuse_local_flags({
+            "--trace": args.trace is not None,
+            "--chaos": args.chaos is not None,
+            "--profile": args.profile,
+            "--resume": args.resume,
+            "--clear-cache": args.clear_cache,
+            "--no-cache": args.no_cache,
+            "--cache-dir": args.cache_dir is not None,
+            "--jobs": args.jobs is not None,
+        })
     family = None
     if args.trace:
-        if args.server:
-            raise _cli_error(
-                "--trace is a local-runner flag (the file lives on this "
-                "machine); submit one trace job with "
-                "`repro run --server URL --trace PATH` instead"
-            )
         if not Path(args.trace).is_file():
             raise _cli_error(f"--trace: no such file: {args.trace!r}")
         try:
@@ -877,12 +891,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.server:
         return _bench_via_server(args)
 
-    if args.jobs is not None and args.jobs < 1:
-        raise _cli_error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retries < 0:
-        raise _cli_error(f"--retries must be >= 0, got {args.retries}")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        raise _cli_error(f"--job-timeout must be positive, got {args.job_timeout:g}")
     if args.resume and args.no_cache:
         raise _cli_error("--resume needs the result cache (drop --no-cache)")
     try:
@@ -992,7 +1000,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     print(f"cache: {cache.describe()}")
     if args.json:
-        payload = {
+        _write_json({
             "wall_seconds": wall,
             "workers": workers,
             "jobs": len(pairs),
@@ -1016,12 +1024,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 }
                 for o in outcomes
             ],
-        }
-        _write_output(
-            lambda: Path(args.json).write_text(json.dumps(payload, indent=2) + "\n"),
-            args.json,
-        )
-        print(f"wrote {args.json}")
+        }, args.json)
     empty = families_without_results(pairs, outcomes)
     if empty:
         print(
@@ -1042,16 +1045,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.api import run_server
     from repro.serve.app import ServeSettings
 
-    if args.workers < 1:
-        raise _cli_error(f"--workers must be >= 1, got {args.workers}")
-    if args.max_pending < 1:
-        raise _cli_error(f"--max-pending must be >= 1, got {args.max_pending}")
-    if args.retries < 0:
-        raise _cli_error(f"--retries must be >= 0, got {args.retries}")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        raise _cli_error(f"--job-timeout must be positive, got {args.job_timeout:g}")
-    if args.default_weight <= 0:
-        raise _cli_error(f"--default-weight must be > 0, got {args.default_weight:g}")
     weights: dict[str, float] = {}
     for spec in args.weight or []:
         name, sep, value = spec.partition("=")
@@ -1127,8 +1120,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             raise _cli_error(
                 f"--older-than must be >= 0 days, got {args.older_than:g}"
             )
-        if args.max_bytes is not None and args.max_bytes < 0:
-            raise _cli_error(f"--max-bytes must be >= 0, got {args.max_bytes}")
         summary = cache.prune(
             older_than_days=args.older_than, max_bytes=args.max_bytes
         )
@@ -1274,7 +1265,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         report = render_text(violations, len(files), len(baselined)) + "\n"
     if args.output:
-        Path(args.output).write_text(report)
+        _write_output(lambda: Path(args.output).write_text(report), args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     print(report, end="")
     if stale:
@@ -1287,9 +1278,96 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+def _arg_type(parse: Callable[[str], Any], check: Callable[..., Any],
+              **limits: Any) -> Callable[[str], Any]:
+    """An argparse ``type``: ``check(parse(text), "value", **limits)``.  A
+    ``ValueError`` from either step is a usage error quoting its message."""
+
+    def convert(text: str) -> Any:
+        try:
+            return check(parse(text), "value", **limits)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _positive(value: float, field: str) -> float:
+    if not value > 0:
+        raise ValueError(f"{field} must be > 0, got {value:g}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for testing and docs)."""
-    parser = argparse.ArgumentParser(
+    # Imported here, not at the top, so ``import repro.cli`` loads nothing
+    # new; the same checks validate ``repro serve`` submissions.
+    from repro.sim.jobs import DEFAULT_SCALE, MAX_SCALE, check_count, check_scale, check_seed
+
+    count = _arg_type(int, check_count)
+    positive_int = _arg_type(int, check_count, minimum=1)
+    positive_float = _arg_type(float, _positive)
+    scale_type = _arg_type(float, check_scale)
+    workload_help = "application, workload name, .npz path, or k6/mase trace path"
+
+    #: Every option two subcommands take, defined once: one help text, one
+    #: default, one validation.
+    shared: dict[str, dict[str, Any]] = {
+        "--config": dict(default="baseline",
+                         help=f"config preset ({', '.join(sorted(CONFIG_PRESETS))})"),
+        "--scale": dict(type=scale_type, default=DEFAULT_SCALE,
+                        help=f"trace-length scale in (0, {MAX_SCALE:g}] "
+                             f"(default {DEFAULT_SCALE})"),
+        "--seed": dict(type=_arg_type(int, check_seed), default=None,
+                       help="override the workload/config random seed (an integer >= 0)"),
+        "--policy": dict(default="baseline",
+                         help=f"translation policy ({', '.join(policy_names())})"),
+        "--backend": dict(choices=BACKENDS, default=DEFAULT_BACKEND,
+                          help="simulation backend: the discrete-event engine or the "
+                               "bit-exact fast path (see docs/backends.md)"),
+        "--split": dict(choices=SPLIT_POLICIES, default="round-robin",
+                        help="per-GPU splitting policy for a trace file "
+                             "(default round-robin)"),
+        "--timeline": dict(type=count, default=0, metavar="CYCLES",
+                           help="record an interval-timeline epoch every N cycles "
+                                "(default 0 = off)"),
+        "--max-events": dict(type=count, default=0, metavar="N",
+                             help="safety cap: fail as stalled after N events without "
+                                  "completing the workload (default 0 = no cap)"),
+        "--json": dict(default=None, metavar="FILE",
+                       help="also write the command's report to this JSON file"),
+        "--profile": dict(action="store_true",
+                          help="run in-process under cProfile and print the top-25 "
+                               "report to stderr"),
+        "--profile-dump": dict(default=None, metavar="FILE",
+                               help="with --profile: also write the raw pstats dump here"),
+        "--retries": dict(type=count, default=1, metavar="N",
+                          help="re-run a crashed/failed job up to N times with seeded "
+                               "exponential backoff (default 1)"),
+        "--job-timeout": dict(type=positive_float, default=None, metavar="SECONDS",
+                              help="hard per-job deadline: kill the worker and mark the "
+                                   "job timed_out (soft warning at half; default is "
+                                   "derived from each job's scale and backend)"),
+        "--cache-dir": dict(default=None, metavar="DIR",
+                            help="result cache location (default: $REPRO_CACHE_DIR or "
+                                 "~/.cache/repro-sim)"),
+        "--verbose": dict(action="store_true",
+                          help="print per-job progress lines to stderr"),
+        "--server": dict(default=None, metavar="URL",
+                         help="submit to a `repro serve` daemon instead of running "
+                              "locally (see docs/service.md)"),
+        "--client": dict(default=None, metavar="NAME",
+                         help="client identity for --server fairness accounting"),
+        "--wait-timeout": dict(type=positive_float, default=3600.0, metavar="SECONDS",
+                               help="with --server: give up waiting after this long "
+                                    "(default 3600)"),
+    }
+
+    def add(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+
+    parser = _Parser(
         prog="repro",
         description="least-TLB multi-GPU address-translation simulator (MICRO'21 reproduction)",
     )
@@ -1299,89 +1377,47 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_list
     )
 
-    def add_common(
-        p: argparse.ArgumentParser, *, optional_workload: bool = False
-    ) -> None:
-        """Arguments shared by every simulation subcommand."""
-        workload_help = (
-            "application, workload name, .npz path, or k6/mase trace path"
-        )
-        if optional_workload:
-            p.add_argument("workload", nargs="?", default=None,
-                           help=workload_help)
-        else:
-            p.add_argument("workload", help=workload_help)
-        p.add_argument("--scale", type=float, default=0.3,
-                       help="trace-length scale (default 0.3)")
-        p.add_argument("--config", default="baseline",
-                       help=f"config preset ({', '.join(sorted(CONFIG_PRESETS))})")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the workload/config random seed")
-
     run = sub.add_parser("run", help="run one simulation")
-    add_common(run, optional_workload=True)
-    run.add_argument("--policy", default="baseline",
-                     help=f"translation policy ({', '.join(policy_names())})")
-    run.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                     help="simulation backend: the discrete-event engine or "
-                          "the bit-exact fast path (see docs/backends.md)")
-    run.add_argument("--json", help="write the result to this JSON file")
+    run.add_argument("workload", nargs="?", default=None, help=workload_help)
+    add(run, "--scale", "--config", "--seed", "--policy", "--backend", "--json")
     run.add_argument("--record-stream", action="store_true",
                      help="record the IOMMU request stream")
-    run.add_argument("--snapshot-interval", type=int, default=0,
-                     help="TLB-content snapshot interval in cycles")
+    run.add_argument("--snapshot-interval", type=count, default=0,
+                     help="TLB-content snapshot interval in cycles (default 0 = off)")
     run.add_argument("--faults", default=None,
                      help="fault-injection plan, e.g. drop-remote:0.01,flip-tlb:0.0001 "
                           "(see docs/robustness.md)")
     run.add_argument("--check-invariants", action="store_true",
                      help="audit translation-hierarchy invariants while running")
-    run.add_argument("--max-cycles", type=int, default=None,
-                     help="stop the simulation at this cycle")
-    run.add_argument("--max-events", type=int, default=None,
-                     help="safety cap: fail as stalled if this many events execute "
-                          "without completing the workload")
-    run.add_argument("--profile", action="store_true",
-                     help="run under cProfile and print the top-25 report to stderr")
-    run.add_argument("--profile-dump", default=None, metavar="FILE",
-                     help="with --profile: also write the raw pstats dump here")
+    run.add_argument("--max-cycles", type=count, default=0, metavar="N",
+                     help="stop the simulation at this cycle (default 0 = no cap)")
+    add(run, "--max-events", "--profile", "--profile-dump")
     run.add_argument("--trace", nargs="?", const="0.05", default=None,
                      metavar="RATE|PATH",
                      help="a number samples translation requests for span "
                           "tracing (default rate 0.05, Chrome trace output); "
                           "a file path replays that k6/mase trace instead of "
                           "a named workload (see docs/traces.md)")
-    run.add_argument("--split", choices=SPLIT_POLICIES, default="round-robin",
-                     help="per-GPU splitting policy for ingested traces "
-                          "(default round-robin)")
-    run.add_argument("--trace-out", default=None, metavar="FILE",
+    add(run, "--split")
+    run.add_argument("--trace-out", default=DEFAULT_TRACE_OUT, metavar="FILE",
                      help=f"Chrome trace output path (default {DEFAULT_TRACE_OUT})")
-    run.add_argument("--timeline", type=int, default=0, metavar="CYCLES",
-                     help="record an interval-timeline epoch every N cycles")
-    run.add_argument("--server", default=None, metavar="URL",
-                     help="submit to a `repro serve` daemon instead of "
-                          "simulating locally (see docs/service.md)")
-    run.add_argument("--client", default=None, metavar="NAME",
-                     help="client identity for --server fairness accounting")
-    run.add_argument("--wait-timeout", type=float, default=3600.0,
-                     metavar="SECONDS",
-                     help="with --server: give up waiting after this long "
-                          "(default 3600)")
+    add(run, "--timeline", "--server", "--client", "--wait-timeout")
     run.set_defaults(func=cmd_run)
 
     trace = sub.add_parser(
         "trace", help="trace a run and export Chrome trace_event JSON"
     )
-    add_common(trace)
+    trace.add_argument("workload", help=workload_help)
+    add(trace, "--scale", "--config", "--seed")
     trace.add_argument("--policy", default="least-tlb",
-                       help=f"translation policy ({', '.join(policy_names())})")
+                       help=f"translation policy ({', '.join(policy_names())}; "
+                            "default least-tlb)")
     trace.add_argument("--rate", type=float, default=0.05,
                        help="span-sampling rate in (0, 1] (default 0.05)")
-    trace.add_argument("--timeline", type=int, default=0, metavar="CYCLES",
-                       help="record an interval-timeline epoch every N cycles")
+    add(trace, "--timeline")
     trace.add_argument("--out", default=DEFAULT_TRACE_OUT, metavar="FILE",
                        help=f"Chrome trace output path (default {DEFAULT_TRACE_OUT})")
-    trace.add_argument("--max-events", type=int, default=None,
-                       help="safety cap: fail as stalled past this many events")
+    add(trace, "--max-events")
     trace.set_defaults(func=cmd_trace)
 
     bench = sub.add_parser(
@@ -1395,25 +1431,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trace", default=None, metavar="PATH",
                        help="add a dynamic trace-backed bench family from this "
                             "k6/mase trace file (see docs/traces.md)")
-    bench.add_argument("--split", choices=SPLIT_POLICIES, default="round-robin",
-                       help="per-GPU splitting policy for --trace "
-                            "(default round-robin)")
-    bench.add_argument("--scale", type=float, default=0.3,
-                       help="trace-length scale for every job (default 0.3)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="override the workload/config random seed")
-    bench.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                       help="simulation backend for every job (functional "
-                            "= the bit-exact fast path, see docs/backends.md)")
-    bench.add_argument("--jobs", type=int, default=None, metavar="N",
+    add(bench, "--split", "--scale", "--seed", "--backend")
+    bench.add_argument("--jobs", type=positive_int, default=None, metavar="N",
                        help="worker processes (default: one per core)")
-    bench.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="re-run a crashed/failed job up to N times with "
-                            "seeded exponential backoff (default 1)")
-    bench.add_argument("--job-timeout", type=float, default=None, metavar="SECONDS",
-                       help="hard per-job deadline: kill the worker and mark the "
-                            "job timed_out (soft warning at half; default is "
-                            "derived from --scale and --backend)")
+    add(bench, "--retries", "--job-timeout")
     bench.add_argument("--resume", action="store_true",
                        help="skip jobs already recorded in the sweep journal "
                             "next to the result cache")
@@ -1425,26 +1446,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore the persistent result cache entirely")
     bench.add_argument("--clear-cache", action="store_true",
                        help="delete every cached result before running")
-    bench.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default: $REPRO_CACHE_DIR or "
-                            "~/.cache/repro-sim)")
-    bench.add_argument("--profile", action="store_true",
-                       help="serial in-process run under cProfile (implies --jobs 1)")
-    bench.add_argument("--profile-dump", default=None, metavar="FILE",
-                       help="with --profile: also write the raw pstats dump here")
-    bench.add_argument("--json", default=None, metavar="FILE",
-                       help="write the matrix summary to this JSON file")
-    bench.add_argument("--verbose", action="store_true",
-                       help="stream per-job progress to stderr")
-    bench.add_argument("--server", default=None, metavar="URL",
-                       help="submit the matrix to a `repro serve` daemon "
-                            "instead of running locally (see docs/service.md)")
-    bench.add_argument("--client", default=None, metavar="NAME",
-                       help="client identity for --server fairness accounting")
-    bench.add_argument("--wait-timeout", type=float, default=3600.0,
-                       metavar="SECONDS",
-                       help="with --server: give up waiting after this long "
-                            "(default 3600)")
+    add(bench, "--cache-dir", "--profile", "--profile-dump", "--json", "--verbose",
+        "--server", "--client", "--wait-timeout")
     bench.set_defaults(func=cmd_bench)
 
     serve = sub.add_parser(
@@ -1455,28 +1458,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8177,
                        help="bind port (default 8177; 0 = ephemeral)")
-    serve.add_argument("--workers", type=int, default=2, metavar="N",
+    serve.add_argument("--workers", type=positive_int, default=2, metavar="N",
                        help="concurrent simulation worker processes (default 2)")
-    serve.add_argument("--max-pending", type=int, default=64, metavar="N",
+    serve.add_argument("--max-pending", type=positive_int, default=64, metavar="N",
                        help="per-client queued-job limit before 429 "
                             "backpressure (default 64)")
-    serve.add_argument("--default-weight", type=float, default=1.0,
+    serve.add_argument("--default-weight", type=positive_float, default=1.0,
                        metavar="W",
                        help="fair-share weight for unlisted clients (default 1)")
     serve.add_argument("--weight", action="append", default=None,
                        metavar="CLIENT=W",
                        help="fair-share weight for one client (repeatable)")
-    serve.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="per-job crash/failure retries (default 1)")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="hard per-job deadline (default: derived from "
-                            "each job's scale and backend)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result cache location (default: $REPRO_CACHE_DIR "
-                            "or ~/.cache/repro-sim)")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log per-job lifecycle lines to stderr")
+    add(serve, "--retries", "--job-timeout", "--cache-dir", "--verbose")
     serve.set_defaults(func=cmd_serve)
 
     cache = sub.add_parser(
@@ -1486,31 +1479,24 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats_p = cache_sub.add_parser(
         "stats", help="entries, bytes, hit rate since last stamp"
     )
-    cache_stats_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                               help="cache location (default: $REPRO_CACHE_DIR "
-                                    "or ~/.cache/repro-sim)")
-    cache_stats_p.add_argument("--json", action="store_true",
-                               help="machine-readable output")
-    cache_stats_p.add_argument("--stamp", action="store_true",
-                               help="zero the persistent counters, starting a "
-                                    "new hit-rate measurement window")
-    cache_stats_p.set_defaults(func=cmd_cache)
     cache_prune_p = cache_sub.add_parser(
         "prune", help="bound the cache by age and/or total size"
     )
-    cache_prune_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                               help="cache location (default: $REPRO_CACHE_DIR "
-                                    "or ~/.cache/repro-sim)")
+    for p in (cache_stats_p, cache_prune_p):
+        add(p, "--cache-dir")
+        p.add_argument("--json", action="store_true",
+                       help="print machine-readable JSON instead of text")
+        p.set_defaults(func=cmd_cache)
+    cache_stats_p.add_argument("--stamp", action="store_true",
+                               help="zero the persistent counters, starting a "
+                                    "new hit-rate measurement window")
     cache_prune_p.add_argument("--older-than", type=float, default=None,
                                metavar="DAYS",
                                help="remove entries older than this many days")
-    cache_prune_p.add_argument("--max-bytes", type=int, default=None,
+    cache_prune_p.add_argument("--max-bytes", type=count, default=None,
                                metavar="N",
                                help="then remove oldest entries until the "
                                     "cache fits in N bytes")
-    cache_prune_p.add_argument("--json", action="store_true",
-                               help="machine-readable output")
-    cache_prune_p.set_defaults(func=cmd_cache)
 
     lint = sub.add_parser(
         "lint",
@@ -1541,19 +1527,18 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=cmd_lint)
 
     compare = sub.add_parser("compare", help="run several policies and compare")
-    add_common(compare)
+    compare.add_argument("workload", help=workload_help)
+    add(compare, "--scale", "--config", "--seed")
     compare.add_argument("--policies", default="baseline,least-tlb",
                          help="comma-separated policy list (first = reference)")
-    compare.add_argument("--json", default=None, metavar="FILE",
-                         help="write the comparison summary to this JSON file")
+    add(compare, "--json")
     compare.set_defaults(func=cmd_compare)
 
     characterize = sub.add_parser(
         "characterize", help="hit rates, MPKI, and reuse-distance CDF"
     )
-    add_common(characterize)
-    characterize.add_argument("--json", default=None, metavar="FILE",
-                              help="write the characterization to this JSON file")
+    characterize.add_argument("workload", help=workload_help)
+    add(characterize, "--scale", "--config", "--seed", "--json")
     characterize.set_defaults(func=cmd_characterize)
 
     ingest = sub.add_parser(
@@ -1562,15 +1547,11 @@ def build_parser() -> argparse.ArgumentParser:
              "the paper's applications (see docs/traces.md)",
     )
     ingest.add_argument("trace", help="trace file path (plain text or .gz)")
-    ingest.add_argument("--config", default="baseline",
-                        help=f"config preset ({', '.join(sorted(CONFIG_PRESETS))})")
-    ingest.add_argument("--seed", type=int, default=None,
-                        help="override the config random seed for calibration")
-    ingest.add_argument("--scale", type=float, default=1.0,
+    add(ingest, "--config", "--seed")
+    ingest.add_argument("--scale", type=scale_type, default=1.0,
                         help="truncate every CU stream to this fraction of its "
                              "runs (default 1.0 = the full trace)")
-    ingest.add_argument("--split", choices=SPLIT_POLICIES, default="round-robin",
-                        help="per-GPU splitting policy (default round-robin)")
+    add(ingest, "--split")
     ingest.add_argument("--format", choices=("k6", "mase"), default=None,
                         help="force the trace format (default: sniff from the "
                              "file name or first data line)")
@@ -1582,9 +1563,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--no-calibrate", action="store_true",
                         help="skip the calibration simulation (ingest and "
                              "report trace statistics only)")
-    ingest.add_argument("--json", default=None, metavar="FILE",
-                        help="write the ingest + calibration report to this "
-                             "JSON file")
+    add(ingest, "--json")
     ingest.set_defaults(func=cmd_ingest)
 
     return parser

@@ -118,7 +118,9 @@ class TrackerConfig:
 
     ``total_entries`` fingerprint slots are divided equally among the GPUs,
     one cuckoo-filter partition per GPU (2048 total → 512 per GPU in the
-    4-GPU baseline, ≈1.08 KB of state)."""
+    4-GPU baseline, ≈1.08 KB of state).  A cuckoo partition is rounded
+    down to a power-of-two bucket count (2048 over 3 GPUs → 128 buckets of
+    4, not 170), the geometry its relocation needs."""
 
     total_entries: int = 2048
     bucket_size: int = 4

@@ -68,7 +68,10 @@ class LocalTLBTracker:
 
     Every cuckoo partition has the same bucket count, so they share one
     :class:`CuckooHashing`: a key is hashed once per tracker, and a query
-    locates it once for all GPUs.
+    locates it once for all GPUs.  That count is the equal share of
+    ``total_entries`` rounded down to a power of two, the only geometry
+    in which partial-key cuckoo relocation maps back (at 4, 8 and 16 GPUs
+    the default budget already divides into 128, 64 and 32 buckets).
     """
 
     def __init__(self, config: TrackerConfig, num_gpus: int, seed: int = 0) -> None:
@@ -77,19 +80,18 @@ class LocalTLBTracker:
         self.config = config
         self.num_gpus = num_gpus
         per_gpu = max(config.bucket_size, config.total_entries // num_gpus)
-        # Round down to a bucket multiple so the cuckoo geometry is valid.
+        # A bucket multiple: the Bloom variant sizes its cells from it.
         per_gpu -= per_gpu % config.bucket_size
         self._filters: list[CuckooFilter | CountingBloomFilter | _PerfectFilter]
         self._hashing: CuckooHashing | None = None
         self._cuckoos: list[CuckooFilter] = []
         if config.kind == "cuckoo":
-            hashing = CuckooHashing(
-                per_gpu // config.bucket_size, config.fingerprint_bits
-            )
+            buckets = 1 << ((per_gpu // config.bucket_size).bit_length() - 1)
+            hashing = CuckooHashing(buckets, config.fingerprint_bits)
             self._hashing = hashing
             self._cuckoos = [
                 CuckooFilter(
-                    num_entries=per_gpu,
+                    num_entries=buckets * config.bucket_size,
                     bucket_size=config.bucket_size,
                     fingerprint_bits=config.fingerprint_bits,
                     seed=seed + g,

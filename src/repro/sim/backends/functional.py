@@ -14,9 +14,11 @@ same cycles, in the same same-cycle FIFO order — through one flat loop:
 * events are plain tuples ``(time, seq, code, args...)`` on one ``heapq``;
   ``code`` is a small int dispatched by an if/elif ladder ordered by
   frequency (no callback indirection, no ATSRequest/TLBEntry allocation);
-* TLB state lives in :class:`repro.structures.tlb_array.PackedTLB` mirrors
-  (packed integer keys/payloads, per-set insertion-ordered LRU) that are
-  bit-exact against ``SetAssociativeTLB`` with LRU replacement;
+* TLB state lives in plain set lists allocated here: each set is one
+  insertion-ordered dict over packed integer keys ``(pid << VPN_BITS) |
+  vpn`` and payloads whose order *is* the LRU stack (head = least
+  recent), bit-exact against ``SetAssociativeTLB`` with LRU replacement
+  (same set index: mask for power-of-two set counts, modulo otherwise);
 * link serialization is two floats of per-link state updated inline with
   the exact arithmetic of :class:`repro.interconnect.link.Link.send`;
 * the page tables and the Local TLB Tracker are the event engine's own
@@ -66,7 +68,6 @@ from repro.engine.watchdog import SimulationStalledError
 from repro.sim.backends import BackendUnsupported
 from repro.sim.results import AppResult, SimulationResult
 from repro.structures.page_table import PageTableManager
-from repro.structures.tlb_array import VPN_BITS, InfinitePackedTLB, PackedTLB
 from repro.workloads.trace import Workload
 
 
@@ -96,6 +97,8 @@ _PRI_BATCH = 10  # (batch)
 _HOST_CPM = 2.0
 _PEER_CPM = 1.0
 
+#: VPN field width in a packed TLB key; PIDs occupy the bits above.
+VPN_BITS = 48
 _VPN_MASK = (1 << VPN_BITS) - 1
 
 # Walk-ticket states (mirrors repro.iommu.page_walker).
@@ -148,20 +151,25 @@ class _CU:
     )
 
 
+def _set_mask(num_sets: int) -> int:
+    """The set-index mask of a power-of-two set count, else -1 (modulo)."""
+    return num_sets - 1 if num_sets & (num_sets - 1) == 0 else -1
+
+
 class _GPU:
-    """Per-GPU shared state: the L2 mirror (plus its unwrapped set list
-    and geometry, so the hot handlers skip the method layer) and the MSHR
-    table."""
+    """Per-GPU shared state: the L2 TLB's set list and geometry, and the
+    MSHR table."""
 
-    __slots__ = ("gid", "l2", "l2_sets", "l2_mask", "l2_nsets", "l2_assoc", "mshr", "cus")
+    __slots__ = ("gid", "l2_sets", "l2_mask", "l2_nsets", "l2_assoc", "mshr", "cus")
 
-    def __init__(self, gid: int, l2: PackedTLB) -> None:
+    def __init__(self, gid: int, num_entries: int, associativity: int) -> None:
         self.gid = gid
-        self.l2 = l2
-        self.l2_sets = l2._sets
-        self.l2_mask = l2._mask
-        self.l2_nsets = l2.num_sets
-        self.l2_assoc = l2.associativity
+        self.l2_nsets = num_entries // associativity
+        self.l2_sets: list[OrderedDict[int, int]] = [
+            OrderedDict() for _ in range(self.l2_nsets)
+        ]
+        self.l2_mask = _set_mask(self.l2_nsets)
+        self.l2_assoc = associativity
         self.mshr: dict[int, list[tuple[_CU, bool]]] = {}
         self.cus: list[_CU] = []
 
@@ -318,19 +326,9 @@ def run_functional(
     l2_cfg = config.gpu.l2_tlb
     l1_assoc = l1_cfg.associativity
     l1_nsets = l1_cfg.num_entries // l1_assoc
-    l1_mask = l1_nsets - 1 if l1_nsets & (l1_nsets - 1) == 0 else -1
+    l1_mask = _set_mask(l1_nsets)
 
-    gpus = [
-        _GPU(g, PackedTLB(l2_cfg.num_entries, l2_cfg.associativity))
-        for g in range(num_gpus)
-    ]
-    iommu_tlb: PackedTLB | InfinitePackedTLB
-    if config.iommu.infinite_tlb:
-        iommu_tlb = InfinitePackedTLB()
-    else:
-        iommu_tlb = PackedTLB(
-            config.iommu.tlb.num_entries, config.iommu.tlb.associativity
-        )
+    gpus = [_GPU(g, l2_cfg.num_entries, l2_cfg.associativity) for g in range(num_gpus)]
 
     pcs: dict[int, dict[str, int]] = {pid: {} for pid in workload.pids}
     lat_count: dict[int, int] = {pid: 0 for pid in workload.pids}
@@ -423,20 +421,22 @@ def run_functional(
     probe_free = [0.0] * num_gpus  # iommu ~> gpu (peer, bw 1.0)
     peer_free = [[0.0] * num_gpus for _ in range(num_gpus)]
 
-    # IOMMU TLB geometry, unwrapped for the lookup handler's hot path.
+    # IOMMU TLB: one unbounded dict (Figure 3's infinite TLB: lookups do
+    # not touch recency, inserts never evict) or a set list like L2's.
     io_inf = config.iommu.infinite_tlb
+    io_store: dict[int, int] | None
     if io_inf:
-        io_store = iommu_tlb._store
+        io_store = {}
         io_sets = None
         io_mask = -1
         io_nsets = 1
         io_assoc = 0
     else:
         io_store = None
-        io_sets = iommu_tlb._sets
-        io_mask = iommu_tlb._mask
-        io_nsets = iommu_tlb.num_sets
-        io_assoc = iommu_tlb.associativity
+        io_assoc = config.iommu.tlb.associativity
+        io_nsets = config.iommu.tlb.num_entries // io_assoc
+        io_sets = [OrderedDict() for _ in range(io_nsets)]
+        io_mask = _set_mask(io_nsets)
 
     ist: dict[str, int] = {}  # IOMMU CounterSet mirror
     ws: dict[str, int] = {}  # walker CounterSet mirror

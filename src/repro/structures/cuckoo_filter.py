@@ -61,6 +61,13 @@ class CuckooHashing:
     __slots__ = ("num_buckets", "fp_mask", "mix", "_located")
 
     def __init__(self, num_buckets: int, fingerprint_bits: int) -> None:
+        # ``(i ^ mix) % num_buckets`` maps back to ``i`` only for a power
+        # of two; any other count strands relocated fingerprints in
+        # buckets their key never probes (silent false negatives).
+        if num_buckets < 1 or num_buckets & (num_buckets - 1):
+            raise ValueError(
+                f"num_buckets must be a power of two, got {num_buckets}"
+            )
         self.num_buckets = num_buckets
         self.fp_mask = (1 << fingerprint_bits) - 1
         self.mix: dict[int, int] = {}
@@ -94,8 +101,8 @@ class CuckooFilter:
     Parameters
     ----------
     num_entries:
-        Total fingerprint slots (buckets × bucket_size).  The paper uses 2048
-        slots split evenly across GPUs.
+        Total fingerprint slots (buckets × bucket_size, with a power-of-two
+        bucket count).  The paper uses 2048 slots split evenly across GPUs.
     bucket_size:
         Slots per bucket (4 in the canonical design).
     fingerprint_bits:

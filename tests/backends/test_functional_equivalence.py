@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.presets import baseline_config
+from repro.config.presets import baseline_config, infinite_iommu_config
 from repro.config.system import (
     GPUConfig,
     IOMMUConfig,
@@ -116,6 +116,17 @@ def test_fast_backends_are_bit_identical(backend, policy, kind, scenario):
 def test_real_trace_is_bit_identical(backend, policy):
     ref = run_single_app("MM", policy=policy, scale=0.02)
     fast = run_single_app("MM", policy=policy, scale=0.02, backend=backend)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+@pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
+def test_infinite_iommu_tlb_is_bit_identical(policy):
+    """Figure 3's unbounded IOMMU TLB: lookups leave recency alone and
+    inserts never evict, in the replay's inline dict as in InfiniteTLB."""
+    config = infinite_iommu_config()
+    ref = run_single_app("ST", config, policy, scale=0.05)
+    fast = run_single_app("ST", config, policy, scale=0.05, backend="functional")
+    assert ref.apps[1].counters["iommu_hit"] > 0
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
 
 

@@ -19,13 +19,19 @@ draws, and so its goldens, do not move.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.system import TrackerConfig
 from repro.core.tracker import LocalTLBTracker, TrackerStats
 from repro.structures import cuckoo_filter
-from repro.structures.cuckoo_filter import CuckooFilterStats, _splitmix64
+from repro.structures.cuckoo_filter import (
+    CuckooFilter,
+    CuckooFilterStats,
+    CuckooHashing,
+    _splitmix64,
+)
 
 
 class OracleFilter:
@@ -92,11 +98,15 @@ class OracleFilter:
 
 
 class OracleTracker:
-    """The tracker as a plain object model: one filter per GPU."""
+    """The tracker as a plain object model: one filter per GPU, each an
+    equal share of the budget rounded down to a power-of-two bucket count."""
 
     def __init__(self, config, num_gpus, seed):
         per_gpu = max(config.bucket_size, config.total_entries // num_gpus)
-        per_gpu -= per_gpu % config.bucket_size
+        buckets = 1
+        while buckets * 2 * config.bucket_size <= per_gpu:
+            buckets *= 2
+        per_gpu = buckets * config.bucket_size
         self.filters = [
             OracleFilter(per_gpu, config.bucket_size, config.fingerprint_bits, seed + g)
             for g in range(num_gpus)
@@ -130,13 +140,13 @@ class OracleTracker:
 #: (total_entries, bucket_size, fingerprint_bits, num_gpus).  Tiny filters
 #: over a key domain three times their capacity, so register streams fill
 #: both candidate buckets and take the relocation path.  Bucket size 3
-#: makes ``randrange(3)`` reject the draw 3; 24/2 gives six buckets, a
-#: non-power-of-two count; 100 over 3 GPUs is the uneven partition sizing
-#: (33 slots rounded down to 32, eight buckets of four).
+#: makes ``randrange(3)`` reject the draw 3; 100 over 3 GPUs is the uneven
+#: partition sizing (33 slots rounded down to 32, eight buckets of four),
+#: and 36 over 2 GPUs rounds nine buckets of two down to eight.
 GEOMETRIES = [
     (8, 1, 4, 2),
     (16, 2, 4, 2),
-    (24, 2, 5, 2),
+    (36, 2, 5, 2),
     (12, 3, 4, 2),
     (16, 4, 3, 2),
     (100, 4, 6, 3),
@@ -215,6 +225,56 @@ def test_partition_sizing():
     assert [f.capacity for f in tracker._filters] == [32, 32, 32]
     assert all(f.hashing is tracker._hashing for f in tracker._filters)
     assert tracker._hashing.num_buckets == 8
+
+
+@pytest.mark.parametrize(("num_gpus", "buckets"), [(3, 128), (4, 128), (5, 64),
+                                                   (6, 64), (8, 64), (16, 32)])
+def test_partitions_round_down_to_a_power_of_two(num_gpus, buckets):
+    # The paper's 2048-entry budget: 170, 102 and 85 buckets at 3, 5 and
+    # 6 GPUs would strand relocated fingerprints, so each partition keeps
+    # the largest power of two that fits its share.
+    tracker = LocalTLBTracker(TrackerConfig(), num_gpus=num_gpus, seed=0)
+    assert tracker._hashing.num_buckets == buckets
+    assert all(f.num_buckets == buckets for f in tracker._filters)
+
+
+@pytest.mark.parametrize("num_buckets", [0, 3, 6, 170])
+def test_non_power_of_two_bucket_count_rejected(num_buckets):
+    with pytest.raises(ValueError, match="power of two"):
+        CuckooHashing(num_buckets, fingerprint_bits=5)
+    if num_buckets:
+        with pytest.raises(ValueError, match="power of two"):
+            CuckooFilter(num_entries=2 * num_buckets, bucket_size=2)
+
+
+@st.composite
+def filled_partitions(draw):
+    """A tracker geometry plus a stream of distinct keys that fills one
+    partition to 95% of its slots."""
+    num_gpus = draw(st.integers(1, 16))
+    bucket_size = draw(st.integers(1, 8))
+    total = draw(st.integers(bucket_size * num_gpus, 4096))
+    bits = draw(st.integers(2, 12))
+    config = TrackerConfig(total_entries=total, bucket_size=bucket_size,
+                           fingerprint_bits=bits, kind="cuckoo")
+    gpu = draw(st.integers(0, num_gpus - 1))
+    return config, num_gpus, gpu, draw(st.integers(0, 7))
+
+
+@given(case=filled_partitions())
+@settings(max_examples=120, deadline=None)
+def test_inserted_keys_stay_findable_unless_displaced(case):
+    # Partial-key cuckoo hashing guarantees every stored fingerprint sits
+    # in one of its key's two buckets; only a relocation chain that runs
+    # out of kicks (``displaced``) may lose a key.
+    config, num_gpus, gpu, seed = case
+    tracker = LocalTLBTracker(config, num_gpus=num_gpus, seed=seed)
+    partition = tracker._filters[gpu]
+    keys = [(1 + vpn % 3, vpn) for vpn in range(partition.capacity * 95 // 100)]
+    for pid, vpn in keys:
+        tracker.register(gpu, pid, vpn)
+    lost = sum(gpu not in tracker.query(pid, vpn) for pid, vpn in keys)
+    assert lost <= partition.stats.displaced
 
 
 def test_each_key_and_fingerprint_is_mixed_once(monkeypatch):

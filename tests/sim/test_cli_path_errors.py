@@ -22,13 +22,27 @@ class TestUnwritableOutput:
     def test_bench_json_in_missing_directory(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "bench", "--benches", "fig02_baseline_hit_rates",
-                "--scale", "0.02", "--jobs", "1",
+                "bench", "--only", "fig02_baseline_hit_rates",
+                "--scale", "0.02", "--jobs", "1", "--no-cache",
                 "--json", "/nonexistent-dir/report.json",
             ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "FIR", "--json", "/nonexistent-dir/report.json"],
+        ["compare", "FIR", "--json", "/nonexistent-dir/report.json"],
+        ["characterize", "FIR", "--json", "/nonexistent-dir/report.json"],
+        ["run", "FIR", "--trace", "0.05", "--trace-out", "/nonexistent-dir/t.json"],
+    ], ids=["run-json", "compare-json", "characterize-json", "run-trace-out"])
+    def test_output_in_missing_directory(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--scale", "0.02"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
         assert "Traceback" not in err
 
 
