@@ -13,17 +13,13 @@ APPS = ("KM", "PR", "MM", "ST")
 POLICIES = ("strictly-inclusive", "baseline", "exclusive", "least-tlb")
 
 
-def test_ablation_inclusion_policies(lab, benchmark):
-    def run():
-        out = {}
-        for app in APPS:
-            base = lab.single(app, "baseline")
-            for policy in POLICIES:
-                result = lab.single(app, policy)
-                out[(app, policy)] = result.speedup_vs(base)
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_inclusion_policies(runs):
+    results = runs("abl_policies")
+    out = {
+        (app, policy): results[app, policy].speedup_vs(results[app, "baseline"])
+        for app in APPS
+        for policy in POLICIES
+    }
 
     rows = [[app] + [out[(app, p)] for p in POLICIES] for app in APPS]
     means = [sum(out[(a, p)] for a in APPS) / len(APPS) for p in POLICIES]

@@ -17,21 +17,18 @@ from common import save_table
 APPS = ("ST", "FIR", "PR", "BS")  # two streaming, two irregular
 
 
-def test_ablation_sequential_prefetch(lab, benchmark):
-    def run():
-        out = {}
-        for app in APPS:
-            base = lab.single(app, "baseline")
-            prefetch = lab.single(app, "prefetch")
-            least = lab.single(app, "least-tlb")
-            out[app] = (
-                prefetch.speedup_vs(base),
-                least.speedup_vs(base),
-                prefetch.iommu_counters.get("prefetches_issued", 0),
-            )
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_sequential_prefetch(runs):
+    results = runs("abl_prefetch")
+    out = {}
+    for app in APPS:
+        base = results[app, "baseline"]
+        prefetch = results[app, "prefetch"]
+        least = results[app, "least-tlb"]
+        out[app] = (
+            prefetch.speedup_vs(base),
+            least.speedup_vs(base),
+            prefetch.iommu_counters.get("prefetches_issued", 0),
+        )
 
     rows = [[app, *out[app]] for app in APPS]
     save_table(

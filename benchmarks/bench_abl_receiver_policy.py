@@ -13,25 +13,18 @@ WORKLOADS = ("W4", "W5", "W8")
 POLICIES = ("counter", "round-robin", "random")
 
 
-def test_ablation_receiver_policy(lab, benchmark):
-    def run():
-        out = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline")
-            for rp in POLICIES:
-                least = lab.multi(
-                    wl, "least-tlb",
-                    tag="base" if rp == "counter" else f"recv-{rp}",
-                    policy_options=None if rp == "counter" else {"receiver_policy": rp},
-                )
-                speedups = least.per_app_speedup_vs(base)
-                out[(wl, rp)] = (
-                    sum(speedups.values()) / len(speedups),
-                    sum(a.remote_hit_rate for a in least.apps.values()) / len(least.apps),
-                )
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_receiver_policy(runs):
+    results = runs("abl_receiver_policy")
+    out = {}
+    for wl in WORKLOADS:
+        base = results[wl, "baseline"]
+        for rp in POLICIES:
+            least = results[wl, rp]
+            speedups = least.per_app_speedup_vs(base)
+            out[(wl, rp)] = (
+                sum(speedups.values()) / len(speedups),
+                sum(a.remote_hit_rate for a in least.apps.values()) / len(least.apps),
+            )
 
     rows = [[wl, rp, *out[(wl, rp)]] for wl in WORKLOADS for rp in POLICIES]
     save_table(

@@ -6,39 +6,24 @@ costs relative to a perfect (oracle) tracker and how the counting-Bloom
 alternative compares at equal budget.
 """
 
-from dataclasses import replace
-
-from common import baseline_config, save_table
+from common import save_table
 
 APPS = ("PR", "MM", "ST")
 KINDS = ("cuckoo", "bloom", "perfect")
 
 
-def tracker_config(kind):
-    config = baseline_config()
-    return config.derive(tracker=replace(config.tracker, kind=kind))
-
-
-def test_ablation_tracker_kind(lab, benchmark):
-    def run():
-        out = {}
-        for app in APPS:
-            base = lab.single(app, "baseline")
-            for kind in KINDS:
-                tag = "base" if kind == "cuckoo" else f"tracker-{kind}"
-                least = lab.single(
-                    app, "least-tlb",
-                    config=None if kind == "cuckoo" else tracker_config(kind),
-                    tag=tag,
-                )
-                out[(app, kind)] = (
-                    least.speedup_vs(base),
-                    least.apps[1].remote_hit_rate,
-                    (least.tracker_stats or {}).get("false_positives", 0),
-                )
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_tracker_kind(runs):
+    results = runs("abl_tracker")
+    out = {}
+    for app in APPS:
+        base = results[app, "baseline"]
+        for kind in KINDS:
+            least = results[app, "least-tlb", kind]
+            out[(app, kind)] = (
+                least.speedup_vs(base),
+                least.apps[1].remote_hit_rate,
+                (least.tracker_stats or {}).get("false_positives", 0),
+            )
 
     rows = [
         [app, kind, *out[(app, kind)]]

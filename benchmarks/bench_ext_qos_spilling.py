@@ -15,17 +15,10 @@ PROTECTED_GPU = 3  # the GPU running ST
 WEIGHTS = [1.0, 1.0, 1.0, 8.0]
 
 
-def test_extension_qos_aware_spilling(lab, benchmark):
-    def run():
-        base = lab.multi(WORKLOAD, "baseline")
-        plain = lab.multi(WORKLOAD, "least-tlb")
-        qos = lab.multi(
-            WORKLOAD, "least-tlb-qos", tag="qos",
-            policy_options={"qos_weights": WEIGHTS},
-        )
-        return base, plain, qos
-
-    base, plain, qos = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_extension_qos_aware_spilling(runs):
+    results = runs("ext_qos_spilling")
+    base, plain, qos = (results[WORKLOAD, policy]
+                        for policy in ("baseline", "least-tlb", "least-tlb-qos"))
 
     apps = MULTI_APP_WORKLOADS[WORKLOAD][0]
     plain_speedups = plain.per_app_speedup_vs(base)

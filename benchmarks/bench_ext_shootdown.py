@@ -10,25 +10,19 @@ injects periodic full shootdowns (page-migration epochs) and checks that
   interaction between tracker resets and the protocol).
 """
 
-from common import baseline_config, save_table
-from repro.sim.driver import run_single_app
+from common import save_table
 
 APP = "MM"
 INTERVALS = (0, 50_000, 20_000)  # 0 = no shootdowns
 
 
-def test_extension_shootdown_cost(lab, benchmark):
-    def run():
-        out = {}
-        for interval in INTERVALS:
-            for policy in ("baseline", "least-tlb"):
-                out[(interval, policy)] = run_single_app(
-                    APP, baseline_config(), policy,
-                    scale=lab.scale, shootdown_interval=interval,
-                )
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_extension_shootdown_cost(runs):
+    family = runs("ext_shootdown")
+    results = {
+        (interval, policy): family[APP, policy, interval]
+        for interval in INTERVALS
+        for policy in ("baseline", "least-tlb")
+    }
 
     rows = []
     for interval in INTERVALS:

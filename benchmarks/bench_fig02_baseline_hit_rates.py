@@ -8,15 +8,12 @@ motivation for the whole design.
 from common import SINGLE_APP_NAMES, save_table
 
 
-def test_fig02_baseline_hit_rates(lab, benchmark):
-    results = benchmark.pedantic(
-        lambda: {app: lab.single(app, "baseline", fast=True) for app in SINGLE_APP_NAMES},
-        rounds=1, iterations=1,
-    )
+def test_fig02_baseline_hit_rates(runs):
+    results = runs("fig02_baseline_hit_rates")
 
     rows = []
     for app in SINGLE_APP_NAMES:
-        a = results[app].apps[1]
+        a = results[app, "baseline"].apps[1]
         rows.append([app, a.l2_hit_rate, a.iommu_hit_rate])
     save_table(
         "fig02_baseline_hit_rates",

@@ -5,22 +5,14 @@ for the high-MPKI applications (MT, ST).
 """
 
 from common import SINGLE_APP_NAMES, save_table
-from repro.config.presets import infinite_iommu_config
 
 
-def test_fig03_infinite_iommu_tlb(lab, benchmark):
-    def run():
-        out = {}
-        for app in SINGLE_APP_NAMES:
-            base = lab.single(app, "baseline", fast=True)
-            infinite = lab.single(
-                app, "baseline", config=infinite_iommu_config(), tag="infinite",
-                fast=True,
-            )
-            out[app] = infinite.speedup_vs(base)
-        return out
-
-    speedups = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig03_infinite_iommu_tlb(runs):
+    results = runs("fig03_infinite_iommu")
+    speedups = {
+        app: results[app, "baseline", "infinite"].speedup_vs(results[app, "baseline"])
+        for app in SINGLE_APP_NAMES
+    }
 
     rows = [[app, speedups[app]] for app in SINGLE_APP_NAMES]
     rows.append(["MEAN", sum(speedups.values()) / len(speedups)])

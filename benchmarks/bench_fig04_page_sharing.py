@@ -10,17 +10,12 @@ from repro.metrics.sharing import sharing_degrees
 from repro.workloads.multi_app import build_single_app_workload
 
 
-def test_fig04_page_sharing_degrees(benchmark):
+def test_fig04_page_sharing_degrees():
     config = baseline_config()
-
-    def run():
-        out = {}
-        for app in SINGLE_APP_NAMES:
-            workload = build_single_app_workload(app, config, scale=1.0)
-            out[app] = sharing_degrees(workload)
-        return out
-
-    degrees = benchmark.pedantic(run, rounds=1, iterations=1)
+    degrees = {
+        app: sharing_degrees(build_single_app_workload(app, config, scale=1.0))
+        for app in SINGLE_APP_NAMES
+    }
 
     rows = []
     for app in SINGLE_APP_NAMES:

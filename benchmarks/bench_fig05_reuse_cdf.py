@@ -5,26 +5,18 @@ TLB capacity — 45% on average across the nine applications — which is why
 capacity (reach) is the binding constraint.
 """
 
-from common import SINGLE_APP_NAMES, baseline_config, save_table
+from common import SINGLE_APP_NAMES, save_table
 from repro.metrics.reuse_distance import fraction_within, reuse_distances
-from repro.sim.driver import run_single_app
 
 IOMMU_CAPACITY = 4096
 APPS = SINGLE_APP_NAMES
 
 
-def test_fig05_reuse_distance_cdf(lab, benchmark):
-    def run():
-        out = {}
-        for app in APPS:
-            result = run_single_app(
-                app, baseline_config(), "baseline",
-                scale=lab.scale, record_iommu_stream=True,
-            )
-            out[app] = reuse_distances(result.iommu_stream)
-        return out
-
-    distances = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig05_reuse_distance_cdf(runs):
+    results = runs("fig05_reuse_cdf")
+    distances = {
+        app: reuse_distances(results[app, "baseline"].iommu_stream) for app in APPS
+    }
 
     rows = []
     for app in APPS:

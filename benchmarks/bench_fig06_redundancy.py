@@ -6,26 +6,14 @@ time, and 30-70% of entries are simultaneously in an L2 and the IOMMU
 TLB.  least-TLB removes most of the cross-level redundancy.
 """
 
-from common import baseline_config, save_table
+from common import save_table
 from repro.metrics.sharing import mean_cross_level_duplication, mean_l2_duplication
-from repro.sim.driver import run_single_app
 
-SNAPSHOT_INTERVAL = 20_000
 APPS = ("MM", "PR")
 
 
-def test_fig06_redundancy_snapshots(lab, benchmark):
-    def run():
-        out = {}
-        for app in APPS:
-            for policy in ("baseline", "least-tlb"):
-                out[(app, policy)] = run_single_app(
-                    app, baseline_config(), policy,
-                    scale=lab.scale, snapshot_interval=SNAPSHOT_INTERVAL,
-                )
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig06_redundancy_snapshots(runs):
+    results = runs("fig06_redundancy")
 
     rows = []
     for app in APPS:

@@ -7,21 +7,16 @@ higher-MPKI application degrades more; the same application degrades more
 when co-run with heavier partners (MT in W9 vs W6).
 """
 
-from common import MULTI_APP_WORKLOADS, save_table
+from common import MULTI_APP_WORKLOADS, alone_refs, save_table
 from repro.metrics.weighted_speedup import per_app_slowdowns, weighted_speedup
 
 WORKLOADS = tuple(MULTI_APP_WORKLOADS)
 
 
-def test_fig07_baseline_contention(lab, benchmark):
-    def run():
-        alone = lab.alone_refs(
-            app for apps, _ in MULTI_APP_WORKLOADS.values() for app in apps
-        )
-        mixes = {wl: lab.multi(wl, "baseline") for wl in WORKLOADS}
-        return alone, mixes
-
-    alone, mixes = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig07_baseline_contention(runs):
+    results = runs("fig07_multiapp_slowdown")
+    alone = alone_refs(results, WORKLOADS)
+    mixes = {wl: results[wl, "baseline"] for wl in WORKLOADS}
 
     rows = []
     ws = {}

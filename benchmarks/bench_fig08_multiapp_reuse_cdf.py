@@ -7,26 +7,18 @@ keep long distances in every mix, with >60% of reuses missing the IOMMU
 TLB.
 """
 
-from common import MULTI_APP_WORKLOADS, baseline_config, save_table
+from common import MULTI_APP_WORKLOADS, save_table
 from repro.metrics.reuse_distance import fraction_within, per_pid_distances
-from repro.sim.driver import run_multi_app
 
 IOMMU_CAPACITY = 4096
 WORKLOADS = ("W1", "W4", "W6", "W9")  # the paper's representative mixes
 
 
-def test_fig08_multiapp_reuse_distances(lab, benchmark):
-    def run():
-        out = {}
-        for wl in WORKLOADS:
-            result = run_multi_app(
-                wl, baseline_config(), "baseline",
-                scale=lab.scale, record_iommu_stream=True,
-            )
-            out[wl] = per_pid_distances(result.iommu_stream)
-        return out
-
-    per_wl = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig08_multiapp_reuse_distances(runs):
+    results = runs("fig08_multiapp_reuse_cdf")
+    per_wl = {
+        wl: per_pid_distances(results[wl, "baseline"].iommu_stream) for wl in WORKLOADS
+    }
 
     rows = []
     within = {}

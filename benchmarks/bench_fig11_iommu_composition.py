@@ -5,31 +5,20 @@ running high-thrash applications keep the most translations in the IOMMU
 TLB, so the GPU with the *fewest* is the best spill receiver.
 """
 
-from common import MULTI_APP_WORKLOADS, baseline_config, save_table
+from common import MULTI_APP_WORKLOADS, save_table
 from repro.metrics.sharing import iommu_composition
-from repro.sim.driver import run_multi_app
 
 WORKLOADS = ("W4", "W6")
-SNAPSHOT_INTERVAL = 20_000
 
 
-def test_fig11_iommu_composition(lab, benchmark):
-    def run():
-        return {
-            wl: run_multi_app(
-                wl, baseline_config(), "least-tlb",
-                scale=lab.scale, snapshot_interval=SNAPSHOT_INTERVAL,
-            )
-            for wl in WORKLOADS
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig11_iommu_composition(runs):
+    results = runs("fig11_iommu_composition")
 
     rows = []
     shares = {}
     for wl in WORKLOADS:
         apps, category = MULTI_APP_WORKLOADS[wl]
-        composition = iommu_composition(results[wl].snapshots)
+        composition = iommu_composition(results[wl, "least-tlb"].snapshots)
         shares[wl] = dict(zip(apps, composition))
         for app, share in zip(apps, composition):
             rows.append([wl, category, app, share])

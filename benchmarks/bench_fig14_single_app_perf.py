@@ -7,25 +7,20 @@ even the deduplicated reach.
 """
 
 from common import SINGLE_APP_NAMES, save_table
-from repro.config.presets import infinite_iommu_config
 
 HIGH_GAIN_APPS = ("ST", "MT", "MM", "KM", "PR")
 
 
-def test_fig14_single_app_performance(lab, benchmark):
-    def run():
-        out = {}
-        for app in SINGLE_APP_NAMES:
-            base = lab.single(app, "baseline", fast=True)
-            least = lab.single(app, "least-tlb", fast=True)
-            infinite = lab.single(
-                app, "baseline", config=infinite_iommu_config(), tag="infinite",
-                fast=True,
-            )
-            out[app] = (least.speedup_vs(base), infinite.speedup_vs(base))
-        return out
-
-    speedups = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig14_single_app_performance(runs):
+    results = runs("fig14_single_app_perf")
+    infinite = runs("fig03_infinite_iommu")
+    speedups = {}
+    for app in SINGLE_APP_NAMES:
+        base = results[app, "baseline"]
+        speedups[app] = (
+            results[app, "least-tlb"].speedup_vs(base),
+            infinite[app, "baseline", "infinite"].speedup_vs(base),
+        )
 
     rows = [[app, *speedups[app]] for app in SINGLE_APP_NAMES]
     mean_least = sum(s[0] for s in speedups.values()) / len(speedups)

@@ -10,21 +10,12 @@ from common import SINGLE_APP_NAMES, save_table
 HIGH_SHARING = ("ST", "MT", "MM", "KM", "PR")
 
 
-def test_fig15_single_app_hit_rates(lab, benchmark):
-    def run():
-        return {
-            app: (
-                lab.single(app, "baseline", fast=True),
-                lab.single(app, "least-tlb", fast=True),
-            )
-            for app in SINGLE_APP_NAMES
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig15_single_app_hit_rates(runs):
+    results = runs("fig15_single_app_hit_rates")
 
     rows = []
     for app in SINGLE_APP_NAMES:
-        base, least = results[app]
+        base, least = results[app, "baseline"], results[app, "least-tlb"]
         b, l = base.apps[1], least.apps[1]
         rows.append([
             app, b.iommu_hit_rate, l.iommu_hit_rate, l.remote_hit_rate,

@@ -6,32 +6,22 @@ workload, for the higher-MPKI applications; even the all-high W10 gains
 thanks to interleaved intensity phases.
 """
 
-from common import MULTI_APP_WORKLOADS, save_table
+from common import MULTI_APP_WORKLOADS, alone_refs, save_table
 from repro.metrics.weighted_speedup import normalized_weighted_speedup
 
 WORKLOADS = tuple(MULTI_APP_WORKLOADS)
 
 
-def test_fig16_multi_app_performance(lab, benchmark):
-    def run():
-        alone = lab.alone_refs(
-            app for apps, _ in MULTI_APP_WORKLOADS.values() for app in apps
-        )
-        pairs = {
-            wl: (lab.multi(wl, "baseline", fast=True),
-                 lab.multi(wl, "least-tlb", fast=True))
-            for wl in WORKLOADS
-        }
-        return alone, pairs
-
-    alone, pairs = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig16_multi_app_performance(runs):
+    results = runs("fig16_multi_app_perf")
+    alone = alone_refs(results, WORKLOADS)
 
     rows = []
     norm_ws = {}
     per_app_speedups = {}
     for wl in WORKLOADS:
         apps, category = MULTI_APP_WORKLOADS[wl]
-        base, least = pairs[wl]
+        base, least = results[wl, "baseline"], results[wl, "least-tlb"]
         speedups = least.per_app_speedup_vs(base)
         per_app_speedups[wl] = speedups
         norm_ws[wl] = normalized_weighted_speedup(least, base, alone)

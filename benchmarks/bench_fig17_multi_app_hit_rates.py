@@ -15,21 +15,12 @@ def mean_rate(result, attr):
     return sum(getattr(a, attr) for a in apps) / len(apps)
 
 
-def test_fig17_multi_app_hit_rates(lab, benchmark):
-    def run():
-        return {
-            wl: (
-                lab.multi(wl, "baseline", fast=True),
-                lab.multi(wl, "least-tlb", fast=True),
-            )
-            for wl in WORKLOADS
-        }
-
-    pairs = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig17_multi_app_hit_rates(runs):
+    results = runs("fig17_multi_app_hit_rates")
 
     rows = []
     for wl in WORKLOADS:
-        base, least = pairs[wl]
+        base, least = results[wl, "baseline"], results[wl, "least-tlb"]
         rows.append([
             wl, MULTI_APP_WORKLOADS[wl][1],
             mean_rate(base, "iommu_hit_rate"),

@@ -10,22 +10,13 @@ from common import MULTI_APP_WORKLOADS, save_table
 WORKLOADS = tuple(MULTI_APP_WORKLOADS)
 
 
-def test_fig18_l2_hit_rates(lab, benchmark):
-    def run():
-        return {
-            wl: (
-                lab.multi(wl, "baseline", fast=True),
-                lab.multi(wl, "least-tlb", fast=True),
-            )
-            for wl in WORKLOADS
-        }
-
-    pairs = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig18_l2_hit_rates(runs):
+    results = runs("fig18_l2_hit_rates")
 
     rows = []
     deltas = []
     for wl in WORKLOADS:
-        base, least = pairs[wl]
+        base, least = results[wl, "baseline"], results[wl, "least-tlb"]
         apps = MULTI_APP_WORKLOADS[wl][0]
         for pid in sorted(base.apps):
             b = base.apps[pid].l2_hit_rate

@@ -6,29 +6,19 @@ Paper: N=2 still improves over the baseline (+12.7% on average) but is
 """
 
 from common import save_table
-from repro.config.presets import spill_budget_config
 
 WORKLOADS = ("W2", "W4", "W5", "W8", "W9", "W10")
 
 
-def test_fig19_spill_counter_n2(lab, benchmark):
-    def run():
-        out = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline", fast=True)
-            n1 = lab.multi(wl, "least-tlb", fast=True)
-            n2 = lab.multi(wl, "least-tlb", config=spill_budget_config(2), tag="n2",
-                           fast=True)
-            out[wl] = (base, n1, n2)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig19_spill_counter_n2(runs):
+    results = runs("fig19_spill_counter")
 
     rows = []
     mean_n1 = []
     mean_n2 = []
     for wl in WORKLOADS:
-        base, n1, n2 = results[wl]
+        base, n1, n2 = (results[wl, "baseline"], results[wl, "least-tlb"],
+                        results[wl, "least-tlb", "N=2"])
         s1 = sum(n1.per_app_speedup_vs(base).values()) / len(base.apps)
         s2 = sum(n2.per_app_speedup_vs(base).values()) / len(base.apps)
         mean_n1.append(s1)

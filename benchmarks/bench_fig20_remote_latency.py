@@ -16,44 +16,24 @@ slow remote hit is profitable because it relieves the walkers, and the
 crossover the paper measures would be invisible.
 """
 
-from dataclasses import replace
-
 from common import save_table
-from repro.config.presets import remote_latency_config
 
 SCALES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 APP = "MM"
-LATENCY_BOUND_THREADS = 8  # 64 concurrent walks: queueing is not the bottleneck
 
 
-def sweep_config(scale: float):
-    config = remote_latency_config(scale)
-    return config.derive(
-        iommu=replace(config.iommu, walker_threads=LATENCY_BOUND_THREADS)
-    )
-
-
-def test_fig20_remote_latency_sweep(lab, benchmark):
-    def run():
-        base = lab.single(APP, "baseline", config=sweep_config(1.0), tag="rl-base",
-                          fast=True)
-        series = {}
-        for scale in SCALES:
-            config = sweep_config(scale)
-            tag = f"rl{scale}"
-            remote_only = lab.single(
-                APP, "least-tlb", config=config, tag=tag + "-serial",
-                policy_options={"race_ptw": False}, fast=True,
-            )
-            raced = lab.single(APP, "least-tlb", config=config, tag=tag, fast=True)
-            series[scale] = (
-                remote_only.speedup_vs(base),
-                raced.speedup_vs(base),
-                remote_only.apps[1].mean_translation_latency,
-            )
-        return series
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig20_remote_latency_sweep(runs):
+    results = runs("fig20_remote_latency")
+    base = results[APP, "baseline"]
+    series = {}
+    for scale in SCALES:
+        remote_only = results[APP, "remote-only", scale]
+        raced = results[APP, "least-tlb", scale]
+        series[scale] = (
+            remote_only.speedup_vs(base),
+            raced.speedup_vs(base),
+            remote_only.apps[1].mean_translation_latency,
+        )
 
     rows = [
         [scale, 1.0, series[scale][0], series[scale][1], series[scale][2]]

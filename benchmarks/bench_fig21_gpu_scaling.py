@@ -6,7 +6,6 @@ delivering as the system scales.
 """
 
 from common import save_table
-from repro.config.presets import scaled_config
 from repro.workloads.multi_app import SCALED_WORKLOADS
 
 SINGLE_APPS = ("KM", "PR", "MM", "ST")
@@ -14,32 +13,19 @@ EIGHT_GPU_WORKLOADS = ("W11", "W13")
 SIXTEEN_GPU_WORKLOAD = "W16"
 
 
-def test_fig21_gpu_scaling(lab, benchmark):
-    def run():
-        out = {"single": {}, "multi": {}}
-        for num_gpus in (8, 16):
-            config = scaled_config(num_gpus)
-            tag = f"{num_gpus}gpu"
-            for app in SINGLE_APPS:
-                base = lab.single(app, "baseline", config=config, tag=tag, fast=True)
-                least = lab.single(app, "least-tlb", config=config, tag=tag, fast=True)
-                out["single"][(num_gpus, app)] = least.speedup_vs(base)
-        config8 = scaled_config(8)
-        for wl in EIGHT_GPU_WORKLOADS:
-            base = lab.multi(wl, "baseline", config=config8, tag="8gpu", fast=True)
-            least = lab.multi(wl, "least-tlb", config=config8, tag="8gpu", fast=True)
-            out["multi"][wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
-        config16 = scaled_config(16)
-        base = lab.multi(SIXTEEN_GPU_WORKLOAD, "baseline", config=config16,
-                         tag="16gpu", fast=True)
-        least = lab.multi(SIXTEEN_GPU_WORKLOAD, "least-tlb", config=config16,
-                          tag="16gpu", fast=True)
-        out["multi"][SIXTEEN_GPU_WORKLOAD] = (
-            sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
-        )
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig21_gpu_scaling(runs):
+    results = runs("fig21_gpu_scaling")
+    out = {"single": {}, "multi": {}}
+    for num_gpus in (8, 16):
+        for app in SINGLE_APPS:
+            base = results[app, "baseline", num_gpus]
+            least = results[app, "least-tlb", num_gpus]
+            out["single"][(num_gpus, app)] = least.speedup_vs(base)
+    for wl in (*EIGHT_GPU_WORKLOADS, SIXTEEN_GPU_WORKLOAD):
+        num_gpus = 16 if wl == SIXTEEN_GPU_WORKLOAD else 8
+        base = results[wl, "baseline", num_gpus]
+        least = results[wl, "least-tlb", num_gpus]
+        out["multi"][wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
 
     rows = [
         [f"{n} GPUs", app, out["single"][(n, app)]]

@@ -11,20 +11,13 @@ from repro.workloads.multi_app import MIX_WORKLOADS
 WORKLOADS = tuple(MIX_WORKLOADS)
 
 
-def test_fig22_mix_workloads(lab, benchmark):
-    def run():
-        return {
-            wl: (lab.mix(wl, "baseline", fast=True),
-                 lab.mix(wl, "least-tlb", fast=True))
-            for wl in WORKLOADS
-        }
-
-    pairs = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig22_mix_workloads(runs):
+    results = runs("fig22_mix_workload")
 
     rows = []
     means = {}
     for wl in WORKLOADS:
-        base, least = pairs[wl]
+        base, least = results[wl, "baseline"], results[wl, "least-tlb"]
         speedups = least.per_app_speedup_vs(base)
         means[wl] = sum(speedups.values()) / len(speedups)
         pairs_str = ", ".join(

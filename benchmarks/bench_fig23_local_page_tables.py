@@ -7,28 +7,23 @@ misses, so there is little IOMMU traffic left to optimise.
 """
 
 from common import save_table
-from repro.config.presets import local_page_table_config
 
 SINGLE_APPS = ("KM", "MM", "ST")
 WORKLOADS = ("W5", "W8")
 
 
-def test_fig23_local_page_tables(lab, benchmark):
-    def run():
-        config = local_page_table_config()
-        single = {}
-        for app in SINGLE_APPS:
-            base = lab.single(app, "baseline", config=config, tag="local-pt")
-            least = lab.single(app, "least-tlb", config=config, tag="local-pt")
-            single[app] = (least.speedup_vs(base), base)
-        multi = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline", config=config, tag="local-pt")
-            least = lab.multi(wl, "least-tlb", config=config, tag="local-pt")
-            multi[wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
-        return single, multi
-
-    single, multi = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig23_local_page_tables(runs):
+    results = runs("fig23_local_page_tables")
+    single = {}
+    for app in SINGLE_APPS:
+        base = results[app, "baseline", "local-pt"]
+        least = results[app, "least-tlb", "local-pt"]
+        single[app] = (least.speedup_vs(base), base)
+    multi = {}
+    for wl in WORKLOADS:
+        base = results[wl, "baseline", "local-pt"]
+        least = results[wl, "least-tlb", "local-pt"]
+        multi[wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
 
     rows = []
     for app in SINGLE_APPS:
@@ -57,7 +52,7 @@ def test_fig23_local_page_tables(lab, benchmark):
     assert all(s > 0.95 for s in single_speedups)
     mean_single = sum(single_speedups) / len(single_speedups)
     full_mean = sum(
-        lab.single(a, "least-tlb").speedup_vs(lab.single(a, "baseline"))
+        results[a, "least-tlb"].speedup_vs(results[a, "baseline"])
         for a in SINGLE_APPS
     ) / len(SINGLE_APPS)
     assert mean_single < full_mean  # far less headroom than the GCN system

@@ -6,28 +6,23 @@ single-app, +2.3% multi-app) but it never hurts.
 """
 
 from common import save_table
-from repro.config.presets import large_page_config
 
 SINGLE_APPS = ("KM", "PR", "MM", "ST")
 WORKLOADS = ("W5", "W8")
 
 
-def test_fig24_large_pages(lab, benchmark):
-    def run():
-        config = large_page_config()
-        single = {}
-        for app in SINGLE_APPS:
-            base = lab.single(app, "baseline", config=config, tag="2mb", fast=True)
-            least = lab.single(app, "least-tlb", config=config, tag="2mb", fast=True)
-            single[app] = (least.speedup_vs(base), base.apps[1])
-        multi = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline", config=config, tag="2mb", fast=True)
-            least = lab.multi(wl, "least-tlb", config=config, tag="2mb", fast=True)
-            multi[wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
-        return single, multi
-
-    single, multi = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig24_large_pages(runs):
+    results = runs("fig24_large_pages")
+    single = {}
+    for app in SINGLE_APPS:
+        base = results[app, "baseline", "2MB"]
+        least = results[app, "least-tlb", "2MB"]
+        single[app] = (least.speedup_vs(base), base.apps[1])
+    multi = {}
+    for wl in WORKLOADS:
+        base = results[wl, "baseline", "2MB"]
+        least = results[wl, "least-tlb", "2MB"]
+        multi[wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
 
     rows = [
         ["single", app, single[app][0], single[app][1].mpki]
@@ -51,6 +46,5 @@ def test_fig24_large_pages(lab, benchmark):
     speedups = [single[a][0] for a in SINGLE_APPS] + list(multi.values())
     assert all(0.97 < s < 1.15 for s in speedups)
     # Large-page gains are far below the 4 KB gains.
-    small_page_gain = lab.single("KM", "least-tlb", fast=True).speedup_vs(
-        lab.single("KM", "baseline", fast=True))
+    small_page_gain = results["KM", "least-tlb"].speedup_vs(results["KM", "baseline"])
     assert single["KM"][0] < small_page_gain

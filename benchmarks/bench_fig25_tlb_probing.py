@@ -13,26 +13,23 @@ SINGLE_APPS = ("KM", "PR", "MM", "ST", "MT")
 WORKLOADS = ("W5", "W8", "W9")
 
 
-def test_fig25_vs_tlb_probing(lab, benchmark):
-    def run():
-        single = {}
-        for app in SINGLE_APPS:
-            base = lab.single(app, "baseline")
-            probing = lab.single(app, "tlb-probing")
-            least = lab.single(app, "least-tlb")
-            single[app] = (probing.speedup_vs(base), least.speedup_vs(base))
-        multi = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline")
-            probing = lab.multi(wl, "tlb-probing")
-            least = lab.multi(wl, "least-tlb")
-            multi[wl] = (
-                sum(probing.per_app_speedup_vs(base).values()) / len(base.apps),
-                sum(least.per_app_speedup_vs(base).values()) / len(base.apps),
-            )
-        return single, multi
-
-    single, multi = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig25_vs_tlb_probing(runs):
+    results = runs("fig25_tlb_probing")
+    single = {}
+    for app in SINGLE_APPS:
+        base = results[app, "baseline"]
+        probing = results[app, "tlb-probing"]
+        least = results[app, "least-tlb"]
+        single[app] = (probing.speedup_vs(base), least.speedup_vs(base))
+    multi = {}
+    for wl in WORKLOADS:
+        base = results[wl, "baseline"]
+        probing = results[wl, "tlb-probing"]
+        least = results[wl, "least-tlb"]
+        multi[wl] = (
+            sum(probing.per_app_speedup_vs(base).values()) / len(base.apps),
+            sum(least.per_app_speedup_vs(base).values()) / len(base.apps),
+        )
 
     rows = [["single", app, *single[app]] for app in SINGLE_APPS]
     rows += [["multi", wl, *multi[wl]] for wl in WORKLOADS]

@@ -7,28 +7,19 @@ compose.
 """
 
 from common import save_table
-from repro.config.presets import dws_config
 
 WORKLOADS = ("W4", "W5", "W8", "W9", "W10")
 
 
-def test_fig26_least_tlb_plus_dws(lab, benchmark):
-    def run():
-        out = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline")
-            least = lab.multi(wl, "least-tlb")
-            combo = lab.multi(wl, "least-tlb", config=dws_config(), tag="dws")
-            out[wl] = (base, least, combo)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig26_least_tlb_plus_dws(runs):
+    results = runs("fig26_dws")
 
     rows = []
     least_means = []
     combo_means = []
     for wl in WORKLOADS:
-        base, least, combo = results[wl]
+        base, least, combo = (results[wl, "baseline"], results[wl, "least-tlb"],
+                              results[wl, "least-tlb", "dws"])
         s_least = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
         s_combo = sum(combo.per_app_speedup_vs(base).values()) / len(base.apps)
         least_means.append(s_least)

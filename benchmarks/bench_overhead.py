@@ -9,10 +9,8 @@ from common import baseline_config, save_table
 from repro.core.overhead import estimate_overhead
 
 
-def test_overhead_model(benchmark):
-    report = benchmark.pedantic(
-        lambda: estimate_overhead(baseline_config()), rounds=1, iterations=1
-    )
+def test_overhead_model():
+    report = estimate_overhead(baseline_config())
 
     rows = [
         ["tracker storage", f"{report.tracker_bytes / 1024:.2f} KB",

@@ -6,35 +6,26 @@ victim TLB captures fewer long-distance reuses — but gains remain.
 """
 
 from common import save_table
-from repro.config.presets import small_iommu_config
 
 SINGLE_APPS = ("KM", "PR", "MM", "ST")
 WORKLOADS = ("W5", "W8")
 
 
-def test_sens_iommu_tlb_size(lab, benchmark):
-    def run():
-        single = {}
-        for app in SINGLE_APPS:
-            base = lab.single(app, "baseline", config=small_iommu_config(), tag="small",
-                              fast=True)
-            least = lab.single(app, "least-tlb", config=small_iommu_config(), tag="small",
-                               fast=True)
-            single[app] = least.speedup_vs(base)
-        multi = {}
-        for wl in WORKLOADS:
-            base = lab.multi(wl, "baseline", config=small_iommu_config(), tag="small",
-                             fast=True)
-            least = lab.multi(wl, "least-tlb", config=small_iommu_config(), tag="small",
-                              fast=True)
-            multi[wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
-        return single, multi
-
-    single, multi = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_sens_iommu_tlb_size(runs):
+    results = runs("sens_iommu_size")
+    single = {}
+    for app in SINGLE_APPS:
+        base = results[app, "baseline", "2048"]
+        least = results[app, "least-tlb", "2048"]
+        single[app] = least.speedup_vs(base)
+    multi = {}
+    for wl in WORKLOADS:
+        base = results[wl, "baseline", "2048"]
+        least = results[wl, "least-tlb", "2048"]
+        multi[wl] = sum(least.per_app_speedup_vs(base).values()) / len(base.apps)
 
     def full_size(app):
-        return lab.single(app, "least-tlb", fast=True).speedup_vs(
-            lab.single(app, "baseline", fast=True))
+        return results[app, "least-tlb"].speedup_vs(results[app, "baseline"])
 
     rows = [["single", app, single[app], full_size(app)] for app in SINGLE_APPS]
     rows += [["multi", wl, multi[wl], ""] for wl in WORKLOADS]

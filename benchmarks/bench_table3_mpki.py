@@ -10,16 +10,13 @@ from common import SINGLE_APP_NAMES, save_table
 from repro.workloads.applications import APPLICATIONS, classify_mpki
 
 
-def test_table3_mpki_classes(lab, benchmark):
-    def run():
-        return {app: lab.single(app, "baseline") for app in SINGLE_APP_NAMES}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table3_mpki_classes(runs):
+    results = runs("fig02_baseline_hit_rates")
 
     rows = []
     for app in SINGLE_APP_NAMES:
         spec = APPLICATIONS[app]
-        measured = results[app].apps[1].mpki
+        measured = results[app, "baseline"].apps[1].mpki
         rows.append(
             [app, spec.full_name, spec.suite, spec.paper_mpki, measured,
              classify_mpki(measured), spec.mpki_class]

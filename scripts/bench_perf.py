@@ -7,9 +7,6 @@ writes them to ``BENCH_kernel.json``:
 * **kernel throughput** — events/second of canonical single- and
   multi-application runs (pure discrete-event hot path: EventQueue drain,
   TLB lookup/insert, CU trace advancement);
-* **matrix speedup** — wall-clock of a warm-cache experiment-matrix run
-  versus a cold serial one (the parallel runner + persistent cache
-  layers);
 * **fastpath throughput** — events/second of the functional backend
   (``repro.sim.backends``) replaying the same kernel cases, plus its
   speedup over the event engine (see ``docs/backends.md``);
@@ -54,7 +51,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.config.presets import baseline_config  # noqa: E402
 from repro.sim.backends import run_functional  # noqa: E402
 from repro.sim.cache import ResultCache, code_version_hash  # noqa: E402
-from repro.sim.parallel import expand_matrix, matrix_summary, run_matrix, select_benches  # noqa: E402
 from repro.sim.system import MultiGPUSystem  # noqa: E402
 from repro.workloads.multi_app import (  # noqa: E402
     build_multi_app_workload,
@@ -317,34 +313,6 @@ def measure_ingest(scale: float, repeats: int) -> list[dict]:
     return rows
 
 
-def measure_matrix(benches: str, scale: float, jobs: int | None) -> dict:
-    """Cold-serial vs warm-cache wall-clock over one matrix selection."""
-    pairs = expand_matrix(select_benches(benches), scale=scale)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        cache = ResultCache(tmp)
-        start = time.perf_counter()
-        run_matrix(pairs, workers=1, cache=cache)
-        cold = time.perf_counter() - start
-        start = time.perf_counter()
-        outcomes = run_matrix(pairs, workers=jobs, cache=cache)
-        warm = time.perf_counter() - start
-        summary = matrix_summary(outcomes)
-    speedup = cold / warm if warm > 0 else float("inf")
-    print(
-        f"matrix {benches!r}: cold serial {cold:.2f}s -> warm cache {warm:.3f}s "
-        f"({speedup:,.1f}x, {summary['cache_hits']}/{summary['unique_jobs']} hits)"
-    )
-    return {
-        "benches": benches,
-        "scale": scale,
-        "unique_jobs": summary["unique_jobs"],
-        "cold_serial_seconds": round(cold, 4),
-        "warm_cache_seconds": round(warm, 4),
-        "warm_speedup": round(min(speedup, 1e6), 2),
-        "warm_cache_hits": summary["cache_hits"],
-    }
-
-
 def machine_stamp() -> dict:
     return {
         "platform": platform.platform(),
@@ -399,15 +367,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="trace scale for the kernel cases (default 0.2)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats (default 3)")
-    parser.add_argument("--matrix-benches", default="fig02_baseline_hit_rates",
-                        help="bench selection for the matrix measurement")
-    parser.add_argument("--matrix-scale", type=float, default=None,
-                        help="trace scale for the matrix measurement "
-                             "(default: --scale)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="workers for the warm matrix run (default: cores)")
-    parser.add_argument("--skip-matrix", action="store_true",
-                        help="measure only the kernel cases")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_kernel.json"),
                         help="report destination (default BENCH_kernel.json)")
     parser.add_argument("--baseline", default=None, metavar="FILE",
@@ -427,12 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     report["serve"] = measure_serve(args.scale, args.repeats)
     report["ingest"] = measure_ingest(args.scale, args.repeats)
-    if not args.skip_matrix:
-        report["matrix"] = measure_matrix(
-            args.matrix_benches,
-            args.matrix_scale if args.matrix_scale is not None else args.scale,
-            args.jobs,
-        )
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")

@@ -9,7 +9,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.sim.cache": ("ResultCache", "code_version_hash", "run_fingerprint"),
     "repro.sim.driver": (
-        "default_scale",
         "run_alone",
         "run_mix",
         "run_multi_app",

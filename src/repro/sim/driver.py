@@ -8,9 +8,8 @@ Every experiment in the paper reduces to one of three runs:
 * :func:`run_alone` — one application alone on one GPU (the weighted-
   speedup denominator).
 
-``scale`` shortens traces proportionally without changing footprints; the
-``REPRO_SCALE`` environment variable sets the default so the benchmark
-suite can trade fidelity for wall-clock time uniformly.
+``scale`` shortens traces proportionally without changing footprints
+(1.0 is the full-length trace).
 
 Every driver accepts ``backend=`` (forwarded through ``simulate``): the
 default ``"event"`` runs the full discrete-event engine, ``"functional"``
@@ -21,7 +20,6 @@ results, a fraction of the wall-clock, but only within its supported scope
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.config.presets import baseline_config
@@ -36,20 +34,6 @@ from repro.workloads.multi_app import (
     build_single_app_workload,
 )
 from repro.workloads.trace import Workload
-
-DEFAULT_SCALE_ENV = "REPRO_SCALE"
-
-
-def default_scale() -> float:
-    """Trace-length scale, from ``REPRO_SCALE`` (default 1.0)."""
-    value = os.environ.get(DEFAULT_SCALE_ENV)
-    if value is None:
-        return 1.0
-    scale = float(value)
-    if scale <= 0:
-        raise ValueError(f"{DEFAULT_SCALE_ENV} must be positive, got {value!r}")
-    return scale
-
 
 def simulate(
     config: SystemConfig,
@@ -77,13 +61,12 @@ def run_single_app(
     config: SystemConfig | None = None,
     policy: str = "baseline",
     *,
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int | None = None,
     **system_kwargs: Any,
 ) -> SimulationResult:
     """Single-application-multi-GPU execution of one Table 3 application."""
     config = config or baseline_config()
-    scale = default_scale() if scale is None else scale
     workload = build_single_app_workload(app_name, config, scale=scale, seed=seed)
     return simulate(config, workload, policy, **system_kwargs)
 
@@ -93,13 +76,12 @@ def run_multi_app(
     config: SystemConfig | None = None,
     policy: str = "baseline",
     *,
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int | None = None,
     **system_kwargs: Any,
 ) -> SimulationResult:
     """Multi-application-multi-GPU execution of a Table 4/5 workload."""
     config = config or baseline_config()
-    scale = default_scale() if scale is None else scale
     workload = build_multi_app_workload(workload_name, config, scale=scale, seed=seed)
     return simulate(config, workload, policy, **system_kwargs)
 
@@ -109,13 +91,12 @@ def run_mix(
     config: SystemConfig | None = None,
     policy: str = "baseline",
     *,
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int | None = None,
     **system_kwargs: Any,
 ) -> SimulationResult:
     """Mixed-workload execution: two applications per GPU (Table 6)."""
     config = config or baseline_config()
-    scale = default_scale() if scale is None else scale
     workload = build_mix_workload(workload_name, config, scale=scale, seed=seed)
     return simulate(config, workload, policy, **system_kwargs)
 
@@ -125,13 +106,12 @@ def run_alone(
     config: SystemConfig | None = None,
     policy: str = "baseline",
     *,
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int | None = None,
     **system_kwargs: Any,
 ) -> SimulationResult:
     """One application alone on GPU 0 — the IPC_alone reference run."""
     config = config or baseline_config()
-    scale = default_scale() if scale is None else scale
     workload = build_alone_workload(app_name, config, scale=scale, seed=seed)
     return simulate(config, workload, policy, **system_kwargs)
 
@@ -141,7 +121,7 @@ def run_trace(
     config: SystemConfig | None = None,
     policy: str = "baseline",
     *,
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int | None = None,  # accepted for driver-signature parity; unused
     split: str = "round-robin",
     trace_format: str | None = None,
@@ -163,7 +143,6 @@ def run_trace(
     from repro.workloads.ingest import ingest_trace
 
     config = config or baseline_config()
-    scale = default_scale() if scale is None else scale
     del seed  # ingestion has no stochastic step
     ingested = ingest_trace(
         trace_path, config=config, split=split, fmt=trace_format,

@@ -9,7 +9,8 @@ matrix declarative:
 
 * :class:`JobSpec` — one simulation, fully described by value;
 * :data:`BENCH_MATRIX` — the experiment matrix, one entry per bench
-  family, each expanding to its job specs;
+  family, each expanding to its job specs keyed by short labels (the
+  figures of ``benchmarks/`` read their runs by these labels);
 * :func:`run_matrix` — deduplicate shared jobs by cache fingerprint, serve
   hits from the persistent :class:`~repro.sim.cache.ResultCache`, and fan
   the misses out over crash-isolated worker processes under the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import fnmatch
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.config.presets import (
     baseline_config,
@@ -43,12 +44,7 @@ from repro.config.system import SystemConfig
 from repro.sim.backends import validate_backend
 from repro.sim.cache import ResultCache, fingerprint_digest, run_fingerprint
 from repro.sim.results import SimulationResult
-from repro.workloads.tables import (
-    MIX_WORKLOADS,
-    MULTI_APP_WORKLOADS,
-    SCALED_WORKLOADS,
-    SINGLE_APP_NAMES,
-)
+from repro.workloads.tables import MIX_WORKLOADS, MULTI_APP_WORKLOADS, SINGLE_APP_NAMES
 from repro.workloads.trace_files import default_trace_name, trace_workload_key
 
 #: Job kind → the :mod:`repro.sim.driver` function that runs it.  Named,
@@ -171,65 +167,40 @@ class JobOutcome:
 
 # -- the experiment matrix ---------------------------------------------------
 
+#: One bench family: its runs keyed by a short label, in run order.
+Family = dict[Hashable, JobSpec]
 
-def _singles(policies: Iterable[str], scale: float, seed: int | None,
-             config: SystemConfig | None = None) -> list[JobSpec]:
-    return [
-        JobSpec("single", app, policy, config, scale, seed)
-        for app in SINGLE_APP_NAMES
-        for policy in policies
-    ]
+#: The paper's headline comparison.
+_PAIR = ("baseline", "least-tlb")
+_MULTI = tuple(MULTI_APP_WORKLOADS)
+#: The M/H applications most sensitivity studies sweep.
+_MH_APPS = ("KM", "PR", "MM", "ST")
 
 
-def _multis(workloads: Iterable[str], policies: Iterable[str], scale: float,
-            seed: int | None, config: SystemConfig | None = None) -> list[JobSpec]:
-    return [
-        JobSpec("multi", wl, policy, config, scale, seed)
+def _runs(kind: str, workloads: Iterable[str], policies: tuple[str, ...],
+          scale: float, seed: int | None, config: SystemConfig | None = None,
+          options: tuple[tuple[str, Any], ...] = (),
+          variant: tuple[Hashable, ...] = ()) -> Family:
+    """Every workload under every policy, labelled ``(workload, policy,
+    *variant)``; ``variant`` names what sets the runs apart from the
+    family's plain ``(workload, policy)`` ones."""
+    return {
+        (wl, policy, *variant): JobSpec(kind, wl, policy, config, scale, seed, options)
         for wl in workloads
         for policy in policies
-    ]
+    }
 
 
-def _alones_for(workloads: Iterable[str], scale: float, seed: int | None) -> list[JobSpec]:
-    apps: set[str] = set()
-    for wl in workloads:
-        table = {**MULTI_APP_WORKLOADS, **SCALED_WORKLOADS}
-        if wl in table:
-            apps.update(table[wl][0])
-        elif wl in MIX_WORKLOADS:
-            for a, b in MIX_WORKLOADS[wl][0]:
-                apps.update((a, b))
-    return [JobSpec("alone", app, "baseline", None, scale, seed) for app in sorted(apps)]
-
-
-def _fig16_jobs(scale: float, seed: int | None) -> list[JobSpec]:
-    workloads = tuple(MULTI_APP_WORKLOADS)
-    return (
-        _multis(workloads, ("baseline", "least-tlb"), scale, seed)
-        + _alones_for(workloads, scale, seed)
-    )
-
-
-def _fig21_jobs(scale: float, seed: int | None) -> list[JobSpec]:
-    jobs = _multis(
-        ("W11", "W12", "W13", "W14", "W15"), ("baseline", "least-tlb"),
-        scale, seed, scaled_config(8),
-    )
-    jobs += _multis(("W16",), ("baseline", "least-tlb"), scale, seed, scaled_config(16))
-    return jobs
+def _alones(workloads: Iterable[str], scale: float, seed: int | None) -> Family:
+    """The weighted-speedup denominators: every app of ``workloads`` alone
+    on one GPU, labelled ``(app, "alone")``."""
+    apps = sorted({app for wl in workloads for app in MULTI_APP_WORKLOADS[wl][0]})
+    return {(app, "alone"): JobSpec("alone", app, "baseline", None, scale, seed)
+            for app in apps}
 
 
 #: Figure 19's workload set (multi-app spilling-sensitivity sweep).
 _FIG19_WORKLOADS = ("W2", "W4", "W5", "W8", "W9", "W10")
-
-
-def _fig19_jobs(scale: float, seed: int | None) -> list[JobSpec]:
-    return (
-        _multis(_FIG19_WORKLOADS, ("baseline", "least-tlb"), scale, seed)
-        + _multis(_FIG19_WORKLOADS, ("least-tlb",), scale, seed,
-                  spill_budget_config(2))
-    )
-
 
 #: Figure 20's remote-latency multipliers (relative to the DRAM walk).
 _FIG20_SCALES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -242,58 +213,145 @@ def _fig20_config(latency_scale: float) -> SystemConfig:
     return config.derive(iommu=replace(config.iommu, walker_threads=8))
 
 
-def _fig20_jobs(scale: float, seed: int | None) -> list[JobSpec]:
-    jobs = [JobSpec("single", "MM", "baseline", _fig20_config(1.0), scale, seed)]
+def _fig20_jobs(scale: float, seed: int | None) -> Family:
+    """MM's baseline at 1x, then per multiplier the remote-only design
+    (``race_ptw`` off) and raced least-TLB, labelled by that multiplier."""
+    jobs = {("MM", "baseline"): JobSpec("single", "MM", "baseline",
+                                        _fig20_config(1.0), scale, seed)}
     for latency_scale in _FIG20_SCALES:
         config = _fig20_config(latency_scale)
-        jobs.append(JobSpec(
+        jobs["MM", "remote-only", latency_scale] = JobSpec(
             "single", "MM", "least-tlb", config, scale, seed,
             options=(("policy_options", {"race_ptw": False}),),
-        ))
-        jobs.append(JobSpec("single", "MM", "least-tlb", config, scale, seed))
+        )
+        jobs["MM", "least-tlb", latency_scale] = JobSpec(
+            "single", "MM", "least-tlb", config, scale, seed)
     return jobs
 
 
-def _fig22_jobs(scale: float, seed: int | None) -> list[JobSpec]:
-    workloads = tuple(MIX_WORKLOADS)
-    return [
-        JobSpec("mix", wl, policy, None, scale, seed)
-        for wl in workloads
-        for policy in ("baseline", "least-tlb")
-    ] + _alones_for(workloads, scale, seed)
+def _fig21_jobs(scale: float, seed: int | None) -> Family:
+    """8- and 16-GPU systems, labelled by GPU count."""
+    jobs: Family = {}
+    for num_gpus in (8, 16):
+        jobs |= _runs("single", _MH_APPS, _PAIR, scale, seed,
+                      scaled_config(num_gpus), variant=(num_gpus,))
+    jobs |= _runs("multi", ("W11", "W13"), _PAIR, scale, seed, scaled_config(8),
+                  variant=(8,))
+    jobs |= _runs("multi", ("W16",), _PAIR, scale, seed, scaled_config(16),
+                  variant=(16,))
+    return jobs
 
 
-#: The full experiment matrix: bench family → job-spec builder.  Builders
-#: take ``(scale, seed)`` so one flag rescales the whole matrix uniformly.
-BENCH_MATRIX: dict[str, Callable[[float, int | None], list[JobSpec]]] = {
-    "fig02_baseline_hit_rates": lambda s, d: _singles(("baseline",), s, d),
-    "fig03_infinite_iommu": lambda s, d: _singles(("baseline",), s, d)
-    + _singles(("baseline",), s, d, infinite_iommu_config()),
-    "fig14_single_app_perf": lambda s, d: _singles(("baseline", "least-tlb"), s, d),
-    "fig15_single_app_hit_rates": lambda s, d: _singles(("baseline", "least-tlb"), s, d),
-    "fig16_multi_app_perf": _fig16_jobs,
-    "fig17_multi_app_hit_rates": _fig16_jobs,
-    "fig19_spill_counter": _fig19_jobs,
+def _variant_jobs(config: SystemConfig, variant: str, apps: tuple[str, ...],
+                  reference_apps: tuple[str, ...], scale: float,
+                  seed: int | None) -> Family:
+    """A config study: ``apps`` and W5/W8 under ``config`` (labelled with
+    ``variant``), plus ``reference_apps`` on the Table 2 system."""
+    return (
+        _runs("single", apps, _PAIR, scale, seed, config, variant=(variant,))
+        | _runs("multi", ("W5", "W8"), _PAIR, scale, seed, config, variant=(variant,))
+        | _runs("single", reference_apps, _PAIR, scale, seed)
+    )
+
+
+def _tracker_jobs(scale: float, seed: int | None) -> Family:
+    """least-TLB under each tracker kind, labelled by kind (``cuckoo`` is
+    the Table 2 tracker)."""
+    apps = ("PR", "MM", "ST")
+    jobs = _runs("single", apps, ("baseline",), scale, seed)
+    config = baseline_config()
+    for kind in ("cuckoo", "bloom", "perfect"):
+        jobs |= _runs("single", apps, ("least-tlb",), scale, seed,
+                      config.derive(tracker=replace(config.tracker, kind=kind)),
+                      variant=(kind,))
+    return jobs
+
+
+def _shootdown_jobs(scale: float, seed: int | None) -> Family:
+    """MM under periodic full shootdowns, labelled by interval (0: none)."""
+    jobs: Family = {}
+    for interval in (0, 50_000, 20_000):
+        jobs |= _runs("single", ("MM",), _PAIR, scale, seed,
+                      options=(("shootdown_interval", interval),), variant=(interval,))
+    return jobs
+
+
+def _receiver_jobs(scale: float, seed: int | None) -> Family:
+    """Spill receiver selection, labelled ``(workload, receiver policy)``;
+    ``counter`` is least-TLB's default."""
+    jobs: Family = {}
+    for wl in ("W4", "W5", "W8"):
+        jobs[wl, "baseline"] = JobSpec("multi", wl, "baseline", None, scale, seed)
+        for receiver in ("counter", "round-robin", "random"):
+            options = () if receiver == "counter" else (
+                ("policy_options", {"receiver_policy": receiver}),)
+            jobs[wl, receiver] = JobSpec("multi", wl, "least-tlb", None, scale, seed,
+                                         options)
+    return jobs
+
+
+_STREAM = (("record_iommu_stream", True),)
+_SNAPSHOTS = (("snapshot_interval", 20_000),)
+
+#: The full experiment matrix: bench family → labelled job-spec builder.
+#: Each family holds exactly the runs its ``benchmarks/bench_<family>.py``
+#: reads (a bench may also read another family's).  Builders take
+#: ``(scale, seed)`` so one flag rescales the whole matrix uniformly.
+BENCH_MATRIX: dict[str, Callable[[float, int | None], Family]] = {
+    "fig02_baseline_hit_rates": lambda s, d: _runs(
+        "single", SINGLE_APP_NAMES, ("baseline",), s, d),
+    "fig03_infinite_iommu": lambda s, d: _runs(
+        "single", SINGLE_APP_NAMES, ("baseline",), s, d)
+    | _runs("single", SINGLE_APP_NAMES, ("baseline",), s, d,
+            infinite_iommu_config(), variant=("infinite",)),
+    "fig05_reuse_cdf": lambda s, d: _runs(
+        "single", SINGLE_APP_NAMES, ("baseline",), s, d, options=_STREAM),
+    "fig06_redundancy": lambda s, d: _runs(
+        "single", ("MM", "PR"), _PAIR, s, d, options=_SNAPSHOTS),
+    "fig07_multiapp_slowdown": lambda s, d: _runs(
+        "multi", _MULTI, ("baseline",), s, d) | _alones(_MULTI, s, d),
+    "fig08_multiapp_reuse_cdf": lambda s, d: _runs(
+        "multi", ("W1", "W4", "W6", "W9"), ("baseline",), s, d, options=_STREAM),
+    "fig11_iommu_composition": lambda s, d: _runs(
+        "multi", ("W4", "W6"), ("least-tlb",), s, d, options=_SNAPSHOTS),
+    "fig14_single_app_perf": lambda s, d: _runs("single", SINGLE_APP_NAMES, _PAIR, s, d),
+    "fig15_single_app_hit_rates": lambda s, d: _runs(
+        "single", SINGLE_APP_NAMES, _PAIR, s, d),
+    "fig16_multi_app_perf": lambda s, d: _runs("multi", _MULTI, _PAIR, s, d)
+    | _alones(_MULTI, s, d),
+    "fig17_multi_app_hit_rates": lambda s, d: _runs("multi", _MULTI, _PAIR, s, d),
+    "fig18_l2_hit_rates": lambda s, d: _runs("multi", _MULTI, _PAIR, s, d),
+    "fig19_spill_counter": lambda s, d: _runs("multi", _FIG19_WORKLOADS, _PAIR, s, d)
+    | _runs("multi", _FIG19_WORKLOADS, ("least-tlb",), s, d,
+            spill_budget_config(2), variant=("N=2",)),
     "fig20_remote_latency": _fig20_jobs,
     "fig21_gpu_scaling": _fig21_jobs,
-    "fig22_mix_workload": _fig22_jobs,
-    "fig23_local_page_tables": lambda s, d: _singles(
-        ("baseline", "least-tlb"), s, d, local_page_table_config()
-    ),
-    "fig24_large_pages": lambda s, d: _singles(
-        ("baseline", "least-tlb"), s, d, large_page_config()
-    ),
-    "fig25_tlb_probing": lambda s, d: _singles(("tlb-probing",), s, d)
-    + _multis(tuple(MULTI_APP_WORKLOADS), ("tlb-probing",), s, d),
-    "fig26_dws": lambda s, d: _multis(
-        tuple(MULTI_APP_WORKLOADS), ("baseline", "least-tlb"), s, d, dws_config()
-    ),
-    "abl_policies": lambda s, d: _singles(
-        ("baseline", "strictly-inclusive", "exclusive", "least-tlb"), s, d
-    ),
-    "sens_iommu_size": lambda s, d: _multis(
-        tuple(MULTI_APP_WORKLOADS), ("baseline", "least-tlb"), s, d, small_iommu_config()
-    ),
+    "fig22_mix_workload": lambda s, d: _runs("mix", tuple(MIX_WORKLOADS), _PAIR, s, d),
+    "fig23_local_page_tables": lambda s, d: _variant_jobs(
+        local_page_table_config(), "local-pt", ("KM", "MM", "ST"), ("KM", "MM", "ST"),
+        s, d),
+    "fig24_large_pages": lambda s, d: _variant_jobs(
+        large_page_config(), "2MB", _MH_APPS, ("KM",), s, d),
+    "fig25_tlb_probing": lambda s, d: _runs(
+        "single", ("KM", "PR", "MM", "ST", "MT"), ("baseline", "tlb-probing", "least-tlb"),
+        s, d)
+    | _runs("multi", ("W5", "W8", "W9"), ("baseline", "tlb-probing", "least-tlb"), s, d),
+    "fig26_dws": lambda s, d: _runs("multi", ("W4", "W5", "W8", "W9", "W10"), _PAIR, s, d)
+    | _runs("multi", ("W4", "W5", "W8", "W9", "W10"), ("least-tlb",), s, d,
+            dws_config(), variant=("dws",)),
+    "abl_policies": lambda s, d: _runs(
+        "single", _MH_APPS, ("strictly-inclusive", "baseline", "exclusive", "least-tlb"),
+        s, d),
+    "abl_prefetch": lambda s, d: _runs(
+        "single", ("ST", "FIR", "PR", "BS"), ("baseline", "prefetch", "least-tlb"), s, d),
+    "abl_receiver_policy": _receiver_jobs,
+    "abl_tracker": _tracker_jobs,
+    "ext_qos_spilling": lambda s, d: _runs("multi", ("W5",), _PAIR, s, d)
+    | _runs("multi", ("W5",), ("least-tlb-qos",), s, d,
+            options=(("policy_options", {"qos_weights": [1.0, 1.0, 1.0, 8.0]}),)),
+    "ext_shootdown": _shootdown_jobs,
+    "sens_iommu_size": lambda s, d: _variant_jobs(
+        small_iommu_config(), "2048", _MH_APPS, _MH_APPS, s, d),
 }
 
 
@@ -332,7 +390,7 @@ def expand_matrix(
     validate_backend(backend)
     pairs: list[tuple[str, JobSpec]] = []
     for bench in benches:
-        for spec in BENCH_MATRIX[bench](scale, seed):
+        for spec in BENCH_MATRIX[bench](scale, seed).values():
             if backend != spec.backend:
                 spec = replace(spec, backend=backend)
             pairs.append((bench, spec))

@@ -723,14 +723,17 @@ def _run_supervised(
                     time.sleep(delay)
                 continue
 
-            # Wake for the nearest deadline (or a finishing worker).
+            # Wake for the nearest deadline (or a finishing worker).  A
+            # waiting job's backoff counts only while a worker is free:
+            # otherwise a due job would spin this loop until one finishes.
             next_edge = min(
                 min(r.hard_deadline for r in running.values()),
                 min(
                     (r.soft_deadline for r in running.values() if not r.warned),
                     default=float("inf"),
                 ),
-                min((j.ready_at for j in waiting), default=float("inf")),
+                min((j.ready_at for j in waiting), default=float("inf"))
+                if len(running) < workers else float("inf"),
             )
             timeout = min(max(next_edge - time.monotonic(), 0.0), 1.0)
             ready = connection_wait(list(running), timeout=timeout)

@@ -9,10 +9,9 @@ behind the cache.
 
 import pytest
 
-from benchmarks.common import ResultLab
 from repro.config.presets import baseline_config
 from repro.sim.backends import BACKENDS, validate_backend
-from repro.sim.cache import ResultCache, fingerprint_digest, run_fingerprint
+from repro.sim.cache import fingerprint_digest, run_fingerprint
 from repro.sim.parallel import JobSpec, expand_matrix
 
 
@@ -92,13 +91,3 @@ class TestExpandMatrix:
             with pytest.raises(ValueError, match="unknown backend"):
                 expand_matrix(["fig02_baseline_hit_rates"], scale=0.05,
                               backend=name)
-
-
-class TestResultLab:
-    def test_backend_must_be_auto_or_exact_name(self):
-        cache = ResultCache(enabled=False)
-        for name in ("auto", *BACKENDS):
-            assert ResultLab(cache=cache, backend=name).backend == name
-        for name in ("Functional", "AUTO", "quantum"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                ResultLab(cache=cache, backend=name)

@@ -1,11 +1,7 @@
 """Unit tests for the high-level drivers."""
 
-import pytest
-
 from repro.config.presets import baseline_config
 from repro.sim.driver import (
-    DEFAULT_SCALE_ENV,
-    default_scale,
     run_alone,
     run_mix,
     run_multi_app,
@@ -13,21 +9,6 @@ from repro.sim.driver import (
 )
 
 SCALE = 0.05
-
-
-class TestDefaultScale:
-    def test_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv(DEFAULT_SCALE_ENV, raising=False)
-        assert default_scale() == 1.0
-
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_SCALE_ENV, "0.25")
-        assert default_scale() == 0.25
-
-    def test_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_SCALE_ENV, "0")
-        with pytest.raises(ValueError):
-            default_scale()
 
 
 class TestDrivers:

@@ -1,5 +1,11 @@
 """Tests for the parallel experiment runner (bench matrix, dedup, cache)."""
 
+import ast
+import importlib.util
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.config.presets import baseline_config
@@ -17,6 +23,32 @@ from repro.sim.parallel import (
 )
 
 SCALE = 0.05
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: How a bench names a family it reads: ``runs("fig02_baseline_hit_rates")``.
+FAMILY_CALL = re.compile(r'\bruns\(\s*"([^"]*)"\s*\)')
+#: What benches must not import: they simulate only through their families.
+DIRECT_SIMULATION = {"ResultLab", "repro.sim.driver", "simulate", "MultiGPUSystem"}
+
+
+def _imports(source: str) -> set[str]:
+    """Every module and name a source file imports, also as ``module.name``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            for alias in node.names:
+                names.update((alias.name, f"{node.module}.{alias.name}"))
+    return names
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestMatrixDeclaration:
@@ -24,7 +56,26 @@ class TestMatrixDeclaration:
         for name, builder in BENCH_MATRIX.items():
             jobs = builder(0.1, None)
             assert jobs, name
-            assert all(isinstance(j, JobSpec) for j in jobs), name
+            for label, spec in jobs.items():
+                assert isinstance(spec, JobSpec), (name, label)
+
+    def test_benches_read_exactly_the_matrix_families(self):
+        named = set()
+        for path in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
+            source = path.read_text()
+            named.update(FAMILY_CALL.findall(source))
+            assert not _imports(source) & DIRECT_SIMULATION, path.name
+        assert sorted(named - set(BENCH_MATRIX)) == [], "named families that do not exist"
+        assert sorted(set(BENCH_MATRIX) - named) == [], "families no bench reads"
+
+    def test_pinned_families_expand_to_the_golden_cases(self):
+        fidelity = _load_script("check_fidelity")
+        goldens = json.loads((REPO_ROOT / "scripts" / "fidelity_goldens.json").read_text())
+        assert goldens["benches"] == list(fidelity.DEFAULT_BENCHES)
+        specs = fidelity.collect_specs(
+            list(fidelity.DEFAULT_BENCHES), goldens["scale"], goldens["seeds"]
+        )
+        assert sorted(fidelity.case_id(spec) for spec in specs) == sorted(goldens["cases"])
 
     def test_select_all(self):
         assert select_benches(None) == bench_names()

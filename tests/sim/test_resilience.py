@@ -8,6 +8,7 @@ deadline, failures degraded into manifests instead of aborts.
 """
 
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.sim.resilience import (
     ResiliencePolicy,
     SweepJournal,
     default_hard_timeout,
+    preload_job_closure,
 )
 
 SCALE = 0.05
@@ -247,6 +249,18 @@ class TestSupervisedChaos:
         assert _result_dicts(first) == _result_dicts(second)
         assert [(o.digest, o.status, o.attempts, o.attempt_errors) for o in first] \
             == [(o.digest, o.status, o.attempts, o.attempt_errors) for o in second]
+
+    def test_supervisor_blocks_while_every_worker_is_busy(self, tmp_path):
+        # Two slow jobs hold both workers for 2 s while a third, due at
+        # once, waits for a slot: the supervisor must sleep on the
+        # workers' pipes, not poll, or it takes a core from them.
+        pairs = _pairs() + [("t", JobSpec("single", "FIR", scale=SCALE))]
+        preload_job_closure()
+        start = time.process_time()
+        outcomes = run_matrix(pairs, workers=2, cache=ResultCache(tmp_path / "s"),
+                              chaos="slow-worker:2:2000")
+        assert [o.status for o in outcomes] == ["ok"] * 3
+        assert time.process_time() - start < 1.0
 
 
 class TestJournalResume:
