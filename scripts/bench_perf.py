@@ -18,6 +18,8 @@ writes them to ``BENCH_kernel.json``:
   (``docs/traces.md``): accesses/second and MB/s of a cold gzip k6
   parse → page-run conversion, the streaming content digest cold, and
   the stat-memoised digest lookup a warm bench matrix pays per job.
+  These rows time a fixed 400k-access trace at every ``--scale`` and
+  gate on the median of at least 5 samples.
 
 Usage::
 
@@ -40,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -215,14 +218,31 @@ def measure_serve(scale: float, repeats: int) -> list[dict]:
     return rows
 
 
-#: Synthetic trace accesses per unit ``--scale`` for the ``ingest`` section.
-INGEST_ACCESSES_PER_SCALE = 400_000
+#: Accesses in the ``ingest`` section's trace, whatever ``--scale`` says.
+INGEST_ACCESSES = 400_000
 
-#: Memoised digest lookups timed per repeat by ``ingest-digest-cached``.
-INGEST_CACHED_LOOKUPS = 200
+#: Timed samples per ``ingest`` row (or ``--repeats``, if more).
+INGEST_SAMPLES = 5
+
+#: Cold digests per ``ingest-digest-cold`` sample.
+INGEST_DIGEST_ROUNDS = 10
+
+#: Memoised digest lookups per ``ingest-digest-cached`` sample.
+INGEST_CACHED_LOOKUPS = 2_000
 
 
-def measure_ingest(scale: float, repeats: int) -> list[dict]:
+def timed_samples(work, samples: int) -> tuple[float, float]:
+    """Median and interquartile range of ``samples`` timings of ``work()``."""
+    times = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        work()
+        times.append(time.perf_counter() - start)
+    quartiles = statistics.quantiles(times, n=4)
+    return statistics.median(times), quartiles[2] - quartiles[0]
+
+
+def measure_ingest(repeats: int, accesses: int = INGEST_ACCESSES) -> list[dict]:
     """Streaming trace-ingestion throughput (docs/traces.md), three rows:
 
     * ``ingest-cold-parse`` — accesses/second for a cold gzip k6 parse →
@@ -234,81 +254,81 @@ def measure_ingest(scale: float, repeats: int) -> list[dict]:
       mtime) memo is warm: the per-job fingerprint overhead a trace-backed
       bench matrix actually pays.
 
+    Every row times fixed work, the same at every ``--scale``: each
+    sample lasts at least ~10 ms, and the rate comes from the median of
+    at least :data:`INGEST_SAMPLES` samples, reported with their IQR.
     All rows report their rate in the shared ``events_per_sec`` field so
     :func:`check_regression` gates them like every other section.
     """
     from repro.workloads import trace_files
     from repro.workloads.ingest import ingest_trace, synthesize_k6_trace, trace_digest
 
-    accesses = max(20_000, int(INGEST_ACCESSES_PER_SCALE * scale))
+    samples = max(INGEST_SAMPLES, repeats)
     rows = []
     with tempfile.TemporaryDirectory(prefix="repro-ingest-bench-") as tmp:
         path = Path(tmp) / "k6_bench.trc.gz"
         synthesize_k6_trace(path, accesses=accesses, footprint_pages=4096, seed=7)
         file_bytes = path.stat().st_size
+        records = ingest_trace(path, compute_digest=False).stats.records
 
-        best = None
-        records = 0
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = ingest_trace(path, compute_digest=False)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-            records = result.stats.records
+        wall, iqr = timed_samples(lambda: ingest_trace(path, compute_digest=False), samples)
         rows.append({
             "name": "ingest-cold-parse",
-            "scale": scale,
             "accesses": records,
             "file_bytes": file_bytes,
-            "wall_seconds": round(best, 6),
-            "events_per_sec": round(records / best, 1),
-            "mb_per_sec": round(file_bytes / best / 1e6, 3),
+            "samples": samples,
+            "wall_seconds": round(wall, 6),
+            "wall_iqr": round(iqr, 6),
+            "events_per_sec": round(records / wall, 1),
+            "mb_per_sec": round(file_bytes / wall / 1e6, 3),
         })
         print(
-            f"ingest cold-parse         {records:>9,} accesses  {best:.3f}s  "
-            f"{records / best:>10,.0f} accesses/s  "
-            f"({file_bytes / best / 1e6:.1f} MB/s gzip)"
+            f"ingest cold-parse         {records:>9,} accesses  {wall:.3f}s  "
+            f"{records / wall:>10,.0f} accesses/s  "
+            f"({file_bytes / wall / 1e6:.1f} MB/s gzip)"
         )
 
-        best = None
-        digest = ""
-        for _ in range(repeats):
-            trace_files._DIGEST_CACHE.clear()  # force the streaming hash
-            start = time.perf_counter()
-            digest = trace_digest(path)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
+        digest = trace_digest(path)
+
+        def cold_digests() -> None:
+            for _ in range(INGEST_DIGEST_ROUNDS):
+                trace_files._DIGEST_CACHE.clear()  # force the streaming hash
+                assert trace_digest(path) == digest, "digest changed"
+
+        wall, iqr = timed_samples(cold_digests, samples)
+        hashed = INGEST_DIGEST_ROUNDS * file_bytes
         rows.append({
             "name": "ingest-digest-cold",
-            "scale": scale,
             "file_bytes": file_bytes,
-            "wall_seconds": round(best, 6),
-            "events_per_sec": round(file_bytes / best, 1),
-            "mb_per_sec": round(file_bytes / best / 1e6, 3),
+            "rounds": INGEST_DIGEST_ROUNDS,
+            "samples": samples,
+            "wall_seconds": round(wall, 6),
+            "wall_iqr": round(iqr, 6),
+            "events_per_sec": round(hashed / wall, 1),
+            "mb_per_sec": round(hashed / wall / 1e6, 3),
         })
         print(
-            f"ingest digest-cold        {file_bytes:>9,} bytes  {best:.3f}s  "
-            f"{file_bytes / best / 1e6:>10,.1f} MB/s"
+            f"ingest digest-cold        {hashed:>9,} bytes  {wall:.3f}s  "
+            f"{hashed / wall / 1e6:>10,.1f} MB/s"
         )
 
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
+        def cached_lookups() -> None:
             for _ in range(INGEST_CACHED_LOOKUPS):
                 assert trace_digest(path) == digest, "digest memo broke"
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-        rate = INGEST_CACHED_LOOKUPS / best
+
+        wall, iqr = timed_samples(cached_lookups, samples)
+        rate = INGEST_CACHED_LOOKUPS / wall
         rows.append({
             "name": "ingest-digest-cached",
-            "scale": scale,
             "lookups": INGEST_CACHED_LOOKUPS,
-            "wall_seconds": round(best, 6),
+            "samples": samples,
+            "wall_seconds": round(wall, 6),
+            "wall_iqr": round(iqr, 6),
             "events_per_sec": round(rate, 1),
         })
         print(
             f"ingest digest-cached      {INGEST_CACHED_LOOKUPS:>9,} lookups  "
-            f"{best:.3f}s  {rate:>10,.0f} lookups/s"
+            f"{wall:.3f}s  {rate:>10,.0f} lookups/s"
         )
     return rows
 
@@ -366,7 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=0.2,
                         help="trace scale for the kernel cases (default 0.2)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N timing repeats (default 3)")
+                        help="best-of-N timing repeats (default 3); the ingest "
+                             "rows take the median of at least 5 samples")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_kernel.json"),
                         help="report destination (default BENCH_kernel.json)")
     parser.add_argument("--baseline", default=None, metavar="FILE",
@@ -385,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         args.scale, args.repeats, report["kernel"]
     )
     report["serve"] = measure_serve(args.scale, args.repeats)
-    report["ingest"] = measure_ingest(args.scale, args.repeats)
+    report["ingest"] = measure_ingest(args.repeats)
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")

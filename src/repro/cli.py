@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -1571,6 +1572,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    # numpy's OpenBLAS starts a thread pool when imported, and nothing in
+    # repro calls BLAS: one thread saves the start-up.  Set before any
+    # handler imports numpy; forked workers inherit it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

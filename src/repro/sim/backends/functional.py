@@ -287,6 +287,21 @@ def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
             )
 
 
+def _check_vpn_width(workload: Workload) -> None:
+    """Reject a workload whose VPNs do not fit the packed key's VPN field:
+    such keys would alias another page's (the event engine keys by tuple)."""
+    for placement in workload.placements:
+        for stream in placement.streams:
+            vpns = stream.vpns
+            if len(vpns) and vpns.max() > _VPN_MASK:
+                wide = int(vpns[vpns > _VPN_MASK][0])
+                raise BackendUnsupported(
+                    f"functional backend packs VPNs into {VPN_BITS} bits; "
+                    f"VPN {wide:#x} (GPU {placement.gpu_id}) does not fit, "
+                    "use the event backend"
+                )
+
+
 def run_functional(
     config: SystemConfig,
     workload: Workload,
@@ -309,6 +324,7 @@ def run_functional(
         _resolve_policy(workload, policy, policy_options or {})
     )
     _check_supported(config, **system_kwargs)
+    _check_vpn_width(workload)
 
     # -- construction (mirrors MultiGPUSystem.__init__ order) ---------------
     if not workload.placements:

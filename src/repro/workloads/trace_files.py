@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import os
 import re
 import threading
@@ -58,10 +59,14 @@ def _is_gzip(path: Path) -> bool:
         raise TraceFormatError("cannot read trace", path=str(path), cause=exc) from exc
 
 
-def _open_text(path: Path) -> IO[str]:
+def _open_bytes(path: Path) -> IO[bytes]:
     if _is_gzip(path):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "rt", encoding="utf-8", errors="replace")
+        return gzip.open(path, "rb")
+    return open(path, "rb")
+
+
+def _open_text(path: Path) -> IO[str]:
+    return io.TextIOWrapper(_open_bytes(path), encoding="utf-8", errors="replace")
 
 
 def _first_data_line(path: Path) -> str | None:

@@ -215,6 +215,17 @@ class TestScopeRejections:
                 snapshot_interval=100,
             )
 
+    @pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
+    def test_vpn_wider_than_the_key_field(self, policy):
+        # Packed as (pid << 48) | vpn, page (1 << 48) | 5 would alias page
+        # 5.  The event engine keys by (pid, vpn) and walks all 4 pages.
+        wide = (1 << 48) | 5
+        workload = build_workload([[5, wide, 9, (1 << 48) | 9] * 50], "single")
+        with pytest.raises(BackendUnsupported, match=f"VPN {wide:#x}"):
+            run_functional(tiny_config(), workload, policy)
+        result = simulate(tiny_config(), workload, policy)
+        assert result.walker_counters["walks_dispatched"] == 4
+
     def test_default_valued_options_accepted(self):
         result = run_functional(
             tiny_config(), self._workload(), "baseline",

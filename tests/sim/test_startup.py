@@ -178,3 +178,25 @@ def test_preloaded_jobs_import_nothing(filled):
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     assert json.loads(out.splitlines()[-1]) == []
+
+
+def blas_threads(statement: str, **env: str) -> str:
+    """``OPENBLAS_NUM_THREADS`` after ``statement`` in a fresh interpreter
+    whose environment holds ``env`` and no other value of it."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import os\n{statement}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, env=environ, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_main_runs_blas_single_threaded():
+    # Nothing in repro calls BLAS, so numpy's OpenBLAS pool is start-up
+    # cost only; a caller's own setting still wins.
+    assert blas_threads("import repro.cli") == "None"
+    assert blas_threads(cli(["list"])) == "1"
+    assert blas_threads(cli(["list"]), OPENBLAS_NUM_THREADS="3") == "3"

@@ -51,7 +51,11 @@ def test_regressed_row_fails(tmp_path):
 
 
 def test_ingest_section_measures_its_gated_rows():
-    rows = _load_bench_perf().measure_ingest(scale=0.01, repeats=1)
+    bench_perf = _load_bench_perf()
+    rows = bench_perf.measure_ingest(repeats=1, accesses=20_000)
     assert [row["name"] for row in rows] == [
         "ingest-cold-parse", "ingest-digest-cold", "ingest-digest-cached",
     ]
+    # Each row is a median over enough samples to carry an IQR.
+    assert all(row["samples"] >= bench_perf.INGEST_SAMPLES for row in rows)
+    assert all(row["wall_iqr"] >= 0 for row in rows)

@@ -11,7 +11,9 @@ import gzip
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,17 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.presets import baseline_config
+from repro.workloads import ingest
 from repro.workloads.errors import TraceFormatError
 from repro.workloads.ingest import (
     SPLIT_POLICIES,
+    TraceChunk,
+    _parse_block,
+    _parse_lines,
+    _text_lines,
     assign_gpus,
     default_trace_name,
     ingest_trace,
+    iter_trace_chunks,
     sniff_format,
     synthesize_k6_trace,
     trace_digest,
     write_k6_trace,
 )
+from repro.workloads.trace_files import _FORMATS, _open_text
 
 
 def write_lines(path: Path, lines: list[str]) -> Path:
@@ -122,6 +131,171 @@ class TestRoundTrip:
         assert stats.records == 1
         assert stats.lines == 5
 
+    @pytest.mark.parametrize("chunk_records", [None, 10, 3])
+    def test_lines_count_record_less_chunks(self, tmp_path, chunk_records):
+        path = write_lines(
+            tmp_path / "k6_tail.trc",
+            ["0x1000 P_MEM_RD 5", "0x2000 P_MEM_WR 6"]
+            + [f"# note {i}" for i in range(30)] + [""] * 5,
+        )
+        kwargs = {} if chunk_records is None else {"chunk_records": chunk_records}
+        stats = ingest_trace(path, **kwargs).stats
+        assert stats.records == 2
+        assert stats.lines == 37
+
+
+# -- the array parser against the per-line reference -----------------------
+
+
+def reference_chunks(path, *, fmt, page_shift, chunk_records):
+    """The per-line reference: text-mode lines, ``chunk_records`` at a
+    time, each through the per-line parser."""
+    line_no = 0
+    with _open_text(path) as handle:
+        while True:
+            try:
+                lines = list(islice(handle, chunk_records))
+            except (EOFError, OSError) as exc:
+                raise TraceFormatError(
+                    "truncated or corrupt compressed trace",
+                    path=str(path), line=line_no + 1, cause=exc,
+                ) from exc
+            if not lines:
+                return
+            vpns, writes, cycles = _parse_lines(
+                lines, path=path, fmt=fmt, page_shift=page_shift, line_no=line_no
+            )
+            line_no += len(lines)
+            if vpns:
+                yield TraceChunk(
+                    np.asarray(vpns, dtype=np.int64),
+                    np.asarray(writes, dtype=bool),
+                    np.asarray(cycles, dtype=np.int64),
+                    last_line=line_no,
+                )
+
+
+def outcome(chunks):
+    """Every chunk as plain data up to the first error, then the error."""
+    seen = []
+    try:
+        for chunk in chunks:
+            assert chunk.vpns.dtype == np.int64 and chunk.cycles.dtype == np.int64
+            assert chunk.writes.dtype == bool
+            seen.append((chunk.vpns.tolist(), chunk.writes.tolist(),
+                         chunk.cycles.tolist(), chunk.last_line))
+    except TraceFormatError as exc:
+        return seen, (str(exc), exc.line, exc.text)
+    return seen, None
+
+
+@st.composite
+def numeral(draw, *, hex_ok, wide):
+    """A non-negative numeral: decimal, or ``0x``/``0X`` hex in mixed case,
+    with leading zeros; if ``wide``, now and then past int64."""
+    narrow = st.integers(0, 1 << 40)
+    value = draw(st.one_of(narrow, st.integers(0, (1 << 64) - 1)) if wide else narrow)
+    zeros = "0" * draw(st.integers(0, 3))
+    if hex_ok and draw(st.booleans()):
+        digits = zeros + format(value, "x")
+        flips = draw(st.lists(st.booleans(), min_size=len(digits), max_size=len(digits)))
+        digits = "".join(c.upper() if up else c for c, up in zip(digits, flips))
+        return draw(st.sampled_from(["0x", "0X"])) + digits
+    return zeros + str(value)
+
+
+SPACE = st.text(alphabet=" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def record_line(draw, fmt, wide):
+    """A well-formed k6/mase record with spaces or tabs around its fields."""
+    fields = [draw(numeral(hex_ok=True, wide=wide)),
+              draw(st.sampled_from(sorted(_FORMATS[fmt]))),
+              draw(numeral(hex_ok=False, wide=wide))]
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    trail = draw(st.sampled_from(["", " ", "\t "]))
+    return (lead + draw(SPACE).join(fields) + trail).encode()
+
+
+#: Lines outside the array grammar; ``CMD`` stands for a command of the
+#: trace's format.
+OTHER_LINES = [
+    b"# comment", b"; note", b"// also", b"", b"   ", b"\t",
+    b"0x1000 CMD 5\r0x2000 CMD 6",                    # a lone \r ends a line
+    b"+4096 CMD 7", b"1_000 CMD 8", b"0x_1f CMD 9",    # int() accepts these
+    b"0x10 CMD 1_0",
+    b"0x10\xc2\xa0CMD 5", b"0x10\x1fCMD 5",           # str.split() splits here
+    b"0x10 CMD 5 \xc3\xa9", b"\xff\xfe", b"0x10 \x00CMD 5",
+    b"0x10 CMD", b"0x10 CMD 5 6",
+    b"0x10 P_MEM_EAT 5", b"0x10 READ 5", b"0x10 WRITE 5", b"0x10 P_MEM_RD 5",
+    b"0x1g CMD 5", b"12ab CMD 5", b"0x CMD 5", b"0x10 CMD 0x5",
+    b"-5 CMD 5", b"0x10 CMD -1", b"-0 CMD 0",
+    b"12345678901234567890 CMD 5", b"0x10 CMD 12345678901234567890",
+    b"0x00000000000000000001000 CMD 0000000000000000000005",
+]
+
+
+def other_line(fmt):
+    command = sorted(_FORMATS[fmt])[0].encode()
+    return st.sampled_from([line.replace(b"CMD", command) for line in OTHER_LINES])
+
+
+@st.composite
+def trace_text(draw, fmt, *, other, wide=True):
+    lines = draw(st.lists(record_line(fmt, wide), max_size=30))
+    if other:
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(other_line(fmt)))
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return text
+
+
+def write_bytes(path: Path, data: bytes, compress: bool) -> Path:
+    if compress:
+        with gzip.GzipFile(path, "wb", mtime=0) as handle:
+            handle.write(data)
+    else:
+        path.write_bytes(data)
+    return path
+
+
+class TestParsePaths:
+    """``iter_trace_chunks`` parses chunks as arrays and falls back to the
+    per-line parser; both must match a text-mode per-line reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(["k6", "mase"]),
+           other=st.booleans(), compress=st.booleans(),
+           chunk_records=st.sampled_from([1, 2, 3, 7, 64]),
+           page_shift=st.sampled_from([0, 12]),
+           read_bytes=st.sampled_from([1, 2, 5, 64, 1 << 16]))
+    def test_matches_per_line_reference(self, data, fmt, other, compress, chunk_records,
+                                        page_shift, read_bytes, tmp_path_factory):
+        text = data.draw(trace_text(fmt, other=other))
+        path = write_bytes(tmp_path_factory.mktemp("paths") / "t.trc", text, compress)
+        if compress and data.draw(st.booleans(), label="truncate"):
+            stored = path.read_bytes()
+            path.write_bytes(stored[: data.draw(st.integers(0, len(stored) - 1))])
+        kwargs = {"fmt": fmt, "page_shift": page_shift, "chunk_records": chunk_records}
+        # Small reads split blocks, "\r\n" pairs and the gzip stream anywhere.
+        with mock.patch.object(ingest, "_READ_BYTES", read_bytes):
+            got = outcome(iter_trace_chunks(path, **kwargs))
+        assert got == outcome(reference_chunks(path, **kwargs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(["k6", "mase"]))
+    def test_plain_records_take_the_array_path(self, data, fmt):
+        text = data.draw(trace_text(fmt, other=False, wide=False))
+        lines = _text_lines(text)
+        expected = _parse_lines(lines, path=Path("t"), fmt=fmt, page_shift=12, line_no=0)
+        parsed = _parse_block(text, fmt, 12)
+        assert parsed is not None
+        assert [column.tolist() for column in parsed] == list(expected)
+
 
 # -- malformed input ---------------------------------------------------------
 
@@ -143,6 +317,17 @@ class TestDiagnostics:
         path = write_lines(tmp_path / "k6_cmd.trc", ["0x1000 P_MEM_EAT 5"])
         with pytest.raises(TraceFormatError, match="P_MEM_EAT"):
             ingest_trace(path, fmt="k6")
+
+    @pytest.mark.parametrize("line", [
+        "0x100000000000000000000 P_MEM_RD 5",     # its page needs 69 bits
+        "0x1000 P_MEM_RD 9223372036854775808",    # cycle 2**63
+    ])
+    def test_number_beyond_int64_rejected(self, tmp_path, line):
+        path = write_lines(tmp_path / "k6_big.trc", ["0x1000 P_MEM_RD 4", line])
+        with pytest.raises(TraceFormatError, match="int64") as excinfo:
+            ingest_trace(path)
+        assert excinfo.value.line == 2
+        assert excinfo.value.text == line
 
     def test_truncated_gzip(self, tmp_path):
         path = tmp_path / "k6_trunc.trc.gz"
@@ -254,6 +439,8 @@ class TestDigest:
                 assert np.array_equal(sa.gaps, sb.gaps)
                 assert np.array_equal(sa.repeats, sb.repeats)
         assert small.stats.runs == large.stats.runs
+        assert small.stats.to_dict() == large.stats.to_dict()
+        assert np.array_equal(small.workload.footprints[1], large.workload.footprints[1])
 
 
 class TestNaming:
