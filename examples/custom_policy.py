@@ -24,7 +24,6 @@ import sys
 from repro import MultiGPUSystem, baseline_config, build_single_app_workload
 from repro.gpu.ats import ATSRequest
 from repro.policies.mostly_inclusive import MostlyInclusivePolicy
-from repro.structures.tlb import TLBEntry
 
 
 class SecondTouchPolicy(MostlyInclusivePolicy):
@@ -49,10 +48,9 @@ class SecondTouchPolicy(MostlyInclusivePolicy):
             self._walked_once.add(key)
             self.bypassed += 1
             return  # bypass: L2/L1 still fill via the response path
-        entry = TLBEntry(request.pid, request.vpn, ppn, owner_gpu=request.gpu_id)
-        victim = self.iommu.insert_tlb(entry)
-        if victim is not None:
-            self.on_iommu_tlb_evicted(victim)
+        # Second walk: the baseline's fill, an IOMMU TLB entry owned by
+        # the requester (see repro.structures.tlb for the entry format).
+        super()._fill_levels_after_walk(request, ppn)
 
 
 def run_policy(app: str, config, policy, scale: float):

@@ -20,6 +20,7 @@ from repro.config import (
     TLBLevelConfig,
     TrackerConfig,
 )
+from repro.structures.tlb import unpack_key
 from repro.workloads import CUStream, Placement, Workload
 
 PID = 1
@@ -65,11 +66,11 @@ def tiny_system() -> MultiGPUSystem:
 
 
 def dump(system: MultiGPUSystem, label: str) -> None:
-    l2s = [
-        ",".join(f"0x{e.vpn:X}" for e in system.gpus[g].l2_tlb.iter_entries()) or "-"
-        for g in range(4)
-    ]
-    iommu = ",".join(f"0x{e.vpn:X}" for e in system.iommu.tlb.iter_entries()) or "-"
+    def pages(tlb) -> str:
+        return ",".join(f"0x{unpack_key(key)[1]:X}" for key, _ in tlb.items()) or "-"
+
+    l2s = [pages(system.gpus[g].l2_tlb) for g in range(4)]
+    iommu = pages(system.iommu.tlb)
     print(f"{label:<28} L2s: [{'] ['.join(l2s)}]   IOMMU TLB: {{{iommu}}}")
 
 

@@ -18,13 +18,15 @@ writes them to ``BENCH_kernel.json``:
   (``docs/traces.md``): accesses/second and MB/s of a cold gzip k6
   parse → page-run conversion, the streaming content digest cold, and
   the stat-memoised digest lookup a warm bench matrix pays per job.
-  These rows time a fixed 400k-access trace at every ``--scale`` and
-  gate on the median of at least 5 samples.
+
+Every row times fixed work — the kernel and serve cases at trace scale
+0.2, the ingest rows a 400k-access trace — and reports the median and
+interquartile range of :data:`SAMPLES` timed samples; the gate reads the
+median.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_perf.py                  # full run
-    PYTHONPATH=src python scripts/bench_perf.py --scale 0.05     # CI smoke
+    PYTHONPATH=src python scripts/bench_perf.py                  # record
     PYTHONPATH=src python scripts/bench_perf.py \
         --baseline BENCH_kernel.json --max-regression 0.30       # gate
 
@@ -66,87 +68,98 @@ KERNEL_CASES = (
     ("W8-baseline", "W8", "baseline", build_multi_app_workload),
 )
 
+#: Trace scale of the kernel, fastpath and serve rows.
+SCALE = 0.2
 
-def measure_kernel(scale: float, repeats: int) -> list[dict]:
-    """Best-of-N wall-clock and events/sec for each canonical run."""
+#: Timed samples per row; each row reports their median and IQR.
+SAMPLES = 5
+
+
+def timed_samples(work, samples: int) -> tuple[float, float]:
+    """Median and interquartile range of ``samples`` timings of ``work()``."""
+    times = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        work()
+        times.append(time.perf_counter() - start)
+    quartiles = statistics.quantiles(times, n=4)
+    return statistics.median(times), quartiles[2] - quartiles[0]
+
+
+def measure_simulation(
+    simulate, scale: float = SCALE, samples: int = SAMPLES
+) -> list[dict]:
+    """Events/second of ``simulate(config, workload, policy)`` on each
+    kernel case: the median and IQR of ``samples`` runs, each from a
+    fresh system."""
     rows = []
     for label, name, policy, builder in KERNEL_CASES:
         config = baseline_config()
         workload = builder(name, config, scale=scale)
-        best = None
-        events = cycles = 0
-        for _ in range(repeats):
-            system = MultiGPUSystem(config, workload, policy)
-            start = time.perf_counter()
-            result = system.run()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-            events, cycles = result.events_executed, result.total_cycles
-        rows.append(
-            {
-                "name": label,
-                "scale": scale,
-                "wall_seconds": round(best, 6),
-                "events": events,
-                "total_cycles": cycles,
-                "events_per_sec": round(events / best, 1),
-            }
+        results = []
+        wall, iqr = timed_samples(
+            lambda: results.append(simulate(config, workload, policy)), samples
         )
+        result = results[-1]
+        events = result.events_executed
+        rows.append({
+            "name": label,
+            "scale": scale,
+            "samples": samples,
+            "wall_seconds": round(wall, 6),
+            "wall_iqr": round(iqr, 6),
+            "events": events,
+            "total_cycles": result.total_cycles,
+            "events_per_sec": round(events / wall, 1),
+        })
+    return rows
+
+
+def measure_kernel(scale: float = SCALE, samples: int = SAMPLES) -> list[dict]:
+    """Event-engine throughput (system build and run) per kernel case."""
+    rows = measure_simulation(
+        lambda config, workload, policy: MultiGPUSystem(config, workload, policy).run(),
+        scale, samples,
+    )
+    for row in rows:
         print(
-            f"kernel {label:<14} {events:>9,} events  {best:.3f}s  "
-            f"{events / best:>10,.0f} events/s"
+            f"kernel {row['name']:<14} {row['events']:>9,} events  "
+            f"{row['wall_seconds']:.3f}s  {row['events_per_sec']:>10,.0f} events/s"
         )
     return rows
 
 
-def measure_fastpath(scale: float, repeats: int, kernel_rows: list[dict]) -> list[dict]:
-    """Best-of-N functional-backend throughput on the same kernel cases.
+def measure_fastpath(
+    kernel_rows: list[dict], scale: float = SCALE, samples: int = SAMPLES
+) -> list[dict]:
+    """Functional-backend throughput on the same kernel cases.
 
     ``speedup_vs_event`` relates each case to the event-engine row just
     measured, so both sides of the ratio come from the same machine state.
     """
     event_rows = {row["name"]: row for row in kernel_rows}
-    rows = []
-    for label, name, policy, builder in KERNEL_CASES:
-        config = baseline_config()
-        workload = builder(name, config, scale=scale)
-        best = None
-        events = 0
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run_functional(config, workload, policy)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-            events = result.events_executed
-        event = event_rows.get(label)
+    rows = measure_simulation(run_functional, scale, samples)
+    for row in rows:
+        event = event_rows.get(row["name"])
         speedup = (
-            round((events / best) / event["events_per_sec"], 3)
+            round(row["events_per_sec"] / event["events_per_sec"], 3)
             if event and event["events_per_sec"] > 0
             else None
         )
-        rows.append(
-            {
-                "name": label,
-                "scale": scale,
-                "wall_seconds": round(best, 6),
-                "events": events,
-                "events_per_sec": round(events / best, 1),
-                "speedup_vs_event": speedup,
-            }
-        )
+        row["speedup_vs_event"] = speedup
         print(
-            f"fastpath {label:<14} {events:>9,} events  {best:.3f}s  "
-            f"{events / best:>10,.0f} events/s"
+            f"fastpath {row['name']:<14} {row['events']:>9,} events  "
+            f"{row['wall_seconds']:.3f}s  {row['events_per_sec']:>10,.0f} events/s"
             + (f"  ({speedup:.2f}x event)" if speedup is not None else "")
         )
     return rows
 
 
-#: Cached submissions timed per repeat by the ``serve`` section.
+#: Cached submissions timed per sample by the ``serve`` section.
 SERVE_CACHED_SUBMITS = 25
 
 
-def measure_serve(scale: float, repeats: int) -> list[dict]:
+def measure_serve(scale: float = SCALE, samples: int = SAMPLES) -> list[dict]:
     """Serve-daemon throughput (docs/service.md), two rows:
 
     * ``serve-cached-submit`` — submissions/second for requests the
@@ -154,7 +167,7 @@ def measure_serve(scale: float, repeats: int) -> list[dict]:
       overhead a warm client sees);
     * ``serve-e2e-single-job`` — jobs/second for a cold single job
       through submit → queue → worker → SSE ``job_done`` (event-driven,
-      no polling granularity in the number).
+      no polling granularity in the number); each sample is a new seed.
 
     Both report their rate in the shared ``events_per_sec`` field so
     :func:`check_regression` gates them like every other section.
@@ -173,44 +186,47 @@ def measure_serve(scale: float, repeats: int) -> list[dict]:
         url = thread.start()
         try:
             client = ServeClient(url, client_name="bench")
-            best = None
-            for i in range(repeats):
-                start = time.perf_counter()
-                job = client.submit({"jobs": [dict(base, seed=9000 + i)]})
-                for event in client.events(job["job"]):
+            seeds = iter(range(9000, 9000 + samples))
+
+            def cold_job() -> None:
+                job = client.submit({"jobs": [dict(base, seed=next(seeds))]})
+                for _event in client.events(job["job"]):
                     pass  # generator stops at job_done
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None or elapsed < best else best
+
+            wall, iqr = timed_samples(cold_job, samples)
             rows.append({
                 "name": "serve-e2e-single-job",
                 "scale": scale,
-                "wall_seconds": round(best, 6),
-                "events_per_sec": round(1.0 / best, 3),
+                "samples": samples,
+                "wall_seconds": round(wall, 6),
+                "wall_iqr": round(iqr, 6),
+                "events_per_sec": round(1.0 / wall, 3),
             })
             print(
-                f"serve  e2e-single-job     {best:.3f}s  "
-                f"{1.0 / best:>10,.2f} jobs/s"
+                f"serve  e2e-single-job     {wall:.3f}s  "
+                f"{1.0 / wall:>10,.2f} jobs/s"
             )
 
-            cached = dict(base, seed=9000)  # settled by the loop above
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
+            cached = dict(base, seed=9000)  # settled by the samples above
+
+            def cached_submits() -> None:
                 for _ in range(SERVE_CACHED_SUBMITS):
                     body = client.submit({"jobs": [cached]})
                     assert body["state"] == "done", "cache dedup broke"
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None or elapsed < best else best
-            rate = SERVE_CACHED_SUBMITS / best
+
+            wall, iqr = timed_samples(cached_submits, samples)
+            rate = SERVE_CACHED_SUBMITS / wall
             rows.append({
                 "name": "serve-cached-submit",
                 "scale": scale,
                 "requests": SERVE_CACHED_SUBMITS,
-                "wall_seconds": round(best, 6),
+                "samples": samples,
+                "wall_seconds": round(wall, 6),
+                "wall_iqr": round(iqr, 6),
                 "events_per_sec": round(rate, 1),
             })
             print(
-                f"serve  cached-submit      {best:.3f}s  "
+                f"serve  cached-submit      {wall:.3f}s  "
                 f"{rate:>10,.1f} requests/s"
             )
         finally:
@@ -218,11 +234,8 @@ def measure_serve(scale: float, repeats: int) -> list[dict]:
     return rows
 
 
-#: Accesses in the ``ingest`` section's trace, whatever ``--scale`` says.
+#: Accesses in the ``ingest`` section's trace.
 INGEST_ACCESSES = 400_000
-
-#: Timed samples per ``ingest`` row (or ``--repeats``, if more).
-INGEST_SAMPLES = 5
 
 #: Cold digests per ``ingest-digest-cold`` sample.
 INGEST_DIGEST_ROUNDS = 10
@@ -231,18 +244,7 @@ INGEST_DIGEST_ROUNDS = 10
 INGEST_CACHED_LOOKUPS = 2_000
 
 
-def timed_samples(work, samples: int) -> tuple[float, float]:
-    """Median and interquartile range of ``samples`` timings of ``work()``."""
-    times = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        work()
-        times.append(time.perf_counter() - start)
-    quartiles = statistics.quantiles(times, n=4)
-    return statistics.median(times), quartiles[2] - quartiles[0]
-
-
-def measure_ingest(repeats: int, accesses: int = INGEST_ACCESSES) -> list[dict]:
+def measure_ingest(accesses: int = INGEST_ACCESSES, samples: int = SAMPLES) -> list[dict]:
     """Streaming trace-ingestion throughput (docs/traces.md), three rows:
 
     * ``ingest-cold-parse`` — accesses/second for a cold gzip k6 parse →
@@ -254,16 +256,12 @@ def measure_ingest(repeats: int, accesses: int = INGEST_ACCESSES) -> list[dict]:
       mtime) memo is warm: the per-job fingerprint overhead a trace-backed
       bench matrix actually pays.
 
-    Every row times fixed work, the same at every ``--scale``: each
-    sample lasts at least ~10 ms, and the rate comes from the median of
-    at least :data:`INGEST_SAMPLES` samples, reported with their IQR.
-    All rows report their rate in the shared ``events_per_sec`` field so
+    Each sample lasts at least ~10 ms.  All rows report their rate in the shared ``events_per_sec`` field so
     :func:`check_regression` gates them like every other section.
     """
     from repro.workloads import trace_files
     from repro.workloads.ingest import ingest_trace, synthesize_k6_trace, trace_digest
 
-    samples = max(INGEST_SAMPLES, repeats)
     rows = []
     with tempfile.TemporaryDirectory(prefix="repro-ingest-bench-") as tmp:
         path = Path(tmp) / "k6_bench.trc.gz"
@@ -383,11 +381,6 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=0.2,
-                        help="trace scale for the kernel cases (default 0.2)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N timing repeats (default 3); the ingest "
-                             "rows take the median of at least 5 samples")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_kernel.json"),
                         help="report destination (default BENCH_kernel.json)")
     parser.add_argument("--baseline", default=None, metavar="FILE",
@@ -400,13 +393,11 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "schema": 1,
         "machine": machine_stamp(),
-        "kernel": measure_kernel(args.scale, args.repeats),
+        "kernel": measure_kernel(),
     }
-    report["fastpath"] = measure_fastpath(
-        args.scale, args.repeats, report["kernel"]
-    )
-    report["serve"] = measure_serve(args.scale, args.repeats)
-    report["ingest"] = measure_ingest(args.repeats)
+    report["fastpath"] = measure_fastpath(report["kernel"])
+    report["serve"] = measure_serve()
+    report["ingest"] = measure_ingest()
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")

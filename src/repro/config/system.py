@@ -12,18 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.structures.tlb import BUDGET_LIMIT, OWNER_LIMIT
+
 PAGE_4KB = 4 * 1024
 PAGE_2MB = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
 class TLBLevelConfig:
-    """Geometry and access latency of one TLB level."""
+    """Geometry and access latency of one TLB level (replacement is LRU)."""
 
     num_entries: int
     associativity: int
     lookup_latency: int
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.num_entries <= 0:
@@ -195,12 +196,18 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_gpus <= 0:
-            raise ValueError(f"num_gpus must be positive: {self.num_gpus}")
+        if not 0 < self.num_gpus <= OWNER_LIMIT:
+            raise ValueError(
+                f"num_gpus must be in [1, {OWNER_LIMIT}] (the owner field of a "
+                f"TLB entry): {self.num_gpus}"
+            )
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ValueError(f"page_size must be a positive power of two: {self.page_size}")
-        if self.spill_budget < 0:
-            raise ValueError(f"spill_budget must be >= 0: {self.spill_budget}")
+        if not 0 <= self.spill_budget < BUDGET_LIMIT:
+            raise ValueError(
+                f"spill_budget must be in [0, {BUDGET_LIMIT - 1}] (the spill-budget "
+                f"field of a TLB entry): {self.spill_budget}"
+            )
 
     @property
     def page_table_levels(self) -> int:

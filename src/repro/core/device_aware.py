@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.least_tlb import LeastTLBPolicy
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import BUDGET_LIMIT, pack_payload, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -63,6 +63,13 @@ class DeviceAwareLeastTLBPolicy(LeastTLBPolicy):
         if any(w <= 0 for w in qos_weights):
             raise ValueError("QoS weights must be positive")
         self.qos_weights = list(qos_weights)
+        for gpu in range(num):
+            budget = self._budget_for_owner(gpu)
+            if budget >= BUDGET_LIMIT:
+                raise ValueError(
+                    f"QoS weights give GPU {gpu} a spill budget of {budget}, past "
+                    f"the spill-budget field of a TLB entry (max {BUDGET_LIMIT - 1})"
+                )
 
     # -- spill placement ---------------------------------------------------
 
@@ -99,14 +106,14 @@ class DeviceAwareLeastTLBPolicy(LeastTLBPolicy):
         # A device twice as critical as average earns one extra trip.
         return max(base, round(base * weight / mean))
 
-    def on_l2_eviction(self, gpu: "GPUDevice", victim: TLBEntry) -> None:
+    def on_l2_eviction(self, gpu: "GPUDevice", key: int, payload: int) -> None:
         # Fresh victims (never spilled) get their owner's QoS budget the
         # first time they head to the IOMMU TLB.
+        ppn, owner, budget = unpack_payload(payload)
         if (
             self.spilling
-            and victim.spill_budget == self.system.config.spill_budget
-            and victim.owner_gpu == gpu.gpu_id
+            and budget == self.system.config.spill_budget
+            and owner == gpu.gpu_id
         ):
-            victim = victim.copy()
-            victim.spill_budget = self._budget_for_owner(gpu.gpu_id)
-        super().on_l2_eviction(gpu, victim)
+            payload = pack_payload(ppn, owner, self._budget_for_owner(owner))
+        super().on_l2_eviction(gpu, key, payload)

@@ -29,10 +29,11 @@ IOMMU TLB:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import (
     choose_probe_target,
+    least_tlb_options,
     probe_removes_entry,
     should_reenter_iommu,
     should_spill_victim,
@@ -40,7 +41,7 @@ from repro.core.protocol import (
 from repro.core.tracker import LocalTLBTracker
 from repro.gpu.ats import ATSRequest
 from repro.policies.base import TranslationPolicy
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import pack_payload, unpack_key, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -50,8 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class LeastTLBPolicy(TranslationPolicy):
     """The paper's least-inclusive, sharing- and spilling-aware hierarchy.
 
-    Parameters
-    ----------
+    Options
+    -------
+    Resolved by :func:`repro.core.protocol.least_tlb_options`, which the
+    functional backend calls too.
+
     mode:
         ``"single"`` (sharing semantics, Algorithm 1) or ``"multi"``
         (spilling semantics, Algorithm 2).  Defaults to the workload's
@@ -75,28 +79,15 @@ class LeastTLBPolicy(TranslationPolicy):
 
     least_inclusive = True
 
-    def __init__(
-        self,
-        system: "MultiGPUSystem",
-        *,
-        mode: str | None = None,
-        race_ptw: bool = True,
-        remote_probes: bool = True,
-        spilling: bool | None = None,
-        receiver_policy: str = "counter",
-    ) -> None:
+    def __init__(self, system: "MultiGPUSystem", **options: Any) -> None:
         super().__init__(system)
-        if mode is None:
-            mode = "multi" if system.workload.kind == "multi" else "single"
-        if mode not in ("single", "multi"):
-            raise ValueError(f"mode must be 'single' or 'multi': {mode!r}")
-        if receiver_policy not in ("counter", "round-robin", "random"):
-            raise ValueError(f"unknown receiver_policy: {receiver_policy!r}")
-        self.mode = mode
-        self.race_ptw = race_ptw
-        self.remote_probes = remote_probes
-        self.spilling = (mode == "multi") if spilling is None else spilling
-        self.receiver_policy = receiver_policy
+        (
+            self.mode,
+            self.race_ptw,
+            self.remote_probes,
+            self.spilling,
+            self.receiver_policy,
+        ) = least_tlb_options(system.workload.kind, **options)
         config = system.config
         self.tracker = LocalTLBTracker(config.tracker, config.num_gpus, seed=config.seed)
         self._probe_rotor = 0
@@ -107,11 +98,11 @@ class LeastTLBPolicy(TranslationPolicy):
     # -- IOMMU request handling (Algorithms 1 & 2, lookup) -----------------------
 
     def on_iommu_request(self, request: ATSRequest) -> None:
-        entry = self.iommu.lookup(request)
-        if entry is not None:
+        payload = self.iommu.lookup(request)
+        if payload is not None:
             # Victim-TLB move: the hit entry migrates to the requester's L2.
-            self.iommu.remove_tlb(request.key)
-            self.iommu.respond([request], entry.ppn, source="iommu")
+            self.iommu.tlb.remove(request.tlb_key)
+            self.iommu.respond([request], unpack_payload(payload)[0], source="iommu")
             return
         if self._attach_or_none(request) is not None:
             return
@@ -200,16 +191,16 @@ class LeastTLBPolicy(TranslationPolicy):
             self.iommu.stats.inc("stale_probe_responses")
             return
         pending.remote_pending = False
-        entry = self.gpus[target].probe_l2(
-            request.pid, request.vpn, remove_on_hit=probe_removes_entry(self.mode)
+        payload = self.gpus[target].probe_l2(
+            request.tlb_key, remove_on_hit=probe_removes_entry(self.mode)
         )
         if request.trace is not None:
             request.trace.end(
                 "remote_probe",
                 self.queue.now,
-                outcome="hit" if entry is not None else "miss",
+                outcome="hit" if payload is not None else "miss",
             )
-        if entry is not None:
+        if payload is not None:
             if self.mode == "multi":
                 # No inter-application sharing: the spilled entry migrates
                 # back to its owner and leaves the receiver's L2/tracker.
@@ -219,8 +210,9 @@ class LeastTLBPolicy(TranslationPolicy):
                 self.iommu.stats.inc("remote_wasted")
             else:
                 pending.served = True
-                pending.result_ppn = entry.ppn
-                self._respond_from_remote(pending.waiters, target, entry.ppn)
+                ppn = unpack_payload(payload)[0]
+                pending.result_ppn = ppn
+                self._respond_from_remote(pending.waiters, target, ppn)
                 pending.waiters.clear()
                 # Squash the racing walk if it is still queued: the race
                 # must not waste walker throughput when the probe wins.
@@ -302,27 +294,20 @@ class LeastTLBPolicy(TranslationPolicy):
 
     # -- L2-side hooks (Algorithms 1 & 2, insertion) --------------------------------
 
-    def on_l2_fill(self, gpu: "GPUDevice", entry: TLBEntry) -> None:
+    def on_l2_fill(self, gpu: "GPUDevice", key: int, payload: int) -> None:
         # Every translation brought into an L2 TLB is registered in that
         # GPU's tracker partition (Section 4.1).
-        self.tracker.register(gpu.gpu_id, entry.pid, entry.vpn)
+        self.tracker.register(gpu.gpu_id, *unpack_key(key))
 
-    def on_l2_eviction(self, gpu: "GPUDevice", victim: TLBEntry) -> None:
-        self.tracker.unregister(gpu.gpu_id, victim.pid, victim.vpn)
-        if not should_reenter_iommu(self.spilling, victim.spill_budget):
+    def on_l2_eviction(self, gpu: "GPUDevice", key: int, payload: int) -> None:
+        self.tracker.unregister(gpu.gpu_id, *unpack_key(key))
+        if not should_reenter_iommu(self.spilling, unpack_payload(payload)[2]):
             # A spilled entry out of budget is abandoned (Algorithm 2,
             # lines 27-29): re-inserting it would ping-pong forever.
             self.iommu.stats.inc("spilled_discarded")
             return
         arrival = self.topology.gpu_to_iommu(gpu.gpu_id, self.queue.now)
-        self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, victim)
-
-    def _victim_arrived(self, gpu_id: int, victim: TLBEntry) -> None:
-        entry = victim.copy()
-        entry.owner_gpu = gpu_id
-        evicted = self.iommu.insert_tlb(entry)
-        if evicted is not None:
-            self.on_iommu_tlb_evicted(evicted)
+        self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, key, payload)
 
     def _select_receiver(self) -> int:
         """The spill target GPU, per the configured receiver policy."""
@@ -334,19 +319,22 @@ class LeastTLBPolicy(TranslationPolicy):
             return receiver
         return self._receiver_rng.randrange(self.system.config.num_gpus)
 
-    def on_iommu_tlb_evicted(self, victim: TLBEntry) -> None:
-        if not should_spill_victim(self.spilling, victim.spill_budget):
+    def on_iommu_tlb_evicted(self, key: int, payload: int) -> None:
+        ppn, _, budget = unpack_payload(payload)
+        if not should_spill_victim(self.spilling, budget):
             # Single-application least-TLB simply drops the LRU victim
             # (Algorithm 1, lines 27-28).
             return
         receiver = self._select_receiver()
-        spilled = victim.copy()
-        spilled.spill_budget -= 1
-        spilled.owner_gpu = receiver
         self.iommu.stats.inc("spills")
         self.iommu.stats.inc(f"spills_to_gpu{receiver}")
         arrival = self.topology.probe_to_gpu(receiver, self.queue.now)
-        self.queue.schedule(arrival, self.gpus[receiver].receive_spill, spilled)
+        self.queue.schedule(
+            arrival,
+            self.gpus[receiver].receive_spill,
+            key,
+            pack_payload(ppn, receiver, budget - 1),
+        )
 
     # -- shootdown --------------------------------------------------------------------
 

@@ -15,7 +15,45 @@ pointers) is passed in and the successor state is returned.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+
+class LeastTLBOptions(NamedTuple):
+    """least-TLB's resolved options (see
+    :class:`repro.core.least_tlb.LeastTLBPolicy`)."""
+
+    mode: str
+    race_ptw: bool
+    remote_probes: bool
+    spilling: bool
+    receiver_policy: str
+
+
+def least_tlb_options(
+    workload_kind: str,
+    *,
+    mode: str | None = None,
+    race_ptw: bool = True,
+    remote_probes: bool = True,
+    spilling: bool | None = None,
+    receiver_policy: str = "counter",
+) -> LeastTLBOptions:
+    """Resolve least-TLB's options for a ``workload_kind`` workload.
+
+    ``mode`` defaults to the workload's paradigm and ``spilling`` to
+    ``mode == "multi"``; an unknown option is a :class:`TypeError`, a bad
+    value a :class:`ValueError`.
+    """
+    if mode is None:
+        mode = "multi" if workload_kind == "multi" else "single"
+    if mode not in ("single", "multi"):
+        raise ValueError(f"mode must be 'single' or 'multi': {mode!r}")
+    if receiver_policy not in ("counter", "round-robin", "random"):
+        raise ValueError(f"unknown receiver_policy: {receiver_policy!r}")
+    if spilling is None:
+        spilling = mode == "multi"
+    return LeastTLBOptions(mode, race_ptw, remote_probes, spilling, receiver_policy)
+
 
 
 def select_spill_receiver(

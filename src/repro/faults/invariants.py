@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.event_queue import SimulationError
+from repro.structures.tlb import pack_key, unpack_key, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import MultiGPUSystem
@@ -142,9 +143,10 @@ class InvariantChecker:
     def _check_eviction_counters(self) -> None:
         iommu = self.system.iommu
         recount = [0] * self.system.config.num_gpus
-        for entry in iommu.tlb.iter_entries():
-            if entry.owner_gpu >= 0:
-                recount[entry.owner_gpu] += 1
+        for _, payload in iommu.tlb.items():
+            owner = unpack_payload(payload)[1]
+            if owner >= 0:
+                recount[owner] += 1
         if recount != iommu.eviction_counters:
             self._fail(
                 "eviction-counters",
@@ -181,13 +183,13 @@ class InvariantChecker:
         iommu_keys = system.iommu.tlb.resident_keys()
         if not iommu_keys:
             return
-        l2_keys: set[tuple[int, int]] = set()
+        l2_keys: set[int] = set()
         for gpu in system.gpus:
             l2_keys |= gpu.l2_tlb.resident_keys()
         overlap = iommu_keys & l2_keys
         # Keys mid-protocol (being re-fetched while the victim is in
         # flight) are expected to transiently duplicate.
-        overlap -= set(system.iommu.pending.keys())
+        overlap -= {pack_key(pid, vpn) for pid, vpn in system.iommu.pending.keys()}
         count = len(overlap)
         if count > self.max_overlap:
             self.max_overlap = count
@@ -200,7 +202,7 @@ class InvariantChecker:
             # margin on both sides.
             tolerance = max(64, len(iommu_keys) // 4)
         if count > tolerance:
-            sample = sorted(overlap)[:8]
+            sample = sorted(map(unpack_key, overlap))[:8]
             self._fail(
                 "least-inclusive-exclusivity",
                 f"{count} translations resident in both the IOMMU TLB and "
@@ -226,7 +228,7 @@ class InvariantChecker:
                     f"gpu{gpu.gpu_id} MSHR holds {len(gpu.mshr)} entries "
                     "after completion",
                     gpu=gpu.gpu_id,
-                    keys=sorted(gpu.mshr),
+                    keys=sorted(map(unpack_key, gpu.mshr)),
                 )
             for cu in gpu.cus:
                 if cu.outstanding:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.structures.tlb import pack_key
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.spans import RequestTrace
 
@@ -33,3 +35,8 @@ class ATSRequest:
     def key(self) -> tuple[int, int]:
         """The ``(pid, vpn)`` translation key this request asks for."""
         return (self.pid, self.vpn)
+
+    @property
+    def tlb_key(self) -> int:
+        """The same key packed as a TLB entry key."""
+        return pack_key(self.pid, self.vpn)

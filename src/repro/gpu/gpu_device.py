@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from repro.config.system import SystemConfig
 from repro.gpu.ats import ATSRequest
 from repro.gpu.compute_unit import ComputeUnit
-from repro.structures.tlb import SetAssociativeTLB, TLBEntry
+from repro.structures.tlb import SetAssociativeTLB, pack_key, pack_payload, unpack_key
 from repro.workloads.trace import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,19 +29,14 @@ class GPUDevice:
         self.gpu_id = gpu_id
         self.config = config
         self.system = system
-        self.l2_tlb = SetAssociativeTLB(
-            num_entries=config.gpu.l2_tlb.num_entries,
-            associativity=config.gpu.l2_tlb.associativity,
-            replacement=config.gpu.l2_tlb.replacement,
-            name=f"gpu{gpu_id}-l2",
-            seed=config.seed + gpu_id,
-        )
+        l2 = config.gpu.l2_tlb
+        self.l2_tlb = SetAssociativeTLB(l2.num_entries, l2.associativity)
         self.l1_tlbs: dict[int, SetAssociativeTLB] = {}
         self.cus: list[ComputeUnit] = []
-        # MSHR: translation key -> (CU, measured, trace) waiters for the
-        # in-flight fill.  The trace slot is None unless the request was
+        # MSHR: TLB key -> (CU, measured, trace) waiters for the in-flight
+        # fill.  The trace slot is None unless the request was
         # telemetry-sampled.
-        self.mshr: dict[tuple[int, int], list] = {}
+        self.mshr: dict[int, list] = {}
         self._l1_config = config.gpu.l1_tlb
         self._l2_latency = config.gpu.l2_tlb.lookup_latency
         self._l1_latency = config.gpu.l1_tlb.lookup_latency
@@ -54,19 +49,11 @@ class GPUDevice:
     # -- construction -------------------------------------------------------
 
     def add_placement(self, placement: Placement, *, rerun: bool) -> None:
-        """Attach one application's CU streams to this GPU."""
+        """Attach one application's CU streams to this GPU (the workload's
+        placements are checked by :meth:`Workload.check_placements`)."""
+        l1 = self._l1_config
         for cu_id, stream in zip(placement.cu_ids, placement.streams):
-            if cu_id in self.l1_tlbs:
-                raise ValueError(
-                    f"CU {cu_id} on GPU {self.gpu_id} assigned twice"
-                )
-            self.l1_tlbs[cu_id] = SetAssociativeTLB(
-                num_entries=self._l1_config.num_entries,
-                associativity=self._l1_config.associativity,
-                replacement=self._l1_config.replacement,
-                name=f"gpu{self.gpu_id}-cu{cu_id}-l1",
-                seed=self.config.seed + cu_id,
-            )
+            self.l1_tlbs[cu_id] = SetAssociativeTLB(l1.num_entries, l1.associativity)
             self.cus.append(
                 ComputeUnit(
                     gpu_id=self.gpu_id,
@@ -106,13 +93,14 @@ class GPUDevice:
         repeats = cu.current_repeats()
         stats = self.system.stats_for(pid) if measured else None
 
-        entry = self.l1_tlbs[cu.cu_id].lookup(pid, vpn)
+        key = pack_key(pid, vpn)
+        hit = self.l1_tlbs[cu.cu_id].lookup(key) is not None
         if stats is not None:
             if pid not in self.system.measure_start:
                 self.system.note_measure_start(pid)
             stats.inc("runs")
             stats.inc("accesses", repeats)
-            if entry is not None:
+            if hit:
                 # The whole burst hits the just-touched L1 entry.
                 stats.inc("l1_hit", repeats)
             else:
@@ -127,7 +115,7 @@ class GPUDevice:
         if hub is not None and measured:
             trace = hub.maybe_sample(self.gpu_id, cu.cu_id, pid, vpn, now)
 
-        if entry is not None:
+        if hit:
             if hub is not None and measured:
                 hub.record_latency("l1_hit", self._l1_latency)
             if trace is not None:
@@ -143,7 +131,7 @@ class GPUDevice:
             cu.outstanding += 1
             queue.schedule_after(
                 self._l1_latency + self._l2_latency,
-                self._l2_lookup, cu, pid, vpn, measured, trace,
+                self._l2_lookup, cu, key, measured, trace,
             )
 
         if cu.advance():
@@ -154,21 +142,22 @@ class GPUDevice:
                 cu.waiting_for_slot = True
 
     def _l2_lookup(
-        self, cu: ComputeUnit, pid: int, vpn: int, measured: bool, trace=None
+        self, cu: ComputeUnit, key: int, measured: bool, trace=None
     ) -> None:
+        pid = cu.pid
         stats = self.system.stats_for(pid) if measured else None
         hub = self.system.telemetry
         now = self.system.queue.now
-        entry = self.l2_tlb.lookup(pid, vpn)
+        payload = self.l2_tlb.lookup(key)
         faults = self.system.faults
-        if entry is not None and faults is not None and faults.tlb_parity():
+        if payload is not None and faults is not None and faults.tlb_parity():
             # Parity-error model at the L2: the entry is dropped and the
             # access degrades to a miss.  The tracker keeps a now-stale
             # fingerprint — exactly the false-positive noise the tracker
             # is designed to absorb.
-            self.l2_tlb.remove(pid, vpn)
-            entry = None
-        if entry is not None:
+            self.l2_tlb.remove(key)
+            payload = None
+        if payload is not None:
             if stats is not None:
                 stats.inc("l2_hit")
             if hub is not None and measured:
@@ -178,7 +167,7 @@ class GPUDevice:
                                    outcome="hit")
                 trace.close_root(now, outcome="l2_hit")
                 hub.complete(trace)
-            self._fill_l1(cu, entry)
+            self.l1_tlbs[cu.cu_id].insert(key, payload)
             self._translation_done(cu, measured)
             return
         if stats is not None:
@@ -186,7 +175,6 @@ class GPUDevice:
         if trace is not None:
             trace.add_complete("l2_lookup", now - self._l2_latency, now,
                                outcome="miss")
-        key = (pid, vpn)
         waiters = self.mshr.get(key)
         if waiters is not None:
             waiters.append((cu, measured, trace))
@@ -196,6 +184,7 @@ class GPUDevice:
                 trace.begin("mshr_wait", now)
             return
         self.mshr[key] = [(cu, measured, trace)]
+        vpn = unpack_key(key)[1]
         request = ATSRequest(
             gpu_id=self.gpu_id,
             pid=pid,
@@ -235,26 +224,22 @@ class GPUDevice:
 
     # -- fill / completion path ----------------------------------------------
 
-    def _fill_l1(self, cu: ComputeUnit, entry: TLBEntry) -> None:
-        self.l1_tlbs[cu.cu_id].insert(
-            TLBEntry(entry.pid, entry.vpn, entry.ppn)
-        )
-
     def receive_fill(self, pid: int, vpn: int, ppn: int, spill_budget: int) -> None:
         """A translation response arrived (from the IOMMU TLB, a remote L2,
-        or a page walk).  Fill L2 per policy, then wake every MSHR waiter."""
-        key = (pid, vpn)
+        or a page walk).  Fill L2 per policy, then wake every MSHR waiter;
+        the L1s take the L2's entry."""
+        key = pack_key(pid, vpn)
         if self.local_tables is not None:
             # Install the mapping in the device-memory page table so future
             # misses resolve locally (Figure 23 variant).
             self.local_tables.table_for(pid).map(vpn, ppn)
-        entry = TLBEntry(pid, vpn, ppn, spill_budget=spill_budget, owner_gpu=self.gpu_id)
-        self._insert_l2(entry)
+        payload = pack_payload(ppn, self.gpu_id, spill_budget)
+        self._insert_l2(key, payload)
         waiters = self.mshr.pop(key, [])
         hub = self.system.telemetry
         now = self.system.queue.now
         for cu, measured, trace in waiters:
-            self._fill_l1(cu, entry)
+            self.l1_tlbs[cu.cu_id].insert(key, payload)
             if measured:
                 stats = self.system.stats_for(pid)
                 stats.inc("translations_filled")
@@ -264,23 +249,23 @@ class GPUDevice:
                 hub.complete(trace)
             self._translation_done(cu, measured)
 
-    def receive_spill(self, entry: TLBEntry) -> None:
+    def receive_spill(self, key: int, payload: int) -> None:
         """An IOMMU TLB victim spilled into this GPU's L2 (multi-app mode).
 
         No CU is waiting: the insertion (and any eviction it causes) is the
         whole effect."""
-        self._insert_l2(entry)
+        self._insert_l2(key, payload)
 
-    def _insert_l2(self, entry: TLBEntry) -> None:
+    def _insert_l2(self, key: int, payload: int) -> None:
         policy = self.system.policy
-        refresh = self.l2_tlb.contains(entry.pid, entry.vpn)
-        victim = self.l2_tlb.insert(entry)
+        refresh = key in self.l2_tlb
+        victim = self.l2_tlb.insert(key, payload)
         if not refresh:
             # Refreshes must not re-register with the tracker: the filter
             # stores one fingerprint per resident translation.
-            policy.on_l2_fill(self, entry)
+            policy.on_l2_fill(self, key, payload)
         if victim is not None:
-            policy.on_l2_eviction(self, victim)
+            policy.on_l2_eviction(self, *victim)
 
     def _translation_done(self, cu: ComputeUnit, measured: bool) -> None:
         cu.outstanding -= 1
@@ -302,28 +287,29 @@ class GPUDevice:
 
     # -- services for policies ------------------------------------------------
 
-    def probe_l2(self, pid: int, vpn: int, *, remove_on_hit: bool) -> TLBEntry | None:
-        """A remote probe against this GPU's L2 TLB.
+    def probe_l2(self, key: int, *, remove_on_hit: bool) -> int | None:
+        """A remote probe against this GPU's L2 TLB: the entry's payload,
+        or ``None``.
 
         Does not perturb the application's own hit/miss statistics.  In
         multi-application mode the hit entry migrates to the requester
         (``remove_on_hit=True``); in single-application mode it stays and is
         refreshed, since shared translations are kept in both L2s."""
-        entry = self.l2_tlb.peek(pid, vpn)
-        if entry is None:
+        payload = self.l2_tlb.peek(key)
+        if payload is None:
             return None
         if remove_on_hit:
-            self.l2_tlb.remove(pid, vpn)
+            self.l2_tlb.remove(key)
         else:
-            self.l2_tlb.touch(pid, vpn)
-        return entry
+            self.l2_tlb.touch(key)
+        return payload
 
-    def invalidate(self, pid: int, vpn: int) -> bool:
+    def invalidate(self, key: int) -> bool:
         """Back-invalidation (strictly-inclusive ablation / TLB shootdown).
         Removes the translation from the L2 and every CU's L1."""
-        found = self.l2_tlb.remove(pid, vpn) is not None
+        found = self.l2_tlb.remove(key) is not None
         for l1 in self.l1_tlbs.values():
-            found = (l1.remove(pid, vpn) is not None) or found
+            found = (l1.remove(key) is not None) or found
         return found
 
     def shootdown(self, pid: int | None = None) -> None:

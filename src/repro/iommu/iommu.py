@@ -1,8 +1,8 @@
 """The CPU-side IOMMU.
 
-Owns the shared IOMMU TLB, the page-walker pool, the PRI fault queue, the
-pending-request table, and — for least-TLB — the per-GPU Eviction Counters
-that drive spill-receiver selection (Section 4.2).
+Owns the shared IOMMU TLB, the page-walker pool, the PRI fault queue and
+the pending-request table.  The TLB keeps the per-GPU Eviction Counters
+that drive least-TLB's spill-receiver selection (Section 4.2).
 
 The IOMMU provides *mechanism*; all *policy* (what to do on hits, misses,
 evictions) is delegated to the active
@@ -22,7 +22,7 @@ from repro.iommu.page_walker import WalkerPool, WalkTicket
 from repro.iommu.pending_table import PendingTable
 from repro.iommu.pri import PRIQueue
 from repro.structures.page_table import WalkResult
-from repro.structures.tlb import InfiniteTLB, SetAssociativeTLB, TLBEntry
+from repro.structures.tlb import SetAssociativeTLB
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import MultiGPUSystem
@@ -34,16 +34,13 @@ class IOMMU:
     def __init__(self, config: SystemConfig, system: "MultiGPUSystem") -> None:
         self.config = config
         self.system = system
-        if config.iommu.infinite_tlb:
-            self.tlb: SetAssociativeTLB = InfiniteTLB(name="iommu-tlb-infinite")
-        else:
-            self.tlb = SetAssociativeTLB(
-                num_entries=config.iommu.tlb.num_entries,
-                associativity=config.iommu.tlb.associativity,
-                replacement=config.iommu.tlb.replacement,
-                name="iommu-tlb",
-                seed=config.seed + 1000,
-            )
+        # Figure 3's infinite IOMMU TLB is the unbounded geometry.
+        tlb = config.iommu.tlb
+        self.tlb = SetAssociativeTLB(
+            None if config.iommu.infinite_tlb else tlb.num_entries,
+            tlb.associativity,
+            owners=config.num_gpus,
+        )
         # Fault injection and hardening are system-owned (None in the
         # default, zero-perturbation configuration).
         injector = system.faults
@@ -65,9 +62,6 @@ class IOMMU:
         )
         self.pending = PendingTable()
         self.stats = CounterSet()
-        # Eviction Counters: how many IOMMU TLB entries each GPU's L2
-        # evictions contributed (Section 4.2, "where to spill").
-        self.eviction_counters = [0] * config.num_gpus
         # Rotating-priority pointer for tie-breaking receiver selection,
         # reproducing the walk-through of Figure 13.
         self._spill_pointer = 0
@@ -85,50 +79,38 @@ class IOMMU:
             self._lookup_latency, self.system.policy.on_iommu_request, request
         )
 
-    # -- TLB access with statistics and counter accounting ----------------------
+    # -- TLB access with statistics -------------------------------------------------
 
-    def lookup(self, request: ATSRequest) -> TLBEntry | None:
-        """IOMMU TLB lookup for ``request``, with per-application stats."""
-        entry = self.tlb.lookup(request.pid, request.vpn)
+    @property
+    def eviction_counters(self) -> list[int]:
+        """How many IOMMU TLB entries each GPU's L2 evictions contributed
+        (Section 4.2, "where to spill"), kept exact by the TLB itself."""
+        return self.tlb.owner_counts
+
+    def lookup(self, request: ATSRequest) -> int | None:
+        """IOMMU TLB lookup for ``request``, with per-application stats:
+        the entry's payload, or ``None``."""
+        key = request.tlb_key
+        payload = self.tlb.lookup(key)
         injector = self.system.faults
-        if entry is not None and injector is not None and injector.tlb_parity():
+        if payload is not None and injector is not None and injector.tlb_parity():
             # Parity-error model: the corrupt entry cannot be trusted;
-            # invalidate it (through remove_tlb, keeping the Eviction
-            # Counters exact) and treat the lookup as a miss.
-            self.remove_tlb(request.key)
+            # invalidate it (the TLB keeps the Eviction Counters exact)
+            # and treat the lookup as a miss.
+            self.tlb.remove(key)
             self.stats.inc("tlb_parity_errors")
-            entry = None
+            payload = None
+        hit = payload is not None
         if request.measured:
             stats = self.system.stats_for(request.pid)
             stats.inc("iommu_lookup")
-            stats.inc("iommu_hit" if entry is not None else "iommu_miss")
-        self.stats.inc("tlb_hit" if entry is not None else "tlb_miss")
+            stats.inc("iommu_hit" if hit else "iommu_miss")
+        self.stats.inc("tlb_hit" if hit else "tlb_miss")
         if request.trace is not None:
             request.trace.end(
-                "iommu_lookup",
-                self.system.queue.now,
-                outcome="hit" if entry is not None else "miss",
+                "iommu_lookup", self.system.queue.now, outcome="hit" if hit else "miss"
             )
-        return entry
-
-    def insert_tlb(self, entry: TLBEntry) -> TLBEntry | None:
-        """Insert with Eviction-Counter bookkeeping; returns the victim."""
-        existing = self.tlb.peek(entry.pid, entry.vpn)
-        if existing is not None and existing.owner_gpu >= 0:
-            self.eviction_counters[existing.owner_gpu] -= 1
-        victim = self.tlb.insert(entry)
-        if entry.owner_gpu >= 0:
-            self.eviction_counters[entry.owner_gpu] += 1
-        if victim is not None and victim.owner_gpu >= 0:
-            self.eviction_counters[victim.owner_gpu] -= 1
-        return victim
-
-    def remove_tlb(self, key: tuple[int, int]) -> TLBEntry | None:
-        """Remove with Eviction-Counter bookkeeping (the victim-TLB move)."""
-        entry = self.tlb.remove(*key)
-        if entry is not None and entry.owner_gpu >= 0:
-            self.eviction_counters[entry.owner_gpu] -= 1
-        return entry
+        return payload
 
     # -- walk / fault services ----------------------------------------------------
 
@@ -244,13 +226,7 @@ class IOMMU:
         the policy reset its tracker state."""
         if pid is None:
             dropped = self.tlb.invalidate_all()
-            self.eviction_counters = [0] * self.config.num_gpus
         else:
             dropped = self.tlb.invalidate_pid(pid)
-            # Rebuild the counters from the surviving entries.
-            self.eviction_counters = [0] * self.config.num_gpus
-            for entry in self.tlb.iter_entries():
-                if entry.owner_gpu >= 0:
-                    self.eviction_counters[entry.owner_gpu] += 1
         self.system.policy.on_iommu_shootdown(pid)
         return dropped

@@ -21,14 +21,21 @@ Concrete policies:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.gpu.ats import ATSRequest
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import pack_payload, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.gpu_device import GPUDevice
     from repro.sim.system import MultiGPUSystem
+
+
+def check_no_options(policy: str, options: Mapping[str, Any]) -> None:
+    """Reject options given to ``policy``, a policy that takes none (both
+    backends raise this same error)."""
+    if options:
+        raise TypeError(f"policy {policy!r} accepts no options, got {sorted(options)}")
 
 
 class TranslationPolicy(ABC):
@@ -41,7 +48,8 @@ class TranslationPolicy(ABC):
     victim-TLB designs).  The invariant checker keys its cross-level
     exclusivity audit off this flag."""
 
-    def __init__(self, system: "MultiGPUSystem") -> None:
+    def __init__(self, system: "MultiGPUSystem", **options: Any) -> None:
+        check_no_options(self.name, options)
         self.system = system
 
     # -- convenience accessors -------------------------------------------------
@@ -79,12 +87,14 @@ class TranslationPolicy(ABC):
             request.trace.add_complete("host_link", now, arrival, outcome="ok")
         self.queue.schedule(arrival, self.iommu.receive, request)
 
-    def on_l2_fill(self, gpu: "GPUDevice", entry: TLBEntry) -> None:
-        """A translation was inserted into ``gpu``'s L2 TLB."""
+    def on_l2_fill(self, gpu: "GPUDevice", key: int, payload: int) -> None:
+        """The entry ``(key, payload)`` was inserted into ``gpu``'s L2 TLB
+        (see :mod:`repro.structures.tlb` for the entry format)."""
 
-    def on_l2_eviction(self, gpu: "GPUDevice", victim: TLBEntry) -> None:
-        """``gpu``'s L2 TLB evicted ``victim``.  Default: drop silently
-        (the mostly-inclusive behaviour — higher levels keep their copy)."""
+    def on_l2_eviction(self, gpu: "GPUDevice", key: int, payload: int) -> None:
+        """``gpu``'s L2 TLB evicted ``(key, payload)``.  Default: drop
+        silently (the mostly-inclusive behaviour — higher levels keep their
+        copy)."""
 
     # -- IOMMU-side hooks ----------------------------------------------------------
 
@@ -92,8 +102,9 @@ class TranslationPolicy(ABC):
     def on_iommu_request(self, request: ATSRequest) -> None:
         """An ATS request finished its IOMMU TLB lookup pipeline stage."""
 
-    def on_iommu_tlb_evicted(self, victim: TLBEntry) -> None:
-        """The IOMMU TLB evicted ``victim``.  Default: drop silently."""
+    def on_iommu_tlb_evicted(self, key: int, payload: int) -> None:
+        """The IOMMU TLB evicted ``(key, payload)``.  Default: drop
+        silently."""
 
     def on_iommu_shootdown(self, pid: int | None) -> None:
         """The IOMMU TLB was shot down; reset any policy-side state."""
@@ -274,9 +285,18 @@ class TranslationPolicy(ABC):
 
     def _fill_levels_after_walk(self, request: ATSRequest, ppn: int) -> None:
         """Which TLB levels a walk result populates.  Default: also the
-        IOMMU TLB (inclusive behaviour); least-inclusive designs override
-        to skip it."""
-        entry = TLBEntry(request.pid, request.vpn, ppn, owner_gpu=request.gpu_id)
-        victim = self.iommu.insert_tlb(entry)
+        IOMMU TLB (inclusive behaviour), owned by the requester with a
+        spill budget of 1; least-inclusive designs override to skip it."""
+        victim = self.iommu.tlb.insert(
+            request.tlb_key, pack_payload(ppn, request.gpu_id, 1)
+        )
         if victim is not None:
-            self.on_iommu_tlb_evicted(victim)
+            self.on_iommu_tlb_evicted(*victim)
+
+    def _victim_arrived(self, gpu_id: int, key: int, payload: int) -> None:
+        """An L2 victim of ``gpu_id`` reached the IOMMU TLB (the victim-TLB
+        designs): it enters owned by the sender."""
+        ppn, _, budget = unpack_payload(payload)
+        victim = self.iommu.tlb.insert(key, pack_payload(ppn, gpu_id, budget))
+        if victim is not None:
+            self.on_iommu_tlb_evicted(*victim)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.gpu.ats import ATSRequest
 from repro.policies.base import TranslationPolicy
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -28,10 +28,10 @@ class ExclusivePolicy(TranslationPolicy):
     least_inclusive = True
 
     def on_iommu_request(self, request: ATSRequest) -> None:
-        entry = self.iommu.lookup(request)
-        if entry is not None:
-            self.iommu.remove_tlb(request.key)
-            self.iommu.respond([request], entry.ppn, source="iommu")
+        payload = self.iommu.lookup(request)
+        if payload is not None:
+            self.iommu.tlb.remove(request.tlb_key)
+            self.iommu.respond([request], unpack_payload(payload)[0], source="iommu")
             return
         if self._attach_or_none(request) is not None:
             return
@@ -43,13 +43,6 @@ class ExclusivePolicy(TranslationPolicy):
         # the requesting GPU (via the respond path), never the IOMMU TLB.
         return
 
-    def on_l2_eviction(self, gpu: "GPUDevice", victim: TLBEntry) -> None:
+    def on_l2_eviction(self, gpu: "GPUDevice", key: int, payload: int) -> None:
         arrival = self.topology.gpu_to_iommu(gpu.gpu_id, self.queue.now)
-        self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, victim)
-
-    def _victim_arrived(self, gpu_id: int, victim: TLBEntry) -> None:
-        victim = victim.copy()
-        victim.owner_gpu = gpu_id
-        evicted = self.iommu.insert_tlb(victim)
-        if evicted is not None:
-            self.on_iommu_tlb_evicted(evicted)
+        self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, key, payload)

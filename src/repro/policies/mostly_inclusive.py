@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.gpu.ats import ATSRequest
 from repro.policies.base import TranslationPolicy
+from repro.structures.tlb import unpack_payload
 
 
 class MostlyInclusivePolicy(TranslationPolicy):
@@ -19,9 +20,9 @@ class MostlyInclusivePolicy(TranslationPolicy):
     name = "baseline"
 
     def on_iommu_request(self, request: ATSRequest) -> None:
-        entry = self.iommu.lookup(request)
-        if entry is not None:
-            self.iommu.respond([request], entry.ppn, source="iommu")
+        payload = self.iommu.lookup(request)
+        if payload is not None:
+            self.iommu.respond([request], unpack_payload(payload)[0], source="iommu")
             return
         if self._attach_or_none(request) is not None:
             return

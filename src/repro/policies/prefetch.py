@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.gpu.ats import ATSRequest
 from repro.policies.mostly_inclusive import MostlyInclusivePolicy
+from repro.structures.tlb import pack_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -48,9 +49,9 @@ class SequentialPrefetchPolicy(MostlyInclusivePolicy):
             self._issue_prefetch(gpu, request, vpn)
 
     def _issue_prefetch(self, gpu: "GPUDevice", demand: ATSRequest, vpn: int) -> None:
-        key = (demand.pid, vpn)
+        key = pack_key(demand.pid, vpn)
         # Skip if already resident locally or already being fetched.
-        if gpu.l2_tlb.contains(demand.pid, vpn) or key in gpu.mshr:
+        if key in gpu.l2_tlb or key in gpu.mshr:
             return
         # Allocate an MSHR with no waiting CU: the fill installs the entry
         # and wakes nobody.

@@ -10,7 +10,6 @@ which is why real systems prefer mostly-inclusive, per the paper.
 from __future__ import annotations
 
 from repro.policies.mostly_inclusive import MostlyInclusivePolicy
-from repro.structures.tlb import TLBEntry
 
 
 class StrictlyInclusivePolicy(MostlyInclusivePolicy):
@@ -18,9 +17,9 @@ class StrictlyInclusivePolicy(MostlyInclusivePolicy):
 
     name = "strictly-inclusive"
 
-    def on_iommu_tlb_evicted(self, victim: TLBEntry) -> None:
+    def on_iommu_tlb_evicted(self, key: int, payload: int) -> None:
         now = self.queue.now
         self.iommu.stats.inc("back_invalidations")
         for gpu in self.gpus:
             arrival = self.topology.iommu_to_gpu(gpu.gpu_id, now)
-            self.queue.schedule(arrival, gpu.invalidate, victim.pid, victim.vpn)
+            self.queue.schedule(arrival, gpu.invalidate, key)

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.gpu.ats import ATSRequest
 from repro.policies.mostly_inclusive import MostlyInclusivePolicy
+from repro.structures.tlb import unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -60,10 +61,8 @@ class TLBProbingPolicy(MostlyInclusivePolicy):
         state.remaining -= 1
         if state.found:
             return
-        entry = self.gpus[neighbor].probe_l2(
-            request.pid, request.vpn, remove_on_hit=False
-        )
-        if entry is not None:
+        payload = self.gpus[neighbor].probe_l2(request.tlb_key, remove_on_hit=False)
+        if payload is not None:
             state.found = True
             self.iommu.stats.inc("ring_probe_hits")
             now = self.queue.now
@@ -79,7 +78,7 @@ class TLBProbingPolicy(MostlyInclusivePolicy):
                 gpu.receive_fill,
                 request.pid,
                 request.vpn,
-                entry.ppn,
+                unpack_payload(payload)[0],
                 self.system.config.spill_budget,
             )
             if request.measured:

@@ -8,8 +8,8 @@ Two backends execute a workload:
 * ``functional`` — :func:`run_functional`, an exact-schedule replay that
   produces **bit-identical** counters, sharing degrees, and latency means
   for statistics-only runs at a fraction of the cost.  Raises
-  :class:`BackendUnsupported` outside its replayable scope (non-LRU
-  replacement, fault injection, telemetry, snapshots, …).
+  :class:`BackendUnsupported` outside its replayable scope (fault
+  injection, telemetry, snapshots, …); such a run needs the event engine.
 
 ``docs/backends.md`` documents the scope and the cross-validation gates
 (`scripts/check_fidelity.py`, the nightly CI fidelity job) that keep the

@@ -13,12 +13,12 @@ same cycles, in the same same-cycle FIFO order — through one flat loop:
 
 * events are plain tuples ``(time, seq, code, args...)`` on one ``heapq``;
   ``code`` is a small int dispatched by an if/elif ladder ordered by
-  frequency (no callback indirection, no ATSRequest/TLBEntry allocation);
-* TLB state lives in plain set lists allocated here: each set is one
-  insertion-ordered dict over packed integer keys ``(pid << VPN_BITS) |
-  vpn`` and payloads whose order *is* the LRU stack (head = least
-  recent), bit-exact against ``SetAssociativeTLB`` with LRU replacement
-  (same set index: mask for power-of-two set counts, modulo otherwise);
+  frequency (no callback indirection, no ATSRequest allocation);
+* every TLB is the event engine's own
+  :class:`~repro.structures.tlb.SetAssociativeTLB` over the same packed
+  keys and payloads; the per-access reads (the L1 probe, the L2 probe)
+  and the L1 fills run inline on its set lists, every other update calls
+  its methods, and the IOMMU TLB keeps the Eviction Counters itself;
 * link serialization is two floats of per-link state updated inline with
   the exact arithmetic of :class:`repro.interconnect.link.Link.send`;
 * the page tables and the Local TLB Tracker are the event engine's own
@@ -40,23 +40,23 @@ guard branches for faults/hardening/telemetry, no attribute chains), not an
 approximation.
 
 Scope: the replay covers the statistics-relevant configuration space —
-``baseline``/``mostly-inclusive``/``least-tlb`` policies, LRU replacement,
-the fifo walker scheduler, no fault injection / hardening / telemetry /
-snapshots / shootdowns.  Anything else raises :class:`BackendUnsupported`
-so callers can fall back to the event engine (see
-:func:`repro.sim.driver.simulate`).
+``baseline``/``mostly-inclusive``/``least-tlb`` policies, the fifo walker
+scheduler, no fault injection / hardening / telemetry / snapshots /
+shootdowns.  Anything else raises :class:`BackendUnsupported`; run such a
+configuration on the event engine (``backend="event"``).
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any
 
 from repro.config.system import SystemConfig
 from repro.core.protocol import (
     choose_probe_target,
+    least_tlb_options,
     probe_removes_entry,
     select_spill_receiver,
     should_reenter_iommu,
@@ -65,21 +65,32 @@ from repro.core.protocol import (
 )
 from repro.core.tracker import LocalTLBTracker
 from repro.engine.watchdog import SimulationStalledError
+from repro.policies.base import check_no_options
 from repro.sim.backends import BackendUnsupported
 from repro.sim.results import AppResult, SimulationResult
 from repro.structures.page_table import PageTableManager
+from repro.structures.tlb import (
+    BUDGET_MASK,
+    FRAME_SHIFT,
+    PID_BITS,
+    PID_MASK,
+    SetAssociativeTLB,
+    pack_payload,
+)
 from repro.workloads.trace import Workload
 
 
-#: Policies the functional backend replays, mapped to "is least-TLB".
-_SUPPORTED_POLICIES = {"baseline": False, "mostly-inclusive": False, "least-tlb": True}
-
-_LEAST_OPTIONS = frozenset(
-    {"mode", "race_ptw", "remote_probes", "spilling", "receiver_policy"}
-)
+#: Policies the functional backend replays, mapped to the name the event
+#: engine's policy class reports.
+_SUPPORTED_POLICIES = {
+    "baseline": "baseline",
+    "mostly-inclusive": "baseline",
+    "least-tlb": "least-tlb",
+}
 
 # Event codes, ordered by typical frequency (the dispatch ladder tests them
-# in this order).  Tuple layouts are documented at each handler.
+# in this order).  Tuple layouts are documented at each handler; ``key``
+# and payloads follow repro.structures.tlb.
 _ISSUE = 0  # (cu)
 _L2_LOOKUP = 1  # (cu, key, vpn, measured)
 _FILL = 2  # (gpu_id, key, vpn, pid, ppn, budget)
@@ -87,8 +98,8 @@ _IOMMU_RECEIVE = 3  # (req)
 _IOMMU_LOOKUP = 4  # (req)
 _WALK_DONE = 5  # (ticket, ppn, faulted)
 _PROBE = 6  # (req, target, pend)
-_VICTIM = 7  # (gpu_id, key, vpn, pid, ppn, budget)
-_SPILL = 8  # (gpu_id, key, vpn, pid, ppn, budget)
+_VICTIM = 7  # (gpu_id, key, payload)
+_SPILL = 8  # (gpu_id, key, vpn, payload)
 _PRI_TIMEOUT = 9  # (generation)
 _PRI_BATCH = 10  # (batch)
 
@@ -96,10 +107,6 @@ _PRI_BATCH = 10  # (batch)
 # peer links at bandwidth 1.0; cycles_per_message = 1 / bandwidth).
 _HOST_CPM = 2.0
 _PEER_CPM = 1.0
-
-#: VPN field width in a packed TLB key; PIDs occupy the bits above.
-VPN_BITS = 48
-_VPN_MASK = (1 << VPN_BITS) - 1
 
 # Walk-ticket states (mirrors repro.iommu.page_walker).
 _QUEUED = 0
@@ -109,8 +116,8 @@ _CANCELLED = 3
 
 
 class _CU:
-    """Replay state of one compute unit (mirror of ComputeUnit plus the
-    inlined L1 TLB and a reference to its GPU's shared state).
+    """Replay state of one compute unit (mirror of ComputeUnit plus its L1
+    TLB's set lists and a reference to its GPU's shared state).
 
     The ``c_*`` fields accumulate this CU's measured counters as plain
     ints; they are folded into the per-PID counter dicts once, after the
@@ -121,7 +128,6 @@ class _CU:
     __slots__ = (
         "gid",
         "pid",
-        "kbase",
         "vpns",
         "gaps",
         "reps",
@@ -151,25 +157,18 @@ class _CU:
     )
 
 
-def _set_mask(num_sets: int) -> int:
-    """The set-index mask of a power-of-two set count, else -1 (modulo)."""
-    return num_sets - 1 if num_sets & (num_sets - 1) == 0 else -1
-
-
 class _GPU:
-    """Per-GPU shared state: the L2 TLB's set list and geometry, and the
-    MSHR table."""
+    """Per-GPU shared state: the L2 TLB (and its set lists, for the inline
+    probe) and the MSHR table."""
 
-    __slots__ = ("gid", "l2_sets", "l2_mask", "l2_nsets", "l2_assoc", "mshr", "cus")
+    __slots__ = ("gid", "l2", "l2_sets", "l2_mask", "l2_nsets", "mshr", "cus")
 
-    def __init__(self, gid: int, num_entries: int, associativity: int) -> None:
+    def __init__(self, gid: int, l2: SetAssociativeTLB) -> None:
         self.gid = gid
-        self.l2_nsets = num_entries // associativity
-        self.l2_sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(self.l2_nsets)
-        ]
-        self.l2_mask = _set_mask(self.l2_nsets)
-        self.l2_assoc = associativity
+        self.l2 = l2
+        self.l2_sets = l2.sets
+        self.l2_mask = l2.index_mask
+        self.l2_nsets = l2.num_sets
         self.mshr: dict[int, list[tuple[_CU, bool]]] = {}
         self.cus: list[_CU] = []
 
@@ -201,45 +200,6 @@ class _Pend:
         self.ticket: list | None = None
 
 
-def _resolve_policy(
-    workload: Workload, policy: str, policy_options: dict[str, Any]
-) -> tuple[bool, str, bool, bool, bool, str]:
-    """Validate the policy selection and resolve least-TLB options exactly
-    as :class:`repro.core.least_tlb.LeastTLBPolicy` would."""
-    name = policy.lower()
-    if name not in _SUPPORTED_POLICIES:
-        raise BackendUnsupported(
-            f"functional backend does not support policy {policy!r} "
-            "(supported: baseline, mostly-inclusive, least-tlb)"
-        )
-    is_least = _SUPPORTED_POLICIES[name]
-    if not is_least:
-        if policy_options:
-            raise BackendUnsupported(
-                f"policy {policy!r} accepts no options, got {sorted(policy_options)}"
-            )
-        return False, "single", True, True, False, "counter"
-    unknown = set(policy_options) - _LEAST_OPTIONS
-    if unknown:
-        raise BackendUnsupported(
-            f"unsupported least-tlb options for the functional backend: "
-            f"{sorted(unknown)}"
-        )
-    mode = policy_options.get("mode")
-    if mode is None:
-        mode = "multi" if workload.kind == "multi" else "single"
-    if mode not in ("single", "multi"):
-        raise ValueError(f"mode must be 'single' or 'multi': {mode!r}")
-    receiver_policy = policy_options.get("receiver_policy", "counter")
-    if receiver_policy not in ("counter", "round-robin", "random"):
-        raise ValueError(f"unknown receiver_policy: {receiver_policy!r}")
-    race_ptw = bool(policy_options.get("race_ptw", True))
-    remote_probes = bool(policy_options.get("remote_probes", True))
-    spilling = policy_options.get("spilling")
-    spilling = (mode == "multi") if spilling is None else bool(spilling)
-    return True, mode, race_ptw, remote_probes, spilling, receiver_policy
-
-
 def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
     """Reject every configuration whose observables depend on machinery the
     functional backend does not replay."""
@@ -252,16 +212,6 @@ def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
             "functional backend supports only the fifo walker scheduler, "
             f"not {config.iommu.walker_scheduler!r}"
         )
-    for label, tlb in (
-        ("gpu.l1_tlb", config.gpu.l1_tlb),
-        ("gpu.l2_tlb", config.gpu.l2_tlb),
-        ("iommu.tlb", config.iommu.tlb),
-    ):
-        if tlb.replacement != "lru":
-            raise BackendUnsupported(
-                f"functional backend supports only LRU replacement; "
-                f"{label} uses {tlb.replacement!r}"
-            )
     defaults: dict[str, Any] = {
         "snapshot_interval": 0,
         "shootdown_interval": 0,
@@ -287,21 +237,6 @@ def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
             )
 
 
-def _check_vpn_width(workload: Workload) -> None:
-    """Reject a workload whose VPNs do not fit the packed key's VPN field:
-    such keys would alias another page's (the event engine keys by tuple)."""
-    for placement in workload.placements:
-        for stream in placement.streams:
-            vpns = stream.vpns
-            if len(vpns) and vpns.max() > _VPN_MASK:
-                wide = int(vpns[vpns > _VPN_MASK][0])
-                raise BackendUnsupported(
-                    f"functional backend packs VPNs into {VPN_BITS} bits; "
-                    f"VPN {wide:#x} (GPU {placement.gpu_id}) does not fit, "
-                    "use the event backend"
-                )
-
-
 def run_functional(
     config: SystemConfig,
     workload: Workload,
@@ -318,33 +253,40 @@ def run_functional(
     :class:`SimulationResult` bit-identical to the event engine's.
 
     Raises :class:`BackendUnsupported` for configurations outside the
-    replayable scope (non-LRU replacement, faults, telemetry, …).
+    replayable scope (faults, telemetry, …), and the event engine's own
+    errors for a bad policy option or placement.
     """
-    is_least, mode, race_ptw, remote_probes, spilling, receiver_policy = (
-        _resolve_policy(workload, policy, policy_options or {})
-    )
+    policy_name = _SUPPORTED_POLICIES.get(policy.lower())
+    if policy_name is None:
+        raise BackendUnsupported(
+            f"functional backend does not support policy {policy!r} "
+            "(supported: baseline, mostly-inclusive, least-tlb)"
+        )
+    policy_options = policy_options or {}
+    is_least = policy_name == "least-tlb"
+    if is_least:
+        mode, race_ptw, remote_probes, spilling, receiver_policy = (
+            least_tlb_options(workload.kind, **policy_options)
+        )
+    else:
+        check_no_options(policy_name, policy_options)
+        mode, race_ptw, remote_probes, spilling, receiver_policy = (
+            "single", True, True, False, "counter"
+        )
     _check_supported(config, **system_kwargs)
-    _check_vpn_width(workload)
+    workload.check_placements(config.num_gpus)
 
     # -- construction (mirrors MultiGPUSystem.__init__ order) ---------------
-    if not workload.placements:
-        raise ValueError("workload has no placements")
     num_gpus = config.num_gpus
-    for placement in workload.placements:
-        if placement.gpu_id >= num_gpus:
-            raise ValueError(
-                f"placement targets GPU {placement.gpu_id} but the system "
-                f"has {num_gpus} GPUs"
-            )
-
     page_tables = PageTableManager(levels=config.page_table_levels)
     l1_cfg = config.gpu.l1_tlb
     l2_cfg = config.gpu.l2_tlb
     l1_assoc = l1_cfg.associativity
-    l1_nsets = l1_cfg.num_entries // l1_assoc
-    l1_mask = _set_mask(l1_nsets)
 
-    gpus = [_GPU(g, l2_cfg.num_entries, l2_cfg.associativity) for g in range(num_gpus)]
+    gpus = [
+        _GPU(g, SetAssociativeTLB(l2_cfg.num_entries, l2_cfg.associativity))
+        for g in range(num_gpus)
+    ]
 
     pcs: dict[int, dict[str, int]] = {pid: {} for pid in workload.pids}
     lat_count: dict[int, int] = {pid: 0 for pid in workload.pids}
@@ -353,19 +295,12 @@ def run_functional(
     measure_start: dict[int, int] = {}
 
     rerun = workload.kind == "multi"
-    assigned_cus: list[set[int]] = [set() for _ in range(num_gpus)]
     for placement in workload.placements:
         gpu = gpus[placement.gpu_id]
-        for cu_id, stream in zip(placement.cu_ids, placement.streams):
-            if cu_id in assigned_cus[placement.gpu_id]:
-                raise ValueError(
-                    f"CU {cu_id} on GPU {placement.gpu_id} assigned twice"
-                )
-            assigned_cus[placement.gpu_id].add(cu_id)
+        for stream in placement.streams:
             cu = _CU()
             cu.gid = placement.gpu_id
             cu.pid = placement.pid
-            cu.kbase = placement.pid << VPN_BITS
             cu.vpns = stream.vpns.tolist()
             cu.gaps = stream.gaps.tolist()
             cu.reps = stream.repeats.tolist()
@@ -381,14 +316,11 @@ def run_functional(
             cu.measured_remaining = stream.measured_runs
             cu.c_runs = cu.c_acc = cu.c_l1h = cu.c_l1m = 0
             cu.c_l2h = cu.c_l2m = cu.c_merge = cu.c_filled = 0
-            if l1_nsets == 1:
-                cu.l1_only = OrderedDict()
-                cu.l1_sets = None
-            else:
-                cu.l1_only = None
-                cu.l1_sets = [OrderedDict() for _ in range(l1_nsets)]
-            cu.l1_mask = l1_mask
-            cu.l1_nsets = l1_nsets
+            l1 = SetAssociativeTLB(l1_cfg.num_entries, l1_assoc)
+            cu.l1_only = l1.only_set
+            cu.l1_sets = l1.sets
+            cu.l1_mask = l1.index_mask
+            cu.l1_nsets = l1.num_sets
             cu.gpu = gpu
             gpu.cus.append(cu)
 
@@ -398,8 +330,6 @@ def run_functional(
             if cu.measured_remaining:
                 remaining[cu.pid] = remaining.get(cu.pid, 0) + 1
     pids_pending = set(remaining)
-    if not pids_pending:
-        raise ValueError("workload contains no runnable CU streams")
 
     if prefault:
         for pid, vpns in workload.footprints.items():
@@ -437,22 +367,15 @@ def run_functional(
     probe_free = [0.0] * num_gpus  # iommu ~> gpu (peer, bw 1.0)
     peer_free = [[0.0] * num_gpus for _ in range(num_gpus)]
 
-    # IOMMU TLB: one unbounded dict (Figure 3's infinite TLB: lookups do
-    # not touch recency, inserts never evict) or a set list like L2's.
-    io_inf = config.iommu.infinite_tlb
-    io_store: dict[int, int] | None
-    if io_inf:
-        io_store = {}
-        io_sets = None
-        io_mask = -1
-        io_nsets = 1
-        io_assoc = 0
-    else:
-        io_store = None
-        io_assoc = config.iommu.tlb.associativity
-        io_nsets = config.iommu.tlb.num_entries // io_assoc
-        io_sets = [OrderedDict() for _ in range(io_nsets)]
-        io_mask = _set_mask(io_nsets)
+    # The IOMMU TLB, built as IOMMU.__init__ builds it; it keeps the
+    # Eviction Counters (``ec``) through every insert and remove.
+    io_cfg = config.iommu.tlb
+    io_tlb = SetAssociativeTLB(
+        None if config.iommu.infinite_tlb else io_cfg.num_entries,
+        io_cfg.associativity,
+        owners=num_gpus,
+    )
+    ec = io_tlb.owner_counts
 
     ist: dict[str, int] = {}  # IOMMU CounterSet mirror
     ws: dict[str, int] = {}  # walker CounterSet mirror
@@ -462,7 +385,6 @@ def run_functional(
     ist_requests = 0
     ist_hit = 0
     ist_miss = 0
-    ec = [0] * num_gpus  # eviction counters
     spill_ptr = 0
     probe_rotor = 0
     recv_rotor = 0
@@ -490,46 +412,6 @@ def run_functional(
     # (``heap``, ``now``, ``seq``, the counter dicts) plain fast locals of
     # ``run_functional`` instead of cell variables shared with closures.
 
-    def insert_iommu_tlb(
-        key,
-        vpn,
-        value,
-        _inf=io_inf,
-        _store=io_store,
-        _sets=io_sets,
-        _mask=io_mask,
-        _nsets=io_nsets,
-        _assoc=io_assoc,
-        _ec=ec,
-    ):
-        """IOMMU.insert_tlb: insert with Eviction-Counter bookkeeping."""
-        victim = None
-        if _inf:
-            existing = _store.get(key)
-            _store[key] = value
-        else:
-            s = _sets[vpn & _mask if _mask >= 0 else vpn % _nsets]
-            existing = s.get(key)
-            if existing is not None:
-                s[key] = value
-                s.move_to_end(key)
-            else:
-                if len(s) >= _assoc:
-                    victim = s.popitem(last=False)
-                s[key] = value
-        if existing is not None:
-            owner = ((existing >> 8) & 0xFF) - 1
-            if owner >= 0:
-                _ec[owner] -= 1
-        owner = ((value >> 8) & 0xFF) - 1
-        if owner >= 0:
-            _ec[owner] += 1
-        if victim is not None:
-            owner = ((victim[1] >> 8) & 0xFF) - 1
-            if owner >= 0:
-                _ec[owner] -= 1
-        return victim
-
     def spill_iommu_victim(
         vkey,
         vval,
@@ -548,7 +430,7 @@ def run_functional(
     ):
         """LeastTLBPolicy.on_iommu_tlb_evicted."""
         nonlocal spill_ptr, recv_rotor
-        budget = vval & 0xFF
+        budget = vval & BUDGET_MASK
         if not should_spill_victim(_spilling, budget):
             return seq
         if _rpolicy == "counter":
@@ -573,10 +455,8 @@ def run_functional(
                 _SPILL,
                 receiver,
                 vkey,
-                vkey & _VPN_MASK,
-                vkey >> VPN_BITS,
-                vval >> 16,
-                budget - 1,
+                vkey >> PID_BITS,
+                pack_payload(vval >> FRAME_SHIFT, receiver, budget - 1),
             ),
         )
         return seq + 1
@@ -599,21 +479,17 @@ def run_functional(
     ):
         """GPUDevice._insert_l2 with the policy's fill/eviction hooks."""
         mask = gpu.l2_mask
-        s = gpu.l2_sets[vpn & mask if mask >= 0 else vpn % gpu.l2_nsets]
-        if key in s:
-            # Duplicate fill: refresh the payload in place, no tracker churn.
-            s[key] = value
-            s.move_to_end(key)
+        refresh = key in gpu.l2_sets[vpn & mask if mask >= 0 else vpn % gpu.l2_nsets]
+        victim = gpu.l2.insert(key, value)
+        if refresh:
+            # Duplicate fill: the payload was refreshed, no tracker churn.
             return seq
-        victim = s.popitem(last=False) if len(s) >= gpu.l2_assoc else None
-        s[key] = value
         if _least:
-            _tracker.register(gpu.gid, key >> VPN_BITS, vpn)
+            _tracker.register(gpu.gid, key & PID_MASK, vpn)
             if victim is not None:
                 vkey, vval = victim
-                _tracker.unregister(gpu.gid, vkey >> VPN_BITS, vkey & _VPN_MASK)
-                budget = vval & 0xFF
-                if not should_reenter_iommu(_spilling, budget):
+                _tracker.unregister(gpu.gid, vkey & PID_MASK, vkey >> PID_BITS)
+                if not should_reenter_iommu(_spilling, vval & BUDGET_MASK):
                     _ist["spilled_discarded"] = _ist.get("spilled_discarded", 0) + 1
                 else:
                     g = gpu.gid
@@ -629,10 +505,7 @@ def run_functional(
                             _VICTIM,
                             g,
                             vkey,
-                            vkey & _VPN_MASK,
-                            vkey >> VPN_BITS,
-                            vval >> 16,
-                            budget,
+                            vval,
                         ),
                     )
                     seq += 1
@@ -741,7 +614,7 @@ def run_functional(
         seq,
         _ist=ist,
         _least=is_least,
-        _ins=insert_iommu_tlb,
+        _ins=io_tlb.insert,
         _resp=respond,
         _rm=maybe_remove,
     ):
@@ -753,9 +626,8 @@ def run_functional(
             p.ppn = ppn
             if not _least:
                 # Mostly-inclusive: the walk result also fills the IOMMU
-                # TLB (TLBEntry defaults: spill_budget=1, owner=requester).
-                value = (ppn << 16) | ((req[0] + 1) << 8) | 1
-                _ins(req[3], req[2], value)
+                # TLB, owned by the requester with a spill budget of 1.
+                _ins(req[3], pack_payload(ppn, req[0], 1))
                 # Baseline on_iommu_tlb_evicted is a no-op for the victim.
             seq = _resp(p.waiters, ppn, "served_walk", "responses_walk", now, seq)
             p.waiters = []
@@ -805,6 +677,8 @@ def run_functional(
     cap = float("inf") if max_events is None else max_events
     pop = heappop
     push = heappush
+    pid_bits = PID_BITS
+    frame_shift = FRAME_SHIFT
 
     while heap:
         head = heap[0]
@@ -835,13 +709,12 @@ def run_functional(
             nruns = cu.nruns
             warmup = cu.warmup
             slots = cu.slots
-            kbase = cu.kbase
             m_runs = m_acc = m_hit = m_miss = 0
             while True:
                 i = cu.index
                 vpn = vpns[i]
                 measured = cu.round == 0 and i >= warmup
-                key = kbase | vpn
+                key = (vpn << pid_bits) | pid
                 s = cu.l1_only
                 if s is None:
                     m = cu.l1_mask
@@ -931,12 +804,12 @@ def run_functional(
                     m = cu.l1_mask
                     s = cu.l1_sets[vpn & m if m >= 0 else vpn % cu.l1_nsets]
                 if key in s:
-                    s[key] = value >> 16
+                    s[key] = value
                     s.move_to_end(key)
                 else:
                     if len(s) >= l1_assoc:
                         s.popitem(last=False)
-                    s[key] = value >> 16
+                    s[key] = value
                 cu.outstanding -= 1
                 if measured:
                     cu.measured_remaining -= 1
@@ -980,9 +853,9 @@ def run_functional(
             g = ev[3]
             key = ev[4]
             vpn = ev[5]
-            ppn = ev[7]
             gpu = gpus[g]
-            seq = insert_l2(gpu, key, vpn, (ppn << 16) | ((g + 1) << 8) | ev[8], now, seq)
+            value = pack_payload(ev[7], g, ev[8])
+            seq = insert_l2(gpu, key, vpn, value, now, seq)
             waiters = gpu.mshr.pop(key, None)
             if waiters:
                 pid = ev[6]
@@ -993,12 +866,12 @@ def run_functional(
                         m = cu.l1_mask
                         s = cu.l1_sets[vpn & m if m >= 0 else vpn % cu.l1_nsets]
                     if key in s:
-                        s[key] = ppn
+                        s[key] = value
                         s.move_to_end(key)
                     else:
                         if len(s) >= l1_assoc:
                             s.popitem(last=False)
-                        s[key] = ppn
+                        s[key] = value
                     cu.outstanding -= 1
                     if measured:
                         cu.c_filled += 1
@@ -1029,15 +902,7 @@ def run_functional(
         elif code == 4:  # _IOMMU_LOOKUP: (req) — policy.on_iommu_request
             req = ev[3]
             key = req[3]
-            vpn = req[2]
-            if io_inf:
-                io_s = io_store
-                value = io_s.get(key)
-            else:
-                io_s = io_sets[vpn & io_mask if io_mask >= 0 else vpn % io_nsets]
-                value = io_s.get(key)
-                if value is not None:
-                    io_s.move_to_end(key)
+            value = io_tlb.lookup(key)
             if req[5]:
                 pc = pcs[req[1]]
                 pc["iommu_lookup"] = pc.get("iommu_lookup", 0) + 1
@@ -1049,13 +914,10 @@ def run_functional(
                 ist_hit += 1
                 if is_least:
                     # Victim-TLB move: the entry migrates to the requester.
-                    removed = io_s.pop(key, None)
-                    if removed is not None:
-                        owner = ((removed >> 8) & 0xFF) - 1
-                        if owner >= 0:
-                            ec[owner] -= 1
+                    io_tlb.remove(key)
                 seq = respond(
-                    [req], value >> 16, "served_iommu", "responses_iommu", now, seq
+                    [req], value >> frame_shift, "served_iommu", "responses_iommu",
+                    now, seq,
                 )
                 continue
             ist_miss += 1
@@ -1074,6 +936,7 @@ def run_functional(
                 seq = start_walk(req, p, now, seq)
                 continue
             rg = req[0]
+            vpn = req[2]
             targets = [t for t in tracker.query(req[1], vpn) if t != rg]
             probing = bool(targets) and remote_probes
             if probing:
@@ -1137,7 +1000,7 @@ def run_functional(
                     ist["remote_wasted"] = ist.get("remote_wasted", 0) + 1
                 else:
                     p.served = True
-                    ppn = value >> 16
+                    ppn = value >> frame_shift
                     p.ppn = ppn
                     # policy._respond_from_remote over the peer fabric.
                     f = float(now)
@@ -1185,23 +1048,17 @@ def run_functional(
                     seq = start_walk(req, p, now, seq)
             maybe_remove(p)
 
-        elif code == 7:  # _VICTIM: (gpu_id, key, vpn, pid, ppn, budget)
+        elif code == 7:  # _VICTIM: (gpu_id, key, payload)
             # policy._victim_arrived: the L2 victim re-enters the IOMMU TLB
-            # with the sender recorded as its owner.
-            g = ev[3]
-            key = ev[4]
-            victim = insert_iommu_tlb(
-                key, ev[5], (ev[7] << 16) | ((g + 1) << 8) | ev[8]
-            )
+            # with the sender recorded as its owner — already the owner of
+            # every payload in that sender's L2.
+            victim = io_tlb.insert(ev[4], ev[5])
             if victim is not None:
                 seq = spill_iommu_victim(victim[0], victim[1], now, seq)
 
-        elif code == 8:  # _SPILL: (gpu_id, key, vpn, pid, ppn, budget)
+        elif code == 8:  # _SPILL: (gpu_id, key, vpn, payload)
             # GPUDevice.receive_spill: insert only, no MSHR waiters.
-            g = ev[3]
-            seq = insert_l2(
-                gpus[g], ev[4], ev[5], (ev[7] << 16) | ((g + 1) << 8) | ev[8], now, seq
-            )
+            seq = insert_l2(gpus[ev[3]], ev[4], ev[5], ev[6], now, seq)
 
         elif code == 9:  # _PRI_TIMEOUT: (generation)
             if ev[3] == pri_gen and pri_pending:
@@ -1301,7 +1158,7 @@ def run_functional(
     return SimulationResult(
         workload_name=workload.name,
         workload_kind=workload.kind,
-        policy_name="least-tlb" if is_least else "baseline",
+        policy_name=policy_name,
         total_cycles=now,
         apps=apps,
         iommu_counters=ist,

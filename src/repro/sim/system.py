@@ -35,6 +35,7 @@ from repro.interconnect.topology import Topology
 from repro.policies import make_policy
 from repro.sim.results import AppResult, SimulationResult, Snapshot
 from repro.structures.page_table import PageTableManager
+from repro.structures.tlb import unpack_key
 from repro.telemetry import TelemetryConfig, TelemetryHub, capture_tlb_snapshot
 from repro.workloads.trace import Workload
 
@@ -59,14 +60,7 @@ class MultiGPUSystem:
         watchdog: bool | None = None,
         telemetry: TelemetryConfig | None = None,
     ) -> None:
-        if not workload.placements:
-            raise ValueError("workload has no placements")
-        for placement in workload.placements:
-            if placement.gpu_id >= config.num_gpus:
-                raise ValueError(
-                    f"placement targets GPU {placement.gpu_id} but the system "
-                    f"has {config.num_gpus} GPUs"
-                )
+        workload.check_placements(config.num_gpus)
         self.config = config
         self.workload = workload
         self.queue = EventQueue()
@@ -123,8 +117,6 @@ class MultiGPUSystem:
                 if cu.stream.measured_runs:
                     self._remaining_cus[cu.pid] += 1
         self._pids_pending = set(self._remaining_cus)
-        if not self._pids_pending:
-            raise ValueError("workload contains no runnable CU streams")
 
         if prefault:
             for pid, vpns in workload.footprints.items():
@@ -277,7 +269,7 @@ class MultiGPUSystem:
         for gpu in self.gpus:
             gpus[f"gpu{gpu.gpu_id}"] = {
                 "mshr_entries": len(gpu.mshr),
-                "mshr_keys": sorted(gpu.mshr)[:8],
+                "mshr_keys": sorted(map(unpack_key, gpu.mshr))[:8],
                 "cu_outstanding": sum(cu.outstanding for cu in gpu.cus),
             }
         return {

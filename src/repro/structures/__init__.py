@@ -3,20 +3,7 @@
 from repro.structures.bloom_filter import CountingBloomFilter
 from repro.structures.cuckoo_filter import CuckooFilter
 from repro.structures.page_table import PageTable, PageTableManager, WalkResult
-from repro.structures.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
-from repro.structures.tlb import (
-    InfiniteTLB,
-    SetAssociativeTLB,
-    TLBEntry,
-    TLBStats,
-    TranslationKey,
-)
+from repro.structures.tlb import SetAssociativeTLB, pack_key, pack_payload
 
 __all__ = [
     "CountingBloomFilter",
@@ -24,14 +11,7 @@ __all__ = [
     "PageTable",
     "PageTableManager",
     "WalkResult",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
-    "InfiniteTLB",
     "SetAssociativeTLB",
-    "TLBEntry",
-    "TLBStats",
-    "TranslationKey",
+    "pack_key",
+    "pack_payload",
 ]

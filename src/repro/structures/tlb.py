@@ -1,344 +1,261 @@
-"""Set-associative TLB models.
+"""The TLB of both simulation backends, and its entry format.
 
-Every TLB in the hierarchy (per-CU L1, per-GPU L2, shared IOMMU TLB) is an
-instance of :class:`SetAssociativeTLB`.  Entries are tagged with a
-``(pid, vpn)`` pair so the shared IOMMU TLB can hold translations from
-several concurrently running applications, exactly as in the paper's
-multi-application experiments.
+Every TLB in the hierarchy — the per-CU L1s, the per-GPU L2s and the
+shared IOMMU TLB — is a :class:`SetAssociativeTLB`, in the event engine
+and in the functional replay alike.  An entry is two ints:
 
-The structures are purely functional state containers: they know nothing
-about latencies or the protocol that manages them.  Timing and policy live
-in :mod:`repro.gpu`, :mod:`repro.iommu` and :mod:`repro.policies`.
+* a **key** packing the translation's ``(pid, vpn)`` tag, with the pid in
+  the low :data:`PID_BITS` bits, so a VPN of any width keys its own entry
+  (:func:`pack_key`);
+* a **payload** packing the frame number, the owner GPU and the spill
+  budget (:func:`pack_payload`).
+
+The spill budget is the paper's per-entry spill bit generalised to a
+counter (Section 4.2): it starts at ``N`` (1 in the paper), an IOMMU TLB
+victim spilled into a GPU's L2 loses one, and an L2 victim with none left
+is discarded instead of re-entering the IOMMU TLB, which bounds the
+ping-pong "chain effect".  The owner is the GPU whose L2 holds the entry
+or, in the IOMMU TLB, whose L2 eviction inserted it; the per-GPU Eviction
+Counters are the number of resident entries per owner, and a TLB built
+with ``owners`` keeps them itself.
+
+A payload can be 0 (frame 0, no owner, no budget): test a lookup's result
+with ``is None``, never by truthiness.
+
+The structures are pure state containers: they know nothing about
+latencies or the protocol that manages them.  Timing and policy live in
+:mod:`repro.gpu`, :mod:`repro.iommu` and :mod:`repro.policies`.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterator
 
-from repro.structures.replacement import LRUPolicy, ReplacementPolicy, make_policy
+#: Bits of a key holding the pid; pids lie in ``range(PID_LIMIT)``.
+PID_BITS = 16
+#: Bits of a payload holding the spill budget; budgets lie in
+#: ``range(BUDGET_LIMIT)``.
+BUDGET_BITS = 16
+#: Bits of a payload holding the owner field, which stores ``owner + 1``
+#: (0 means no owner); owner GPUs lie in ``range(OWNER_LIMIT)``.
+OWNER_BITS = 16
 
-TranslationKey = tuple[int, int]
-"""A ``(pid, vpn)`` pair identifying one translation."""
+PID_LIMIT = 1 << PID_BITS
+BUDGET_LIMIT = 1 << BUDGET_BITS
+OWNER_LIMIT = (1 << OWNER_BITS) - 1
 
-
-@dataclass(slots=True)
-class TLBEntry:
-    """One cached address translation.
-
-    ``spill_budget`` implements the paper's per-entry *spill bit* generalised
-    to a counter: it starts at the configured ``N`` (1 in the paper) and is
-    decremented each time the entry is spilled from the IOMMU TLB into a
-    GPU's L2 TLB.  A zero budget means the entry is discarded on its next L2
-    eviction instead of re-entering the IOMMU TLB, which bounds the
-    ping-pong "chain effect" described in Section 4.2.
-
-    ``owner_gpu`` records, for entries resident in the IOMMU TLB, which
-    GPU's L2 eviction inserted them; the per-GPU Eviction Counters are the
-    aggregate of this field and drive spill-receiver selection.
-    """
-
-    pid: int
-    vpn: int
-    ppn: int
-    spill_budget: int = 1
-    owner_gpu: int = -1
-
-    @property
-    def key(self) -> TranslationKey:
-        """The entry's ``(pid, vpn)`` tag."""
-        return (self.pid, self.vpn)
-
-    def copy(self) -> "TLBEntry":
-        """An independent copy (entries move between TLBs by value)."""
-        return TLBEntry(self.pid, self.vpn, self.ppn, self.spill_budget, self.owner_gpu)
+PID_MASK = PID_LIMIT - 1
+BUDGET_MASK = BUDGET_LIMIT - 1
+OWNER_MASK = (1 << OWNER_BITS) - 1
+#: Shift of the owner field in a payload.
+OWNER_SHIFT = BUDGET_BITS
+#: Shift of the frame number in a payload.
+FRAME_SHIFT = BUDGET_BITS + OWNER_BITS
 
 
-@dataclass(slots=True)
-class TLBStats:
-    """Access accounting local to a single TLB instance."""
+def pack_key(pid: int, vpn: int) -> int:
+    """The key of translation ``(pid, vpn)``."""
+    return (vpn << PID_BITS) | pid
 
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    invalidations: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total recorded lookups."""
-        return self.hits + self.misses
+def unpack_key(key: int) -> tuple[int, int]:
+    """The ``(pid, vpn)`` tag a key packs."""
+    return key & PID_MASK, key >> PID_BITS
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups, or 0.0 with no traffic."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
+
+def pack_payload(ppn: int, owner: int = -1, budget: int = 0) -> int:
+    """The payload of frame ``ppn`` owned by GPU ``owner`` (-1: none) with
+    ``budget`` spills left."""
+    return (ppn << FRAME_SHIFT) | ((owner + 1) << OWNER_SHIFT) | budget
+
+
+def unpack_payload(payload: int) -> tuple[int, int, int]:
+    """The ``(ppn, owner, budget)`` a payload packs."""
+    return (
+        payload >> FRAME_SHIFT,
+        ((payload >> OWNER_SHIFT) & OWNER_MASK) - 1,
+        payload & BUDGET_MASK,
+    )
 
 
 class SetAssociativeTLB:
-    """A set-associative TLB with a pluggable replacement policy.
+    """A set-associative LRU TLB over packed keys and payloads.
 
-    The set index is derived from the VPN only (the PID lives in the tag),
-    mirroring hardware TLBs: concurrently running applications therefore
-    conflict in the shared IOMMU TLB, which is one of the contention effects
-    the paper measures.
+    Each set is an insertion-ordered dict ``{key: payload}`` whose order is
+    its LRU stack, least recent first.  The set index comes from the VPN
+    only (the pid lives in the tag), as in hardware, so concurrently
+    running applications conflict in the shared IOMMU TLB — one of the
+    contention effects the paper measures.  A power-of-two set count
+    indexes by mask (``index_mask``), any other by modulo
+    (``index_mask == -1``); a fully associative TLB has one set,
+    ``only_set``.
 
-    ``num_entries`` must be divisible by ``associativity``.  A fully
-    associative TLB is simply ``associativity == num_entries`` (one set).
+    ``num_entries=None`` builds Figure 3's unbounded TLB: one set of
+    unlimited ways, whose inserts never evict and whose lookups leave
+    recency alone.
+
+    ``owners=n`` keeps ``owner_counts``, the number of resident entries of
+    each of ``n`` owners, exact through every insert, refresh, eviction,
+    removal and invalidation; it is empty otherwise.
     """
 
     __slots__ = (
-        "num_entries",
         "associativity",
         "num_sets",
-        "_sets",
-        "_set_mask",
-        "_only_set",
-        "_policy",
-        "_lru_fast",
-        "stats",
-        "name",
+        "sets",
+        "index_mask",
+        "only_set",
+        "bounded",
+        "owner_counts",
     )
 
     def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        replacement: str = "lru",
-        name: str = "tlb",
-        seed: int = 0,
+        self, num_entries: int | None, associativity: int = 1, *, owners: int = 0
     ) -> None:
-        if num_entries <= 0:
-            raise ValueError(f"num_entries must be positive, got {num_entries}")
-        if associativity <= 0 or num_entries % associativity != 0:
-            raise ValueError(
-                f"associativity {associativity} must divide num_entries {num_entries}"
-            )
-        self.num_entries = num_entries
+        self.bounded = num_entries is not None
+        if num_entries is None:
+            associativity = sys.maxsize
+            num_sets = 1
+        else:
+            if num_entries <= 0:
+                raise ValueError(f"num_entries must be positive, got {num_entries}")
+            if associativity <= 0 or num_entries % associativity != 0:
+                raise ValueError(
+                    f"associativity {associativity} must divide num_entries "
+                    f"{num_entries}"
+                )
+            num_sets = num_entries // associativity
         self.associativity = associativity
-        self.num_sets = num_entries // associativity
-        self._sets: list[OrderedDict[TranslationKey, TLBEntry]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
-        # Hot-path precomputation: Table 2's geometries all have
-        # power-of-two set counts, so the modulo reduces to a mask; a
-        # single-set (fully associative) TLB skips indexing entirely.
-        self._set_mask = (
-            self.num_sets - 1 if self.num_sets & (self.num_sets - 1) == 0 else -1
-        )
-        self._only_set = self._sets[0] if self.num_sets == 1 else None
-        self._policy: ReplacementPolicy = make_policy(replacement, seed=seed)
-        # LRU's only hook is OrderedDict.move_to_end; calling it directly
-        # avoids a method dispatch per hit on the default configuration.
-        self._lru_fast = type(self._policy) is LRUPolicy
-        self.stats = TLBStats()
-        self.name = name
+        self.num_sets = num_sets
+        self.sets: list[OrderedDict[int, int]] = [OrderedDict() for _ in range(num_sets)]
+        self.index_mask = num_sets - 1 if num_sets & (num_sets - 1) == 0 else -1
+        self.only_set = self.sets[0] if num_sets == 1 else None
+        self.owner_counts = [0] * owners
 
     # -- indexing ---------------------------------------------------------
 
-    def _set_for(self, vpn: int) -> OrderedDict[TranslationKey, TLBEntry]:
-        only = self._only_set
+    def _set_of(self, key: int) -> OrderedDict[int, int]:
+        only = self.only_set
         if only is not None:
             return only
-        mask = self._set_mask
-        return self._sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
+        vpn = key >> PID_BITS
+        mask = self.index_mask
+        return self.sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
+
+    def _count(self, payload: int, delta: int) -> None:
+        owner = (payload >> OWNER_SHIFT) & OWNER_MASK
+        if owner:
+            self.owner_counts[owner - 1] += delta
 
     # -- core operations ---------------------------------------------------
 
-    def lookup(self, pid: int, vpn: int, *, touch: bool = True) -> TLBEntry | None:
-        """Search for ``(pid, vpn)``.  Records a hit or miss.
-
-        ``touch=True`` promotes the entry per the replacement policy (the
-        normal access path); ``touch=False`` is a snoop that must not perturb
-        recency (used by remote probes and invariants checks).
-        """
-        key = (pid, vpn)
-        tlb_set = self._only_set
+    def lookup(self, key: int) -> int | None:
+        """The payload stored under ``key``, or ``None``.  A hit becomes the
+        most recently used entry of its set."""
+        tlb_set = self.only_set
         if tlb_set is None:
-            mask = self._set_mask
-            tlb_set = self._sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
-        entry = tlb_set.get(key)
-        stats = self.stats
-        if entry is None:
-            stats.misses += 1
-            return None
-        stats.hits += 1
-        if touch:
-            if self._lru_fast:
-                tlb_set.move_to_end(key)
-            else:
-                self._policy.on_access(tlb_set, key)
-        return entry
+            vpn = key >> PID_BITS
+            mask = self.index_mask
+            tlb_set = self.sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
+        payload = tlb_set.get(key)
+        if payload is not None and self.bounded:
+            tlb_set.move_to_end(key)
+        return payload
 
-    def contains(self, pid: int, vpn: int) -> bool:
-        """Presence test with no statistics or recency side effects."""
-        return (pid, vpn) in self._set_for(vpn)
+    def peek(self, key: int) -> int | None:
+        """The payload stored under ``key``, recency untouched."""
+        return self._set_of(key).get(key)
 
-    def peek(self, pid: int, vpn: int) -> TLBEntry | None:
-        """Fetch without touching recency or statistics."""
-        return self._set_for(vpn).get((pid, vpn))
-
-    def touch(self, pid: int, vpn: int) -> bool:
-        """Promote an entry's recency without recording a lookup (used by
-        remote probes, which must not pollute the owner's statistics)."""
-        tlb_set = self._set_for(vpn)
-        if (pid, vpn) not in tlb_set:
+    def touch(self, key: int) -> bool:
+        """Make ``key`` its set's most recently used entry; whether it is
+        resident."""
+        tlb_set = self._set_of(key)
+        if key not in tlb_set:
             return False
-        self._policy.on_access(tlb_set, (pid, vpn))
+        if self.bounded:
+            tlb_set.move_to_end(key)
         return True
 
-    def insert(self, entry: TLBEntry) -> TLBEntry | None:
-        """Insert ``entry``; returns the evicted victim if the set was full.
+    def insert(self, key: int, payload: int) -> tuple[int, int] | None:
+        """Store ``payload`` under ``key``; the evicted ``(key, payload)``
+        if the set was full, else ``None``.
 
-        Inserting a key that is already present refreshes the stored entry
-        in place (no eviction).
+        Inserting a resident key replaces its payload, evicting nothing; in
+        a bounded TLB it also becomes the most recently used entry.
         """
-        key = (entry.pid, entry.vpn)
-        tlb_set = self._only_set
+        tlb_set = self.only_set
         if tlb_set is None:
-            mask = self._set_mask
-            vpn = entry.vpn
-            tlb_set = self._sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
-        self.stats.insertions += 1
-        if key in tlb_set:
-            tlb_set[key] = entry
-            if self._lru_fast:
-                tlb_set.move_to_end(key)
-            else:
-                self._policy.on_access(tlb_set, key)
-            return None
-        victim: TLBEntry | None = None
-        if len(tlb_set) >= self.associativity:
-            victim_key = self._policy.select_victim(tlb_set)
-            victim = tlb_set.pop(victim_key)
-            self.stats.evictions += 1
-        tlb_set[key] = entry
-        self._policy.on_insert(tlb_set, key)
+            vpn = key >> PID_BITS
+            mask = self.index_mask
+            tlb_set = self.sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
+        # ``displaced``: the payload this insert overwrites or evicts.
+        displaced = tlb_set.get(key)
+        victim = None
+        if displaced is None:
+            if len(tlb_set) >= self.associativity:
+                victim = tlb_set.popitem(last=False)
+                displaced = victim[1]
+        elif self.bounded:
+            tlb_set.move_to_end(key)
+        tlb_set[key] = payload
+        counts = self.owner_counts
+        if counts:
+            owner = (payload >> OWNER_SHIFT) & OWNER_MASK
+            if owner:
+                counts[owner - 1] += 1
+            if displaced is not None:
+                owner = (displaced >> OWNER_SHIFT) & OWNER_MASK
+                if owner:
+                    counts[owner - 1] -= 1
         return victim
 
-    def lru_victim(self, vpn: int) -> TLBEntry | None:
-        """The entry that *would* be evicted by an insert mapping to
-        ``vpn``'s set, or ``None`` if the set has free space."""
-        tlb_set = self._set_for(vpn)
-        if len(tlb_set) < self.associativity:
-            return None
-        return tlb_set[self._policy.select_victim(tlb_set, peek=True)]
-
-    def remove(self, pid: int, vpn: int) -> TLBEntry | None:
-        """Remove and return the entry, or ``None`` if absent."""
-        return self._set_for(vpn).pop((pid, vpn), None)
+    def remove(self, key: int) -> int | None:
+        """Remove ``key``; its payload, or ``None`` if it was absent."""
+        payload = self._set_of(key).pop(key, None)
+        if payload is not None and self.owner_counts:
+            self._count(payload, -1)
+        return payload
 
     # -- bulk operations ----------------------------------------------------
 
     def invalidate_all(self) -> int:
         """Drop every entry (TLB shootdown).  Returns the number dropped."""
-        dropped = sum(len(s) for s in self._sets)
-        for tlb_set in self._sets:
+        dropped = len(self)
+        for tlb_set in self.sets:
             tlb_set.clear()
-        self.stats.invalidations += dropped
+        counts = self.owner_counts
+        counts[:] = [0] * len(counts)
         return dropped
 
     def invalidate_pid(self, pid: int) -> int:
-        """Drop every entry belonging to ``pid`` (process teardown)."""
+        """Drop every entry of ``pid`` (process teardown).  Returns the
+        number dropped."""
         dropped = 0
-        for tlb_set in self._sets:
-            stale = [key for key in tlb_set if key[0] == pid]
+        for tlb_set in self.sets:
+            stale = [key for key in tlb_set if key & PID_MASK == pid]
             for key in stale:
-                del tlb_set[key]
+                payload = tlb_set.pop(key)
+                if self.owner_counts:
+                    self._count(payload, -1)
             dropped += len(stale)
-        self.stats.invalidations += dropped
         return dropped
 
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
-    def __contains__(self, key: TranslationKey) -> bool:
-        pid, vpn = key
-        return self.contains(pid, vpn)
+    def __contains__(self, key: int) -> bool:
+        return key in self._set_of(key)
 
-    def iter_entries(self) -> Iterator[TLBEntry]:
-        """Iterate over all resident entries (snapshot order: set, recency)."""
-        for tlb_set in self._sets:
-            yield from tlb_set.values()
+    def items(self) -> Iterator[tuple[int, int]]:
+        """Every resident ``(key, payload)``: set by set, least recent
+        first."""
+        for tlb_set in self.sets:
+            yield from tlb_set.items()
 
-    def resident_keys(self) -> set[TranslationKey]:
-        """The set of all resident translation keys."""
-        return {entry.key for entry in self.iter_entries()}
-
-    def occupancy(self) -> float:
-        """Fraction of capacity currently used."""
-        return len(self) / self.num_entries
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SetAssociativeTLB(name={self.name!r}, entries={self.num_entries}, "
-            f"ways={self.associativity}, resident={len(self)})"
-        )
-
-
-class InfiniteTLB(SetAssociativeTLB):
-    """An unbounded TLB used for the paper's infinite-IOMMU-TLB study
-    (Figure 3): only cold misses occur, nothing is ever evicted."""
-
-    def __init__(self, name: str = "infinite-tlb") -> None:
-        # A single huge set; the parent constructor demands finite numbers,
-        # so give it a nominal geometry and override the behaviour below.
-        super().__init__(num_entries=1, associativity=1, name=name)
-        self._store: OrderedDict[TranslationKey, TLBEntry] = OrderedDict()
-
-    def lookup(self, pid: int, vpn: int, *, touch: bool = True) -> TLBEntry | None:
-        entry = self._store.get((pid, vpn))
-        if entry is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return entry
-
-    def contains(self, pid: int, vpn: int) -> bool:
-        return (pid, vpn) in self._store
-
-    def peek(self, pid: int, vpn: int) -> TLBEntry | None:
-        return self._store.get((pid, vpn))
-
-    def touch(self, pid: int, vpn: int) -> bool:
-        return (pid, vpn) in self._store
-
-    def insert(self, entry: TLBEntry) -> TLBEntry | None:
-        self.stats.insertions += 1
-        self._store[entry.key] = entry
-        return None
-
-    def lru_victim(self, vpn: int) -> TLBEntry | None:
-        return None
-
-    def remove(self, pid: int, vpn: int) -> TLBEntry | None:
-        return self._store.pop((pid, vpn), None)
-
-    def invalidate_all(self) -> int:
-        dropped = len(self._store)
-        self._store.clear()
-        self.stats.invalidations += dropped
-        return dropped
-
-    def invalidate_pid(self, pid: int) -> int:
-        stale = [key for key in self._store if key[0] == pid]
-        for key in stale:
-            del self._store[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def iter_entries(self) -> Iterator[TLBEntry]:
-        yield from self._store.values()
-
-    def resident_keys(self) -> set[TranslationKey]:
-        return set(self._store.keys())
-
-    def occupancy(self) -> float:
-        return 0.0
+    def resident_keys(self) -> set[int]:
+        """The keys of all resident entries."""
+        return {key for tlb_set in self.sets for key in tlb_set}

@@ -99,15 +99,11 @@ def capture_tlb_snapshot(system: "MultiGPUSystem") -> "Snapshot":
         for key in sorted(gpu.l2_tlb.resident_keys()):
             key_counts[key] += 1
     iommu_keys = system.iommu.tlb.resident_keys()
-    owner_counts = [0] * system.config.num_gpus
-    for entry in system.iommu.tlb.iter_entries():
-        if entry.owner_gpu >= 0:
-            owner_counts[entry.owner_gpu] += 1
     return Snapshot(
         cycle=system.queue.now,
         l2_resident=len(key_counts),
         l2_duplicated=sum(1 for c in key_counts.values() if c >= 2),
         l2_also_in_iommu=len(set(key_counts) & iommu_keys),
         iommu_resident=len(iommu_keys),
-        iommu_owner_counts=tuple(owner_counts),
+        iommu_owner_counts=tuple(system.iommu.eviction_counters),
     )

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.structures.tlb import PID_LIMIT
+
 
 @dataclass(slots=True)
 class CUStream:
@@ -195,6 +197,39 @@ class Workload:
     def gpus_for(self, pid: int) -> list[int]:
         """The GPUs application ``pid`` occupies."""
         return sorted({p.gpu_id for p in self.placements if p.pid == pid})
+
+    def check_placements(self, num_gpus: int) -> None:
+        """Raise :class:`ValueError` unless this workload can run on a
+        ``num_gpus``-GPU system: every placement on an existing GPU, each
+        CU of a GPU assigned once, every pid inside a TLB key's pid field,
+        and at least one measured run.  Both backends call this."""
+        if not self.placements:
+            raise ValueError("workload has no placements")
+        for placement in self.placements:
+            if placement.gpu_id >= num_gpus:
+                raise ValueError(
+                    f"placement targets GPU {placement.gpu_id} but the system "
+                    f"has {num_gpus} GPUs"
+                )
+            if not 0 <= placement.pid < PID_LIMIT:
+                raise ValueError(
+                    f"pid {placement.pid} does not fit the pid field of a TLB "
+                    f"key (range 0..{PID_LIMIT - 1})"
+                )
+        assigned: set[tuple[int, int]] = set()
+        for placement in self.placements:
+            for cu_id in placement.cu_ids:
+                if (placement.gpu_id, cu_id) in assigned:
+                    raise ValueError(
+                        f"CU {cu_id} on GPU {placement.gpu_id} assigned twice"
+                    )
+                assigned.add((placement.gpu_id, cu_id))
+        if not any(
+            stream.measured_runs
+            for placement in self.placements
+            for stream in placement.streams
+        ):
+            raise ValueError("workload contains no runnable CU streams")
 
     def placements_on(self, gpu_id: int) -> list[Placement]:
         """Every application placement hosted by ``gpu_id``."""

@@ -33,6 +33,7 @@ from repro.config.system import (
 )
 from repro.sim.backends import BackendUnsupported, run_functional
 from repro.sim.driver import run_single_app, simulate
+from repro.structures.tlb import BUDGET_LIMIT, OWNER_LIMIT, PID_LIMIT
 from repro.workloads.multi_app import build_single_app_workload
 from repro.workloads.trace import CUStream, Placement, Workload
 
@@ -122,12 +123,39 @@ def test_real_trace_is_bit_identical(backend, policy):
 @pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
 def test_infinite_iommu_tlb_is_bit_identical(policy):
     """Figure 3's unbounded IOMMU TLB: lookups leave recency alone and
-    inserts never evict, in the replay's inline dict as in InfiniteTLB."""
+    inserts never evict, on both backends' one TLB class."""
     config = infinite_iommu_config()
     ref = run_single_app("ST", config, policy, scale=0.05)
     fast = run_single_app("ST", config, policy, scale=0.05, backend="functional")
     assert ref.apps[1].counters["iommu_hit"] > 0
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+@pytest.mark.parametrize("spill_budget", [256, 300])
+def test_wide_spill_budgets_are_bit_identical(spill_budget):
+    """A spill budget past 8 bits used to overflow into the owner field of
+    the replay's payloads (5,161 against 23,595 cycles at 256)."""
+    config = tiny_config().derive(spill_budget=spill_budget)
+    workload = build_workload(
+        [list(range(0, 30)) * 3, list(range(100, 140)) * 3], "multi"
+    )
+    ref, fast = (
+        simulate(config, workload, "least-tlb", backend=backend)
+        for backend in ("event", "functional")
+    )
+    assert ref.iommu_counters["spills"] > 0
+    assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+def test_entry_fields_bound_the_config():
+    """A spill budget or GPU count past its TLB entry field is rejected,
+    naming the field, before any backend can mis-model it."""
+    SystemConfig(spill_budget=BUDGET_LIMIT - 1)
+    with pytest.raises(ValueError, match="spill_budget must be in"):
+        SystemConfig(spill_budget=BUDGET_LIMIT)
+    SystemConfig(num_gpus=OWNER_LIMIT)
+    with pytest.raises(ValueError, match="num_gpus must be in"):
+        SystemConfig(num_gpus=OWNER_LIMIT + 1)
 
 
 FINGERPRINT_SCRIPT = """
@@ -187,21 +215,6 @@ class TestScopeRejections:
         with pytest.raises(BackendUnsupported, match="local page tables"):
             run_functional(config, self._workload(), "baseline")
 
-    def test_non_lru_replacement(self):
-        base = tiny_config()
-        config = dataclasses.replace(
-            base,
-            gpu=dataclasses.replace(
-                base.gpu,
-                l2_tlb=TLBLevelConfig(
-                    num_entries=8, associativity=4, lookup_latency=3,
-                    replacement="fifo",
-                ),
-            ),
-        )
-        with pytest.raises(BackendUnsupported, match="only LRU"):
-            run_functional(config, self._workload(), "baseline")
-
     def test_unknown_system_option(self):
         with pytest.raises(BackendUnsupported, match="system option"):
             run_functional(
@@ -217,14 +230,43 @@ class TestScopeRejections:
 
     @pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
     def test_vpn_wider_than_the_key_field(self, policy):
-        # Packed as (pid << 48) | vpn, page (1 << 48) | 5 would alias page
-        # 5.  The event engine keys by (pid, vpn) and walks all 4 pages.
+        # Pages that differ only above bit 48 have their own keys: both
+        # backends walk all 4 pages and agree bit for bit.
         wide = (1 << 48) | 5
         workload = build_workload([[5, wide, 9, (1 << 48) | 9] * 50], "single")
-        with pytest.raises(BackendUnsupported, match=f"VPN {wide:#x}"):
-            run_functional(tiny_config(), workload, policy)
-        result = simulate(tiny_config(), workload, policy)
-        assert result.walker_counters["walks_dispatched"] == 4
+        results = [
+            simulate(tiny_config(), workload, policy, backend=backend)
+            for backend in ("event", "functional")
+        ]
+        assert results[0].walker_counters["walks_dispatched"] == 4
+        assert dataclasses.asdict(results[1]) == dataclasses.asdict(results[0])
+
+    @pytest.mark.parametrize("backend", ["event", "functional"])
+    def test_pid_wider_than_the_key_field(self, backend):
+        workload = build_workload([[5, 9]], "single")
+        for placement in workload.placements:
+            placement.pid = PID_LIMIT
+        workload.app_names = {PID_LIMIT: "rand"}
+        workload.footprints = {PID_LIMIT: workload.footprints[1]}
+        with pytest.raises(ValueError, match=f"pid {PID_LIMIT} does not fit"):
+            simulate(tiny_config(), workload, "baseline", backend=backend)
+
+    @pytest.mark.parametrize("backend", ["event", "functional"])
+    def test_options_of_an_option_free_policy(self, backend):
+        # The same error on both backends, from the same check.
+        with pytest.raises(TypeError, match="'baseline' accepts no options"):
+            simulate(
+                tiny_config(), self._workload(), "baseline", backend=backend,
+                policy_options={"race_ptw": False},
+            )
+
+    @pytest.mark.parametrize("backend", ["event", "functional"])
+    def test_unknown_least_tlb_option(self, backend):
+        with pytest.raises(TypeError, match="'shields'"):
+            simulate(
+                tiny_config(), self._workload(), "least-tlb", backend=backend,
+                policy_options={"shields": "up"},
+            )
 
     def test_default_valued_options_accepted(self):
         result = run_functional(

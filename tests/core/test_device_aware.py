@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.system import MultiGPUSystem
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import pack_key, pack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -47,6 +47,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             build(tiny_config, weights=[1.0, 0.0, 1.0, 1.0])
 
+    def test_budget_past_the_entry_field(self, tiny_config):
+        # The heavy owner's budget, 40000 * 4 / 1.75 = 91429, does not fit
+        # the entry's 16-bit spill-budget field; 2x weight (64000) does.
+        config = tiny_config.derive(spill_budget=40_000)
+        build(config, weights=[2.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="spill budget of 91429"):
+            build(config, weights=[4.0, 1.0, 1.0, 1.0])
+
     def test_default_weights_uniform(self, tiny_config):
         system = build(tiny_config)
         assert system.policy.qos_weights == [1.0] * 4
@@ -55,26 +63,26 @@ class TestValidation:
 class TestReceiverSelection:
     def test_uniform_weights_match_plain_least_tlb(self, tiny_config):
         qos = build(tiny_config)
-        qos.iommu.eviction_counters = [3, 1, 3, 1]
+        qos.iommu.eviction_counters[:] = [3, 1, 3, 1]
         picks = [qos.policy._select_receiver() for _ in range(4)]
         plain = MultiGPUSystem(
             tiny_config, workload({0: [1]}), "least-tlb"
         )
-        plain.iommu.eviction_counters = [3, 1, 3, 1]
+        plain.iommu.eviction_counters[:] = [3, 1, 3, 1]
         plain_picks = [plain.policy._select_receiver() for _ in range(4)]
         assert picks == plain_picks
 
     def test_heavy_device_avoided(self, tiny_config):
         # Equal counters: spills must land on the lightest devices.
         system = build(tiny_config, weights=[10.0, 1.0, 10.0, 1.0])
-        system.iommu.eviction_counters = [0, 0, 0, 0]
+        system.iommu.eviction_counters[:] = [0, 0, 0, 0]
         picks = {system.policy._select_receiver() for _ in range(8)}
         assert picks == {1, 3}
 
     def test_weighting_trades_off_against_load(self, tiny_config):
         # A light device that is already loaded loses to an idle heavy one.
         system = build(tiny_config, weights=[1.0, 1.0, 1.0, 2.0])
-        system.iommu.eviction_counters = [50, 50, 50, 0]
+        system.iommu.eviction_counters[:] = [50, 50, 50, 0]
         assert system.policy._select_receiver() == 3
 
 
@@ -109,9 +117,7 @@ class TestEndToEnd:
         )
         # Force spills by evicting entries through the policy.
         for vpn in range(300, 330):
-            system.policy.on_iommu_tlb_evicted(
-                TLBEntry(1, vpn, vpn, spill_budget=1, owner_gpu=0)
-            )
+            system.policy.on_iommu_tlb_evicted(pack_key(1, vpn), pack_payload(vpn, 0, 1))
         system.queue.run()
         heavy = system.iommu.stats.as_dict().get("spills_to_gpu1", 0)
         total = system.iommu.stats["spills"]

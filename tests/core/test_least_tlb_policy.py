@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key, pack_payload, unpack_key, unpack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -64,7 +65,7 @@ class TestLeastInclusiveInvariant:
         # All three pages live in GPU0's L2; none were inserted into the
         # IOMMU TLB (L2 has room, so no victims arrived either).
         assert len(system.iommu.tlb) == 0
-        assert system.gpus[0].l2_tlb.contains(1, 1)
+        assert pack_key(1, 1) in system.gpus[0].l2_tlb
 
     def test_l2_victims_feed_iommu(self, tiny_config):
         # 33 distinct pages overflow the 32-entry L2 by one.
@@ -86,13 +87,13 @@ class TestLeastInclusiveInvariant:
             "least-tlb",
         )
         system.run()
-        (victim_entry,) = list(system.iommu.tlb.iter_entries())
-        victim = victim_entry.vpn
+        ((victim_key, _),) = list(system.iommu.tlb.items())
+        victim = unpack_key(victim_key)[1]
         follow = MultiGPUSystem(
             tiny_config, workload_on({0: vpns0, 1: [victim]}, kind="single"), "least-tlb"
         )
         follow.run()
-        assert follow.gpus[1].l2_tlb.contains(1, victim)
+        assert pack_key(1, victim) in follow.gpus[1].l2_tlb
 
 
 class TestTrackerMaintenance:
@@ -100,7 +101,7 @@ class TestTrackerMaintenance:
         system = MultiGPUSystem(tiny_config, workload_on({0: list(range(33))}), "least-tlb")
         system.run()
         tracker = system.policy.tracker
-        resident = {e.vpn for e in system.gpus[0].l2_tlb.iter_entries()}
+        resident = {unpack_key(key)[1] for key, _ in system.gpus[0].l2_tlb.items()}
         evicted = set(range(33)) - resident
         for vpn in resident:
             assert 0 in tracker.query(1, vpn)
@@ -142,29 +143,26 @@ class TestRemoteProbeConfig:
 
 class TestSpillBudgetN:
     def test_budget_decrements_per_spill(self, tiny_config):
-        from repro.structures.tlb import TLBEntry
-
         config = tiny_config.derive(spill_budget=2)
         system = MultiGPUSystem(config, workload_on({0: [1]}, kind="multi"), "least-tlb")
-        victim = TLBEntry(1, 500, 500, spill_budget=2, owner_gpu=3)
-        system.policy.on_iommu_tlb_evicted(victim)
+        system.policy.on_iommu_tlb_evicted(pack_key(1, 500), pack_payload(500, 3, 2))
         system.queue.run()
         assert system.iommu.stats["spills"] == 1
         spilled = [
-            e for gpu in system.gpus for e in gpu.l2_tlb.iter_entries() if e.vpn == 500
+            unpack_payload(payload)
+            for gpu in system.gpus
+            for key, payload in gpu.l2_tlb.items()
+            if key == pack_key(1, 500)
         ]
-        assert spilled and spilled[0].spill_budget == 1
+        assert spilled and spilled[0][2] == 1
 
     def test_exhausted_budget_drops_victim(self, tiny_config):
-        from repro.structures.tlb import TLBEntry
-
         system = MultiGPUSystem(
             tiny_config, workload_on({0: [1]}, kind="multi"), "least-tlb"
         )
-        victim = TLBEntry(1, 500, 500, spill_budget=0, owner_gpu=3)
-        system.policy.on_iommu_tlb_evicted(victim)
+        system.policy.on_iommu_tlb_evicted(pack_key(1, 500), pack_payload(500, 3, 0))
         system.queue.run()
         assert system.iommu.stats["spills"] == 0
         assert all(
-            not gpu.l2_tlb.contains(1, 500) for gpu in system.gpus
+            pack_key(1, 500) not in gpu.l2_tlb for gpu in system.gpus
         )

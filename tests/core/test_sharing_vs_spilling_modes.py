@@ -4,6 +4,7 @@
 import numpy as np
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -33,8 +34,8 @@ class TestRemoteHitSemantics:
         system = run(tiny_config, "single", "single")
         assert system.iommu.stats["remote_hits"] == 1
         # Algorithm 1: the provider keeps its copy; both L2s hold page 7.
-        assert system.gpus[0].l2_tlb.contains(1, 7)
-        assert system.gpus[1].l2_tlb.contains(1, 7)
+        assert pack_key(1, 7) in system.gpus[0].l2_tlb
+        assert pack_key(1, 7) in system.gpus[1].l2_tlb
         tracker = system.policy.tracker
         assert set(tracker.query(1, 7)) == {0, 1}
 
@@ -42,8 +43,8 @@ class TestRemoteHitSemantics:
         system = run(tiny_config, "multi", "multi")
         assert system.iommu.stats["remote_hits"] == 1
         # Algorithm 2: no inter-application sharing — the entry moves.
-        assert not system.gpus[0].l2_tlb.contains(1, 7)
-        assert system.gpus[1].l2_tlb.contains(1, 7)
+        assert pack_key(1, 7) not in system.gpus[0].l2_tlb
+        assert pack_key(1, 7) in system.gpus[1].l2_tlb
         assert system.policy.tracker.query(1, 7) == [1]
 
 

@@ -28,6 +28,7 @@ from repro.config.system import (
     TrackerConfig,
 )
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import unpack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 PID = 1
@@ -91,11 +92,11 @@ def system() -> MultiGPUSystem:
 
 
 def l2_vpns(system, gpu_id):
-    return {entry.vpn for entry in system.gpus[gpu_id].l2_tlb.iter_entries()}
+    return {unpack_key(key)[1] for key in system.gpus[gpu_id].l2_tlb.resident_keys()}
 
 
 def iommu_vpns(system):
-    return {entry.vpn for entry in system.iommu.tlb.iter_entries()}
+    return {unpack_key(key)[1] for key in system.iommu.tlb.resident_keys()}
 
 
 def test_final_state_matches_figure(system):

@@ -41,7 +41,7 @@ from repro.config.system import (
     TrackerConfig,
 )
 from repro.sim.system import MultiGPUSystem
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import pack_key, pack_payload, unpack_key, unpack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 PID = 1
@@ -98,23 +98,25 @@ def _install_initial_state(system: MultiGPUSystem) -> None:
     l2_contents = {0: [0x1, 0x2], 1: [0x3], 2: [0x4, 0x5], 3: [0x6]}
     for gpu_id, vpns in l2_contents.items():
         for vpn in vpns:  # insertion order == LRU order (oldest first)
-            system.gpus[gpu_id].l2_tlb.insert(TLBEntry(PID, vpn, vpn + 0x100))
+            system.gpus[gpu_id].l2_tlb.insert(
+                pack_key(PID, vpn), pack_payload(vpn + 0x100, budget=1)
+            )
             tracker.register(gpu_id, PID, vpn)
     iommu_contents = [
         (0x7, 0), (0x8, 0), (0x9, 1), (0xA, 2),
         (0xB, 2), (0xC, 2), (0xD, 3), (0xE, 0),
     ]
     for vpn, owner in iommu_contents:
-        system.iommu.insert_tlb(TLBEntry(PID, vpn, vpn + 0x100, owner_gpu=owner))
+        system.iommu.tlb.insert(pack_key(PID, vpn), pack_payload(vpn + 0x100, owner, 1))
     assert system.iommu.eviction_counters == [3, 1, 3, 1]
 
 
 def l2_vpns(system, gpu_id):
-    return {entry.vpn for entry in system.gpus[gpu_id].l2_tlb.iter_entries()}
+    return {unpack_key(key)[1] for key in system.gpus[gpu_id].l2_tlb.resident_keys()}
 
 
 def iommu_vpns(system):
-    return {entry.vpn for entry in system.iommu.tlb.iter_entries()}
+    return {unpack_key(key)[1] for key in system.iommu.tlb.resident_keys()}
 
 
 class TestSteps1And2:
@@ -133,8 +135,8 @@ class TestSteps1And2:
         assert l2_vpns(system, 1) == {0x3, 0x7}
         assert iommu_vpns(system) == {0x8, 0x9, 0xA, 0xB, 0xC, 0xD, 0xE, 0x4}
         assert system.iommu.stats["spills"] == 1
-        spilled = system.gpus[1].l2_tlb.peek(PID, 0x7)
-        assert spilled.spill_budget == 0  # the spill bit is now clear
+        spilled = system.gpus[1].l2_tlb.peek(pack_key(PID, 0x7))
+        assert unpack_payload(spilled)[2] == 0  # the spill bit is now clear
 
     def test_step2_remote_hit_migrates_spilled_entry(self, system):
         system.run()
@@ -143,8 +145,8 @@ class TestSteps1And2:
         assert 0x7 not in l2_vpns(system, 1)
         assert system.iommu.stats["remote_hits"] == 1
         # Migration restores the spill budget (the paper resets the bit).
-        migrated = system.gpus[2].l2_tlb.peek(PID, 0x7)
-        assert migrated.spill_budget == 1
+        migrated = system.gpus[2].l2_tlb.peek(pack_key(PID, 0x7))
+        assert unpack_payload(migrated)[2] == 1
         # GPU2's victim 0x5 entered the IOMMU TLB, matching the figure.
         assert 0x5 in iommu_vpns(system)
         # The tracker no longer claims GPU1 holds 0x7.

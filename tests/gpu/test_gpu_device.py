@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -94,10 +95,10 @@ class TestIssueAndCompletion:
         peak = 0
         original = gpu._l2_lookup
 
-        def spy(cu, pid, vpn, measured, trace=None):
+        def spy(cu, key, measured, trace=None):
             nonlocal peak
             peak = max(peak, cu.outstanding)
-            original(cu, pid, vpn, measured, trace)
+            original(cu, key, measured, trace)
 
         gpu._l2_lookup = spy
         system.run()
@@ -142,8 +143,8 @@ class TestFills:
         system = build(tiny_config, workload)
         system.run()
         gpu = system.gpus[0]
-        assert gpu.l2_tlb.contains(1, 5)
-        assert gpu.l1_tlbs[0].contains(1, 5)
+        assert pack_key(1, 5) in gpu.l2_tlb
+        assert pack_key(1, 5) in gpu.l1_tlbs[0]
 
     def test_second_access_hits_locally(self, tiny_config):
         workload = one_gpu_workload([5] + list(range(100, 104)) + [5], gap=2000)
@@ -158,10 +159,10 @@ class TestFills:
         system = build(tiny_config, workload)
         system.run()
         gpu = system.gpus[0]
-        assert gpu.invalidate(1, 5) is True
-        assert not gpu.l2_tlb.contains(1, 5)
-        assert not gpu.l1_tlbs[0].contains(1, 5)
-        assert gpu.invalidate(1, 5) is False
+        assert gpu.invalidate(pack_key(1, 5)) is True
+        assert pack_key(1, 5) not in gpu.l2_tlb
+        assert pack_key(1, 5) not in gpu.l1_tlbs[0]
+        assert gpu.invalidate(pack_key(1, 5)) is False
 
 
 class TestProbe:
@@ -170,27 +171,28 @@ class TestProbe:
         system = build(tiny_config, workload)
         system.run()
         gpu = system.gpus[0]
-        entry = gpu.probe_l2(1, 5, remove_on_hit=False)
-        assert entry is not None
-        assert gpu.l2_tlb.contains(1, 5)
+        payload = gpu.probe_l2(pack_key(1, 5), remove_on_hit=False)
+        assert payload is not None
+        assert pack_key(1, 5) in gpu.l2_tlb
 
     def test_probe_hit_remove(self, tiny_config):
         workload = one_gpu_workload([5])
         system = build(tiny_config, workload)
         system.run()
         gpu = system.gpus[0]
-        entry = gpu.probe_l2(1, 5, remove_on_hit=True)
-        assert entry is not None
-        assert not gpu.l2_tlb.contains(1, 5)
+        payload = gpu.probe_l2(pack_key(1, 5), remove_on_hit=True)
+        assert payload is not None
+        assert pack_key(1, 5) not in gpu.l2_tlb
 
     def test_probe_does_not_pollute_stats(self, tiny_config):
         workload = one_gpu_workload([5])
         system = build(tiny_config, workload)
         system.run()
         gpu = system.gpus[0]
-        before = gpu.l2_tlb.stats.lookups
-        gpu.probe_l2(1, 6, remove_on_hit=False)
-        assert gpu.l2_tlb.stats.lookups == before
+        before = system.stats_for(1).as_dict()
+        assert gpu.probe_l2(pack_key(1, 6), remove_on_hit=False) is None
+        assert gpu.probe_l2(pack_key(1, 5), remove_on_hit=False) is not None
+        assert system.stats_for(1).as_dict() == before
 
 
 class TestWarmup:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.sim.system import MultiGPUSystem
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import pack_key, pack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -23,25 +23,25 @@ def system(tiny_config):
 
 
 def entry(vpn, owner, pid=1, budget=1):
-    return TLBEntry(pid=pid, vpn=vpn, ppn=vpn + 1, spill_budget=budget, owner_gpu=owner)
+    return pack_key(pid, vpn), pack_payload(vpn + 1, owner, budget)
 
 
 class TestEvictionCounters:
     def test_insert_increments_owner(self, system):
         iommu = system.iommu
-        iommu.insert_tlb(entry(1, owner=2))
+        iommu.tlb.insert(*entry(1, owner=2))
         assert iommu.eviction_counters == [0, 0, 1, 0]
 
     def test_remove_decrements_owner(self, system):
         iommu = system.iommu
-        iommu.insert_tlb(entry(1, owner=2))
-        iommu.remove_tlb((1, 1))
+        iommu.tlb.insert(*entry(1, owner=2))
+        iommu.tlb.remove(pack_key(1, 1))
         assert iommu.eviction_counters == [0, 0, 0, 0]
 
     def test_reinsert_same_key_transfers_ownership(self, system):
         iommu = system.iommu
-        iommu.insert_tlb(entry(1, owner=2))
-        iommu.insert_tlb(entry(1, owner=3))
+        iommu.tlb.insert(*entry(1, owner=2))
+        iommu.tlb.insert(*entry(1, owner=3))
         assert iommu.eviction_counters == [0, 0, 0, 1]
 
     def test_conflict_eviction_decrements_victim_owner(self, system):
@@ -50,27 +50,27 @@ class TestEvictionCounters:
         sets = iommu.tlb.num_sets
         # Fill one set completely with GPU 0 entries, then overflow it.
         for i in range(ways):
-            iommu.insert_tlb(entry(i * sets, owner=0))
-        victim = iommu.insert_tlb(entry(ways * sets, owner=1))
+            iommu.tlb.insert(*entry(i * sets, owner=0))
+        victim = iommu.tlb.insert(*entry(ways * sets, owner=1))
         assert victim is not None
         assert iommu.eviction_counters[0] == ways - 1
         assert iommu.eviction_counters[1] == 1
 
     def test_unowned_entries_not_counted(self, system):
         iommu = system.iommu
-        iommu.insert_tlb(entry(1, owner=-1))
+        iommu.tlb.insert(*entry(1, owner=-1))
         assert iommu.eviction_counters == [0, 0, 0, 0]
 
 
 class TestSpillReceiverSelection:
     def test_min_counter_wins(self, system):
         iommu = system.iommu
-        iommu.eviction_counters = [5, 2, 7, 9]
+        iommu.eviction_counters[:] = [5, 2, 7, 9]
         assert iommu.select_spill_receiver() == 1
 
     def test_tie_break_rotates(self, system):
         iommu = system.iommu
-        iommu.eviction_counters = [1, 1, 1, 1]
+        iommu.eviction_counters[:] = [1, 1, 1, 1]
         picks = [iommu.select_spill_receiver() for _ in range(6)]
         # Rotating priority: each selection starts scanning after the last
         # winner, so ties spread round-robin instead of dumping on GPU 0.
@@ -78,7 +78,7 @@ class TestSpillReceiverSelection:
 
     def test_rotation_respects_counter_changes(self, system):
         iommu = system.iommu
-        iommu.eviction_counters = [3, 1, 3, 1]
+        iommu.eviction_counters[:] = [3, 1, 3, 1]
         assert iommu.select_spill_receiver() == 1
         assert iommu.select_spill_receiver() == 3
         assert iommu.select_spill_receiver() == 1
@@ -87,7 +87,7 @@ class TestSpillReceiverSelection:
 class TestShootdown:
     def test_full_shootdown_clears_tlb_counters_and_tracker(self, system):
         iommu = system.iommu
-        iommu.insert_tlb(entry(1, owner=0))
+        iommu.tlb.insert(*entry(1, owner=0))
         system.policy.tracker.register(0, 1, 1)
         dropped = iommu.shootdown()
         assert dropped == 1
@@ -97,8 +97,8 @@ class TestShootdown:
 
     def test_pid_shootdown_rebuilds_counters(self, system):
         iommu = system.iommu
-        iommu.insert_tlb(entry(1, owner=0, pid=1))
-        iommu.insert_tlb(entry(2, owner=2, pid=9))
+        iommu.tlb.insert(*entry(1, owner=0, pid=1))
+        iommu.tlb.insert(*entry(2, owner=2, pid=9))
         iommu.shootdown(pid=1)
         assert len(iommu.tlb) == 1
         assert iommu.eviction_counters == [0, 0, 1, 0]

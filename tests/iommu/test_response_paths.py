@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -57,8 +58,8 @@ class TestFaultPath:
         result = system.run()
         assert result.apps[1].counters["runs"] == 1
         # Least-inclusive: the faulted-then-walked page fills only the L2.
-        assert system.gpus[0].l2_tlb.contains(1, 99)
-        assert not system.iommu.tlb.contains(1, 99)
+        assert pack_key(1, 99) in system.gpus[0].l2_tlb
+        assert pack_key(1, 99) not in system.iommu.tlb
 
 
 class TestResponseRouting:
@@ -70,7 +71,7 @@ class TestResponseRouting:
         result = system.run()
         assert result.apps[1].counters["runs"] == 4
         for gpu in system.gpus:
-            assert gpu.l2_tlb.contains(1, 5)
+            assert pack_key(1, 5) in gpu.l2_tlb
         # All four merged into a single walk.
         assert system.iommu.walkers.stats["walks_dispatched"] == 1
 

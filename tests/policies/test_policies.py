@@ -5,6 +5,7 @@ import pytest
 
 from repro.policies import make_policy, policy_names
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key, unpack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -49,17 +50,17 @@ class TestMostlyInclusive:
     def test_walk_fills_iommu_and_l2(self, tiny_config):
         system = MultiGPUSystem(tiny_config, workload_on({0: [5]}), "baseline")
         system.run()
-        assert system.iommu.tlb.contains(1, 5)
-        assert system.gpus[0].l2_tlb.contains(1, 5)
+        assert pack_key(1, 5) in system.iommu.tlb
+        assert pack_key(1, 5) in system.gpus[0].l2_tlb
 
     def test_iommu_hit_leaves_entry_in_place(self, tiny_config):
         system = MultiGPUSystem(tiny_config, workload_on({0: [5], 1: [99, 5]}), "baseline")
         system.run()
         # GPU1's later access hits the IOMMU TLB; the entry stays there
         # (duplicated in both L2s and the IOMMU — Observation 3).
-        assert system.iommu.tlb.contains(1, 5)
-        assert system.gpus[0].l2_tlb.contains(1, 5)
-        assert system.gpus[1].l2_tlb.contains(1, 5)
+        assert pack_key(1, 5) in system.iommu.tlb
+        assert pack_key(1, 5) in system.gpus[0].l2_tlb
+        assert pack_key(1, 5) in system.gpus[1].l2_tlb
         assert system.iommu.stats["tlb_hit"] == 1
 
     def test_l2_eviction_is_silent(self, tiny_config):
@@ -99,20 +100,20 @@ class TestExclusive:
     def test_walk_fill_skips_iommu(self, tiny_config):
         system = MultiGPUSystem(tiny_config, workload_on({0: [5]}), "exclusive")
         system.run()
-        assert not system.iommu.tlb.contains(1, 5)
-        assert system.gpus[0].l2_tlb.contains(1, 5)
+        assert pack_key(1, 5) not in system.iommu.tlb
+        assert pack_key(1, 5) in system.gpus[0].l2_tlb
 
     def test_victims_enter_iommu_and_hits_move_out(self, tiny_config):
         vpns = list(range(33))
         system = MultiGPUSystem(tiny_config, workload_on({0: vpns}), "exclusive")
         system.run()
         assert len(system.iommu.tlb) == 1
-        (victim,) = list(system.iommu.tlb.iter_entries())
+        (victim,) = system.iommu.tlb.resident_keys()
         follow = MultiGPUSystem(
-            tiny_config, workload_on({0: vpns, 1: [victim.vpn]}), "exclusive"
+            tiny_config, workload_on({0: vpns, 1: [unpack_key(victim)[1]]}), "exclusive"
         )
         follow.run()
-        assert follow.gpus[1].l2_tlb.contains(1, victim.vpn)
+        assert victim in follow.gpus[1].l2_tlb
 
     def test_no_remote_sharing_without_tracker(self, tiny_config):
         # Page 7 lives only in GPU0's L2: exclusive pays a walk for GPU1.

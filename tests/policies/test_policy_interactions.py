@@ -4,6 +4,7 @@ protocol features meet on the same translation."""
 import numpy as np
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key, pack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -48,9 +49,9 @@ class TestMoveThenVictimCycle:
         # total number of page-7 walks stayed minimal (first touch, plus
         # at most racing walks that lost).
         holders = [
-            gpu.gpu_id for gpu in system.gpus if gpu.l2_tlb.contains(1, 7)
+            gpu.gpu_id for gpu in system.gpus if pack_key(1, 7) in gpu.l2_tlb
         ]
-        in_iommu = system.iommu.tlb.contains(1, 7)
+        in_iommu = pack_key(1, 7) in system.iommu.tlb
         assert holders or in_iommu
 
     def test_tracker_consistent_after_circulation(self, tiny_config):
@@ -63,25 +64,21 @@ class TestMoveThenVictimCycle:
         system.run()
         tracker = system.policy.tracker
         for gpu in system.gpus:
-            assert (gpu.gpu_id in tracker.query(1, 7)) == gpu.l2_tlb.contains(1, 7)
+            assert (gpu.gpu_id in tracker.query(1, 7)) == (pack_key(1, 7) in gpu.l2_tlb)
 
 
 class TestSpillThenShare:
     def test_spilled_entry_found_by_owner(self, tiny_config):
         """Multi-app mode: an entry spilled into a peer's L2 must be
         retrievable by its original owner through the tracker."""
-        from repro.structures.tlb import TLBEntry
-
         system = MultiGPUSystem(
             tiny_config, workload({0: [1]}, kind="multi"), "least-tlb"
         )
         system.run()
         # Manufacture a spill of page 50 into some receiver.
-        system.policy.on_iommu_tlb_evicted(
-            TLBEntry(1, 50, 1050, spill_budget=1, owner_gpu=0)
-        )
+        system.policy.on_iommu_tlb_evicted(pack_key(1, 50), pack_payload(1050, 0, 1))
         system.queue.run()
-        receivers = [g for g in system.gpus if g.l2_tlb.contains(1, 50)]
+        receivers = [g for g in system.gpus if pack_key(1, 50) in g.l2_tlb]
         assert len(receivers) == 1
         # The tracker knows where it went.
         assert system.policy.tracker.query(1, 50) == [receivers[0].gpu_id]

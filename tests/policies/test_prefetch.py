@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -27,8 +28,8 @@ def test_prefetch_fills_next_page(tiny_config):
     system = MultiGPUSystem(tiny_config, workload([10]), "prefetch")
     system.run()
     gpu = system.gpus[0]
-    assert gpu.l2_tlb.contains(1, 10)
-    assert gpu.l2_tlb.contains(1, 11)  # prefetched
+    assert pack_key(1, 10) in gpu.l2_tlb
+    assert pack_key(1, 11) in gpu.l2_tlb  # prefetched
     assert system.iommu.stats["prefetches_issued"] == 1
 
 
@@ -60,7 +61,7 @@ def test_degree_configurable(tiny_config):
     )
     system.run()
     gpu = system.gpus[0]
-    assert all(gpu.l2_tlb.contains(1, 10 + k) for k in range(4))
+    assert all(pack_key(1, 10 + k) in gpu.l2_tlb for k in range(4))
 
 
 def test_invalid_degree(tiny_config):

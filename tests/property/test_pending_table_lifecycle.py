@@ -28,7 +28,7 @@ from repro.faults import HardeningConfig
 from repro.gpu.ats import ATSRequest
 from repro.sim.system import MultiGPUSystem
 from repro.structures.page_table import WalkResult
-from repro.structures.tlb import TLBEntry
+from repro.structures.tlb import pack_key, pack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 PID = 1
@@ -97,7 +97,7 @@ def _make_system(*, remote_entry: bool) -> tuple[MultiGPUSystem, ATSRequest]:
     )
     system.page_tables.table_for(PID).map(VPN, PPN)
     if remote_entry:
-        system.gpus[1].l2_tlb.insert(TLBEntry(PID, VPN, PPN))
+        system.gpus[1].l2_tlb.insert(pack_key(PID, VPN), pack_payload(PPN, budget=1))
     request = ATSRequest(gpu_id=0, pid=PID, vpn=VPN, issue_time=0, measured=True)
     pending = system.iommu.pending.create(request)
     pending.walk_pending = True

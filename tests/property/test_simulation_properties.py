@@ -18,6 +18,7 @@ from repro.config.system import (
     TrackerConfig,
 )
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key, unpack_key, unpack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 POLICIES = ["baseline", "strictly-inclusive", "exclusive", "tlb-probing", "least-tlb"]
@@ -93,14 +94,12 @@ def test_every_run_completes_and_translations_are_correct(policy, gpu_vpns):
 
     # Translation correctness everywhere.
     tables = system.page_tables
+    tlbs = [system.iommu.tlb]
     for gpu in system.gpus:
-        for entry in gpu.l2_tlb.iter_entries():
-            assert tables.walk(entry.pid, entry.vpn).ppn == entry.ppn
-        for l1 in gpu.l1_tlbs.values():
-            for entry in l1.iter_entries():
-                assert tables.walk(entry.pid, entry.vpn).ppn == entry.ppn
-    for entry in system.iommu.tlb.iter_entries():
-        assert tables.walk(entry.pid, entry.vpn).ppn == entry.ppn
+        tlbs += [gpu.l2_tlb, *gpu.l1_tlbs.values()]
+    for tlb in tlbs:
+        for key, payload in tlb.items():
+            assert tables.walk(*unpack_key(key)).ppn == unpack_payload(payload)[0]
 
     # Capacity invariants.
     assert len(system.iommu.tlb) <= 16
@@ -117,9 +116,10 @@ def test_least_tlb_eviction_counters_match_contents(gpu_vpns):
     system = MultiGPUSystem(tiny_config(), workload, "least-tlb")
     system.run(max_cycles=5_000_000)
     census = [0] * system.config.num_gpus
-    for entry in system.iommu.tlb.iter_entries():
-        if entry.owner_gpu >= 0:
-            census[entry.owner_gpu] += 1
+    for _, payload in system.iommu.tlb.items():
+        owner = unpack_payload(payload)[1]
+        if owner >= 0:
+            census[owner] += 1
     assert census == system.iommu.eviction_counters
 
 
@@ -134,7 +134,7 @@ def test_least_tlb_tracker_exactly_mirrors_l2_contents(gpu_vpns):
     tracker = system.policy.tracker
     for gpu in system.gpus:
         for vpn in range(31):
-            resident = gpu.l2_tlb.contains(1, vpn)
+            resident = pack_key(1, vpn) in gpu.l2_tlb
             tracked = gpu.gpu_id in tracker.query(1, vpn)
             assert resident == tracked, (gpu.gpu_id, vpn)
 

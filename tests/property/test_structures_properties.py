@@ -12,7 +12,7 @@ from repro.metrics.reuse_distance import COLD, reuse_distances
 from repro.sim.driver import run_trace
 from repro.structures.cuckoo_filter import CuckooFilter
 from repro.structures.page_table import PageTableManager
-from repro.structures.tlb import SetAssociativeTLB, TLBEntry
+from repro.structures.tlb import SetAssociativeTLB, pack_key, pack_payload, unpack_payload
 from repro.workloads.ingest import write_k6_trace
 
 keys_st = st.lists(
@@ -33,15 +33,16 @@ class TestTLBProperties:
     def test_capacity_never_exceeded(self, ops, ways):
         tlb = SetAssociativeTLB(num_entries=8, associativity=ways)
         for op, vpn in ops:
+            key = pack_key(1, vpn)
             if op == "insert":
-                tlb.insert(TLBEntry(1, vpn, vpn))
+                tlb.insert(key, pack_payload(vpn))
             elif op == "lookup":
-                tlb.lookup(1, vpn)
+                tlb.lookup(key)
             else:
-                tlb.remove(1, vpn)
+                tlb.remove(key)
             assert len(tlb) <= 8
             # No set may exceed its associativity.
-            assert all(len(s) <= ways for s in tlb._sets)
+            assert all(len(s) <= ways for s in tlb.sets)
 
     @given(ops=st.lists(st.integers(0, 100), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
@@ -51,26 +52,26 @@ class TestTLBProperties:
         tlb = SetAssociativeTLB(num_entries=capacity, associativity=capacity)
         reference: OrderedDict[int, int] = OrderedDict()
         for vpn in ops:
-            entry = tlb.lookup(1, vpn)
+            payload = tlb.lookup(pack_key(1, vpn))
             if vpn in reference:
-                assert entry is not None
+                assert payload is not None
                 reference.move_to_end(vpn)
             else:
-                assert entry is None
-                tlb.insert(TLBEntry(1, vpn, vpn))
+                assert payload is None
+                tlb.insert(pack_key(1, vpn), pack_payload(vpn))
                 reference[vpn] = vpn
                 if len(reference) > capacity:
                     reference.popitem(last=False)
-            assert tlb.resident_keys() == {(1, v) for v in reference}
+            assert tlb.resident_keys() == {pack_key(1, v) for v in reference}
 
     @given(vpns=st.lists(st.integers(0, 1000), max_size=100))
     @settings(max_examples=40, deadline=None)
     def test_insert_then_peek(self, vpns):
         tlb = SetAssociativeTLB(num_entries=4096, associativity=64)
         for vpn in vpns:
-            tlb.insert(TLBEntry(1, vpn, vpn + 1))
+            tlb.insert(pack_key(1, vpn), pack_payload(vpn + 1))
         for vpn in vpns:
-            assert tlb.peek(1, vpn).ppn == vpn + 1
+            assert unpack_payload(tlb.peek(pack_key(1, vpn)))[0] == vpn + 1
 
 
 class TestCuckooProperties:

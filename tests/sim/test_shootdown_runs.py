@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.sim.system import MultiGPUSystem
+from repro.structures.tlb import pack_key
 from repro.workloads.trace import CUStream, Placement, Workload
 
 
@@ -51,4 +52,4 @@ def test_least_tlb_recovers_after_shootdown(tiny_config):
     tracker = system.policy.tracker
     gpu = system.gpus[0]
     for vpn in range(32):
-        assert gpu.l2_tlb.contains(1, vpn) == (0 in tracker.query(1, vpn))
+        assert (pack_key(1, vpn) in gpu.l2_tlb) == (0 in tracker.query(1, vpn))

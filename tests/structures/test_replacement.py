@@ -1,51 +1,16 @@
-"""Unit tests for the replacement policies."""
+"""Unit test of the TLB's replacement: LRU, the paper's policy at every
+level (Table 2)."""
 
-from collections import OrderedDict
-
-import pytest
-
-from repro.structures.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
-
-
-def make_set(keys):
-    return OrderedDict((k, k) for k in keys)
+from repro.structures.tlb import SetAssociativeTLB, pack_key, unpack_key
 
 
 def test_lru_victim_is_head_and_access_promotes():
-    policy = LRUPolicy()
-    tlb_set = make_set(["a", "b", "c"])
-    assert policy.select_victim(tlb_set) == "a"
-    policy.on_access(tlb_set, "a")
-    assert policy.select_victim(tlb_set) == "b"
-
-
-def test_fifo_access_does_not_promote():
-    policy = FIFOPolicy()
-    tlb_set = make_set(["a", "b"])
-    policy.on_access(tlb_set, "a")
-    assert policy.select_victim(tlb_set) == "a"
-
-
-def test_random_peek_does_not_consume_rng():
-    policy = RandomPolicy(seed=5)
-    tlb_set = make_set(["a", "b", "c", "d"])
-    peeked = [policy.select_victim(tlb_set, peek=True) for _ in range(3)]
-    assert len(set(peeked)) == 1
-    committed = [policy.select_victim(tlb_set) for _ in range(8)]
-    assert set(committed) <= {"a", "b", "c", "d"}
-
-
-def test_make_policy_names():
-    assert isinstance(make_policy("lru"), LRUPolicy)
-    assert isinstance(make_policy("FIFO"), FIFOPolicy)
-    assert isinstance(make_policy("random", seed=1), RandomPolicy)
-
-
-def test_make_policy_unknown():
-    with pytest.raises(ValueError, match="unknown replacement policy"):
-        make_policy("plru")
+    tlb = SetAssociativeTLB(num_entries=3, associativity=3)
+    for vpn in (0, 1, 2):
+        tlb.insert(pack_key(1, vpn), 0)
+    (only,) = tlb.sets
+    assert unpack_key(next(iter(only))) == (1, 0)
+    tlb.lookup(pack_key(1, 0))
+    assert unpack_key(next(iter(only))) == (1, 1)
+    victim = tlb.insert(pack_key(1, 3), 0)
+    assert unpack_key(victim[0]) == (1, 1)

@@ -1,101 +1,55 @@
-"""Property-style tests for the replacement policies.
+"""Property-style tests of the TLB's LRU replacement.
 
-The TLB relies on two contracts the policies must uphold:
-
-* ``select_victim(peek=True)`` is a pure preview — it must not perturb
-  recency order or (for Random) advance RNG state, because
-  ``lru_victim``/spill-preview paths call it without committing to an
-  eviction;
-* LRU and FIFO are indistinguishable on a *cold* set (no re-accesses):
-  both evict in insertion order.
+* a peek is a pure read: it never perturbs a set's recency order, so a
+  remote probe or an invariant audit cannot change the next victim;
+* the victim is always the least recently inserted or looked-up entry
+  of its set (a list-based reference model).
 """
-
-from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures.replacement import make_policy
-
-POLICY_NAMES = ("lru", "fifo", "random")
+from repro.structures.tlb import SetAssociativeTLB, pack_key, unpack_key
 
 keys_st = st.lists(st.integers(0, 50), min_size=1, max_size=40, unique=True)
 accesses_st = st.lists(st.integers(0, 50), max_size=60)
 
 
-def _filled(keys) -> OrderedDict:
-    return OrderedDict((key, f"entry-{key}") for key in keys)
+def _filled(vpns) -> SetAssociativeTLB:
+    tlb = SetAssociativeTLB(num_entries=len(vpns), associativity=len(vpns))
+    for vpn in vpns:
+        tlb.insert(pack_key(1, vpn), vpn)
+    return tlb
+
+
+def _order(tlb) -> list[int]:
+    return [unpack_key(key)[1] for key, _ in tlb.items()]
 
 
 class TestPeekIsPure:
     @given(keys=keys_st, accesses=accesses_st)
     @settings(max_examples=60, deadline=None)
     def test_peek_never_mutates_recency_order(self, keys, accesses):
-        for name in POLICY_NAMES:
-            policy = make_policy(name, seed=7)
-            tlb_set = _filled(keys)
-            for key in accesses:
-                if key in tlb_set:
-                    policy.on_access(tlb_set, key)
-            order_before = list(tlb_set)
-            first = policy.select_victim(tlb_set, peek=True)
-            assert list(tlb_set) == order_before, name
-            # Repeated peeks are stable: no hidden state advanced.
-            for _ in range(3):
-                assert policy.select_victim(tlb_set, peek=True) == first, name
-            assert list(tlb_set) == order_before, name
-
-    @given(keys=keys_st)
-    @settings(max_examples=30, deadline=None)
-    def test_random_peek_does_not_consume_rng_state(self, keys):
-        committed = make_policy("random", seed=123)
-        peeked = make_policy("random", seed=123)
-        tlb_set = _filled(keys)
-        # Interleaving peeks must not change the committed-victim sequence.
-        for _ in range(5):
-            peeked.select_victim(tlb_set, peek=True)
-        for _ in range(3):
-            assert (
-                committed.select_victim(tlb_set)
-                == peeked.select_victim(tlb_set)
-            )
+        tlb = _filled(keys)
+        for vpn in accesses:
+            tlb.lookup(pack_key(1, vpn))
+        order_before = _order(tlb)
+        for vpn in accesses + keys:
+            tlb.peek(pack_key(1, vpn))
+            assert pack_key(1, vpn) in tlb or vpn not in keys
+        assert _order(tlb) == order_before
 
 
 class TestColdSetEquivalence:
-    @given(keys=keys_st)
-    @settings(max_examples=60, deadline=None)
-    def test_lru_and_fifo_agree_with_no_reaccesses(self, keys):
-        lru, fifo = make_policy("lru"), make_policy("fifo")
-        lru_set, fifo_set = _filled(keys), _filled(keys)
-        for policy, tlb_set in ((lru, lru_set), (fifo, fifo_set)):
-            policy.on_insert(tlb_set, keys[-1])
-        assert lru.select_victim(lru_set, peek=True) == fifo.select_victim(
-            fifo_set, peek=True
-        )
-        # Both evict the oldest insertion.
-        assert lru.select_victim(lru_set) == keys[0]
-        assert fifo.select_victim(fifo_set) == keys[0]
-
     @given(keys=keys_st, accesses=accesses_st)
     @settings(max_examples=60, deadline=None)
     def test_lru_victim_matches_reference_model(self, keys, accesses):
-        policy = make_policy("lru")
-        tlb_set = _filled(keys)
+        tlb = _filled(keys)
         reference = list(keys)  # least- to most-recently used
-        for key in accesses:
-            if key in tlb_set:
-                policy.on_access(tlb_set, key)
-                reference.remove(key)
-                reference.append(key)
-        assert policy.select_victim(tlb_set, peek=True) == reference[0]
-
-    @given(keys=keys_st, accesses=accesses_st)
-    @settings(max_examples=60, deadline=None)
-    def test_fifo_ignores_accesses(self, keys, accesses):
-        policy = make_policy("fifo")
-        tlb_set = _filled(keys)
-        for key in accesses:
-            if key in tlb_set:
-                policy.on_access(tlb_set, key)
-        # Hits never refresh position: the victim is always the first in.
-        assert policy.select_victim(tlb_set, peek=True) == keys[0]
+        for vpn in accesses:
+            if tlb.lookup(pack_key(1, vpn)) is not None:
+                reference.remove(vpn)
+                reference.append(vpn)
+        assert _order(tlb) == reference
+        victim = tlb.insert(pack_key(1, 99), 99)
+        assert unpack_key(victim[0]) == (1, reference[0])

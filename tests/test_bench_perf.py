@@ -52,10 +52,26 @@ def test_regressed_row_fails(tmp_path):
 
 def test_ingest_section_measures_its_gated_rows():
     bench_perf = _load_bench_perf()
-    rows = bench_perf.measure_ingest(repeats=1, accesses=20_000)
+    rows = bench_perf.measure_ingest(accesses=20_000)
     assert [row["name"] for row in rows] == [
         "ingest-cold-parse", "ingest-digest-cold", "ingest-digest-cached",
     ]
     # Each row is a median over enough samples to carry an IQR.
-    assert all(row["samples"] >= bench_perf.INGEST_SAMPLES for row in rows)
+    assert all(row["samples"] == bench_perf.SAMPLES for row in rows)
     assert all(row["wall_iqr"] >= 0 for row in rows)
+
+
+def test_simulation_sections_measure_their_gated_rows():
+    bench_perf = _load_bench_perf()
+    kernel = bench_perf.measure_kernel(scale=0.01)
+    fastpath = bench_perf.measure_fastpath(kernel, scale=0.01)
+    names = ["MM-least-tlb", "W8-baseline"]
+    assert [row["name"] for row in kernel] == [row["name"] for row in fastpath] == names
+    for event, fast in zip(kernel, fastpath):
+        # Both backends run the same schedule.
+        assert (event["events"], event["total_cycles"]) == (
+            fast["events"], fast["total_cycles"]
+        )
+        for row in (event, fast):
+            assert row["samples"] == bench_perf.SAMPLES
+            assert row["wall_iqr"] >= 0
