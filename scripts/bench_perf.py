@@ -340,6 +340,12 @@ def machine_stamp() -> dict:
     }
 
 
+def _rate(value: float) -> str:
+    """A rate with at least three significant digits, so the log shows how
+    near a slow row (a few jobs/s) came to its floor."""
+    return f"{value:,.0f}" if abs(value) >= 100 else f"{value:#.3g}"
+
+
 def check_regression(report: dict, baseline_path: Path, max_regression: float) -> int:
     """Compare every gated baseline row's events/sec against this run's;
     a baseline row the run did not measure fails as well."""
@@ -364,8 +370,8 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
             status = "ok" if row["events_per_sec"] >= floor else "REGRESSION"
             print(
                 f"regression-check {section} {row['name']:<14} "
-                f"{row['events_per_sec']:>10,.0f} vs baseline "
-                f"{base['events_per_sec']:>10,.0f} (floor {floor:,.0f}) {status}"
+                f"{_rate(row['events_per_sec']):>10} vs baseline "
+                f"{_rate(base['events_per_sec']):>10} (floor {_rate(floor)}) {status}"
             )
             if status != "ok":
                 failures += 1

@@ -79,25 +79,56 @@ def case_id(spec: JobSpec) -> str:
     Families like fig19/fig20 run the *same* workload/policy under
     different configs (spill budgets, remote-latency scales) or options
     (``race_ptw``), so the readable part alone would collide and
-    silently drop cases at collection time.  Non-default configs and
-    options contribute a short content digest to keep every variant
-    distinct.
+    silently drop cases at collection time.  A variant is keyed by what
+    makes it one: the dotted ``name=value`` of every config field where
+    its resolved config differs from the config the same spec resolves to
+    without one, plus its options (e.g. ``spill_budget=2``,
+    ``interconnect.remote_latency_scale=0.5`` or
+    ``policy_options.race_ptw=false``), hashed when long.  A field every
+    config holds at the same value never reaches the id, so adding or
+    deleting such a field re-keys nothing.
     """
     seed = "cfg" if spec.seed is None else spec.seed
     base = f"{spec.kind}:{spec.workload}/{spec.policy}@{spec.scale:g}/seed{seed}"
-    if spec.config is not None or spec.options:
-        payload = json.dumps(
-            canonicalize(
-                {
-                    "config": dataclasses.asdict(spec.resolved_config()),
-                    "options": dict(spec.options),
-                }
-            ),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        base += f"/v{hashlib.sha256(payload.encode()).hexdigest()[:8]}"
+    variant = config_changes(
+        spec.resolved_config(), replace(spec, config=None).resolved_config()
+    )
+    for name, value in spec.options:
+        if isinstance(value, dict):
+            variant += [f"{name}.{key}={_value(value[key])}" for key in sorted(value)]
+        else:
+            variant.append(f"{name}={_value(value)}")
+    if variant:
+        text = ",".join(sorted(variant))
+        if len(text) > _MAX_VARIANT:
+            text = f"v{hashlib.sha256(text.encode()).hexdigest()[:8]}"
+        base += f"/{text}"
     return base
+
+
+_MAX_VARIANT = 100
+"""Longest variant text a case id spells out; a longer one is hashed."""
+
+
+def config_changes(config: object, reference: object, prefix: str = "") -> list[str]:
+    """``name=value`` of every (dotted) field where ``config`` differs
+    from ``reference``."""
+    changes = []
+    for field in dataclasses.fields(config):  # type: ignore[arg-type]
+        value = getattr(config, field.name)
+        other = getattr(reference, field.name)
+        name = prefix + field.name
+        if dataclasses.is_dataclass(value) and type(value) is type(other):
+            changes += config_changes(value, other, f"{name}.")
+        elif value != other:
+            changes.append(f"{name}={_value(value)}")
+    return changes
+
+
+def _value(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    return json.dumps(canonicalize(value), sort_keys=True, separators=(",", ":"))
 
 
 def collect_specs(

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.least_tlb import LeastTLBPolicy
+from repro.core.protocol import SpillReceiverSelector
 from repro.structures.tlb import BUDGET_LIMIT, pack_payload, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,6 +64,12 @@ class DeviceAwareLeastTLBPolicy(LeastTLBPolicy):
         if any(w <= 0 for w in qos_weights):
             raise ValueError("QoS weights must be positive")
         self.qos_weights = list(qos_weights)
+        # Spill placement biases toward light devices: the counter rule
+        # scales each Eviction Counter by the receiver's weight, so a
+        # latency-critical device looks proportionally busier.
+        self.receivers = SpillReceiverSelector(
+            self.receiver_policy, num, system.config.seed, weights=self.qos_weights
+        )
         for gpu in range(num):
             budget = self._budget_for_owner(gpu)
             if budget >= BUDGET_LIMIT:
@@ -70,30 +77,6 @@ class DeviceAwareLeastTLBPolicy(LeastTLBPolicy):
                     f"QoS weights give GPU {gpu} a spill budget of {budget}, past "
                     f"the spill-budget field of a TLB entry (max {BUDGET_LIMIT - 1})"
                 )
-
-    # -- spill placement ---------------------------------------------------
-
-    def _select_receiver(self) -> int:
-        """Minimum *weighted* Eviction Counter, rotating tie-break.
-
-        Scaling the counter by the receiver's weight makes a
-        latency-critical (heavy) device look proportionally busier, so
-        spills land on the devices that can absorb the L2 interference.
-        """
-        if self.receiver_policy != "counter":
-            return super()._select_receiver()
-        iommu = self.iommu
-        num = self.system.config.num_gpus
-        best_gpu = -1
-        best_value: float | None = None
-        for offset in range(num):
-            gpu = (iommu._spill_pointer + offset) % num
-            value = (iommu.eviction_counters[gpu] + 1) * self.qos_weights[gpu]
-            if best_value is None or value < best_value:
-                best_gpu = gpu
-                best_value = value
-        iommu._spill_pointer = (best_gpu + 1) % num
-        return best_gpu
 
     # -- per-device spill budgets ---------------------------------------------
 

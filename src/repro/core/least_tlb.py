@@ -28,10 +28,10 @@ IOMMU TLB:
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import (
+    SpillReceiverSelector,
     choose_probe_target,
     least_tlb_options,
     probe_removes_entry,
@@ -91,8 +91,9 @@ class LeastTLBPolicy(TranslationPolicy):
         config = system.config
         self.tracker = LocalTLBTracker(config.tracker, config.num_gpus, seed=config.seed)
         self._probe_rotor = 0
-        self._receiver_rotor = 0
-        self._receiver_rng = random.Random(config.seed)
+        self.receivers = SpillReceiverSelector(
+            self.receiver_policy, config.num_gpus, config.seed
+        )
         self._l2_lookup_latency = config.gpu.l2_tlb.lookup_latency
 
     # -- IOMMU request handling (Algorithms 1 & 2, lookup) -----------------------
@@ -106,7 +107,9 @@ class LeastTLBPolicy(TranslationPolicy):
             return
         if self._attach_or_none(request) is not None:
             return
-        pending = self.iommu.pending.create(request)
+        pending = self.iommu.pending.create(
+            request.tlb_key, request, request.issue_time
+        )
 
         targets = [
             gpu_id
@@ -162,7 +165,7 @@ class LeastTLBPolicy(TranslationPolicy):
         self, request: ATSRequest, serial: int, generation: int
     ) -> None:
         """Hardening: the probe issued as ``generation`` never answered."""
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         if (
             pending is None
             or pending.serial != serial
@@ -182,7 +185,7 @@ class LeastTLBPolicy(TranslationPolicy):
             self.iommu.pending.maybe_remove(pending)
 
     def _remote_probe(self, request: ATSRequest, target: int, serial: int) -> None:
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         if pending is None or pending.serial != serial:
             # Hardened protocol only: the probe timed out, its fallback
             # walk served the waiters, and the entry was reaped (and
@@ -309,23 +312,13 @@ class LeastTLBPolicy(TranslationPolicy):
         arrival = self.topology.gpu_to_iommu(gpu.gpu_id, self.queue.now)
         self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, key, payload)
 
-    def _select_receiver(self) -> int:
-        """The spill target GPU, per the configured receiver policy."""
-        if self.receiver_policy == "counter":
-            return self.iommu.select_spill_receiver()
-        if self.receiver_policy == "round-robin":
-            receiver = self._receiver_rotor
-            self._receiver_rotor = (receiver + 1) % self.system.config.num_gpus
-            return receiver
-        return self._receiver_rng.randrange(self.system.config.num_gpus)
-
     def on_iommu_tlb_evicted(self, key: int, payload: int) -> None:
         ppn, _, budget = unpack_payload(payload)
         if not should_spill_victim(self.spilling, budget):
             # Single-application least-TLB simply drops the LRU victim
             # (Algorithm 1, lines 27-28).
             return
-        receiver = self._select_receiver()
+        receiver = self.receivers.select(self.iommu.eviction_counters)
         self.iommu.stats.inc("spills")
         self.iommu.stats.inc(f"spills_to_gpu{receiver}")
         arrival = self.topology.probe_to_gpu(receiver, self.queue.now)

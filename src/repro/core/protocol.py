@@ -10,11 +10,14 @@ state so there is exactly one implementation to maintain and the two
 backends cannot drift.
 
 Every function is side-effect free: mutable protocol state (rotors,
-pointers) is passed in and the successor state is returned.
+pointers) is passed in and the successor state is returned.  The one
+class, :class:`SpillReceiverSelector`, holds the state of the
+spill-receiver rule, which both backends build once per run.
 """
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple, Sequence
 
 
@@ -56,28 +59,64 @@ def least_tlb_options(
 
 
 
-def select_spill_receiver(
-    eviction_counters: Sequence[int], pointer: int
-) -> tuple[int, int]:
-    """The GPU whose Eviction Counter is smallest (Section 4.2).
+class SpillReceiverSelector:
+    """Which GPU receives a spilled IOMMU TLB victim (Section 4.2), with
+    the state the rule keeps between spills.
 
-    Ties break by a rotating-priority arbiter: scanning starts just after
-    the previously selected GPU (``pointer``), which reproduces the
-    alternating receiver choices in the Figure 13 walk-through and avoids
-    always dumping spills on GPU 0.
+    ``receiver_policy`` is ``"counter"`` (the paper's rule),
+    ``"round-robin"`` or ``"random"``.  The counter rule picks the GPU
+    whose ``(count + 1) * weight`` is smallest over the Eviction Counters;
+    with the default uniform weights that is the GPU with the smallest
+    counter, and ``least-tlb-qos`` passes its QoS weights so a
+    latency-critical GPU looks proportionally busier.  Ties break by a
+    rotating-priority arbiter: scanning starts just after the previously
+    selected GPU, which reproduces the alternating receiver choices in the
+    Figure 13 walk-through and avoids always dumping spills on GPU 0.
 
-    Returns ``(receiver, next_pointer)``.
+    Each backend builds one per run from the resolved options, the GPU
+    count and the config seed.
     """
-    num_gpus = len(eviction_counters)
-    best_gpu = -1
-    best_value: int | None = None
-    for offset in range(num_gpus):
-        gpu = (pointer + offset) % num_gpus
-        value = eviction_counters[gpu]
-        if best_value is None or value < best_value:
-            best_gpu = gpu
-            best_value = value
-    return best_gpu, (best_gpu + 1) % num_gpus
+
+    __slots__ = ("receiver_policy", "num_gpus", "weights", "pointer", "rotor", "rng")
+
+    def __init__(
+        self,
+        receiver_policy: str,
+        num_gpus: int,
+        seed: int,
+        weights: Sequence[float] | None = None,
+    ) -> None:
+        self.receiver_policy = receiver_policy
+        self.num_gpus = num_gpus
+        self.weights: Sequence[float] = [1] * num_gpus if weights is None else weights
+        self.pointer = 0
+        """Where the counter rule's next scan starts."""
+        self.rotor = 0
+        """The round-robin rule's next receiver."""
+        self.rng = random.Random(seed)
+        """The random rule's draws."""
+
+    def select(self, eviction_counters: Sequence[int]) -> int:
+        """The receiver of the next spill, given the IOMMU TLB's Eviction
+        Counters."""
+        num_gpus = self.num_gpus
+        if self.receiver_policy == "counter":
+            weights = self.weights
+            best_gpu = -1
+            best_value: float = 0
+            for offset in range(num_gpus):
+                gpu = (self.pointer + offset) % num_gpus
+                value = (eviction_counters[gpu] + 1) * weights[gpu]
+                if best_gpu < 0 or value < best_value:
+                    best_gpu = gpu
+                    best_value = value
+            self.pointer = (best_gpu + 1) % num_gpus
+            return best_gpu
+        if self.receiver_policy == "round-robin":
+            receiver = self.rotor
+            self.rotor = (receiver + 1) % num_gpus
+            return receiver
+        return self.rng.randrange(num_gpus)
 
 
 def choose_probe_target(targets: Sequence[int], rotor: int) -> tuple[int, int]:

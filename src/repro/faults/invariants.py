@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.event_queue import SimulationError
-from repro.structures.tlb import pack_key, unpack_key, unpack_payload
+from repro.structures.tlb import unpack_key, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import MultiGPUSystem
@@ -116,7 +116,8 @@ class InvariantChecker:
         self._last_now = now
 
     def _check_pending_entries(self) -> None:
-        for key, entry in self.system.iommu.pending.items():
+        for packed, entry in self.system.iommu.pending.items():
+            key = unpack_key(packed)
             if entry.served:
                 if entry.result_ppn is None:
                     self._fail(
@@ -189,7 +190,7 @@ class InvariantChecker:
         overlap = iommu_keys & l2_keys
         # Keys mid-protocol (being re-fetched while the victim is in
         # flight) are expected to transiently duplicate.
-        overlap -= {pack_key(pid, vpn) for pid, vpn in system.iommu.pending.keys()}
+        overlap -= system.iommu.pending.keys()
         count = len(overlap)
         if count > self.max_overlap:
             self.max_overlap = count
@@ -219,7 +220,7 @@ class InvariantChecker:
                 "completion-empty",
                 f"pending table holds {len(system.iommu.pending)} entries "
                 "after completion",
-                pending=sorted(system.iommu.pending.keys()),
+                pending=sorted(map(unpack_key, system.iommu.pending)),
             )
         for gpu in system.gpus:
             if gpu.mshr:

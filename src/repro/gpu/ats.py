@@ -32,11 +32,7 @@ class ATSRequest:
     default ``None`` is the untraced fast path)."""
 
     @property
-    def key(self) -> tuple[int, int]:
-        """The ``(pid, vpn)`` translation key this request asks for."""
-        return (self.pid, self.vpn)
-
-    @property
     def tlb_key(self) -> int:
-        """The same key packed as a TLB entry key."""
+        """The translation key this request asks for, packed as a TLB
+        entry key (also the pending table's key)."""
         return pack_key(self.pid, self.vpn)

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 from repro.config.system import SystemConfig
 from repro.gpu.ats import ATSRequest
 from repro.gpu.compute_unit import ComputeUnit
+from repro.iommu.page_walker import WalkTicket
 from repro.structures.tlb import SetAssociativeTLB, pack_key, pack_payload, unpack_key
 from repro.workloads.trace import Placement
 
@@ -198,24 +199,29 @@ class GPUDevice:
                 stats.inc("local_walks")
             if trace is not None:
                 trace.begin("local_walk", now)
-            self.local_walkers.request(
-                pid, vpn, 0, lambda result: self._local_walk_done(request, result)
-            )
+            ticket = WalkTicket(pid, vpn, 0, request, now)
+            if self.local_walkers.request(ticket) is not None:
+                self._run_local_walk(ticket)
         else:
             self.system.policy.on_l2_miss(self, request)
 
-    def _local_walk_done(self, request: ATSRequest, result) -> None:
+    def _run_local_walk(self, ticket: WalkTicket) -> None:
+        self.system.queue.schedule_after(ticket.cycles, self._local_walk_done, ticket)
+
+    def _local_walk_done(self, ticket: WalkTicket) -> None:
         """A device-memory page-table walk finished (Figure 23 variant)."""
+        now = self.system.queue.now
+        started = self.local_walkers.finish(ticket, now)
+        if started is not None:
+            self._run_local_walk(started)
+        request: ATSRequest = ticket.owner
+        ppn = ticket.ppn
         if request.trace is not None:
             request.trace.end(
-                "local_walk",
-                self.system.queue.now,
-                outcome="hit" if result.hit else "miss",
+                "local_walk", now, outcome="hit" if ppn is not None else "miss"
             )
-        if result.hit:
-            self.receive_fill(
-                request.pid, request.vpn, result.ppn, self.config.spill_budget
-            )
+        if ppn is not None:
+            self.receive_fill(request.pid, request.vpn, ppn, self.config.spill_budget)
             return
         # Local page fault: only now does the request travel to the IOMMU.
         if request.measured:

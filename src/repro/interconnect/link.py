@@ -10,8 +10,6 @@ interconnect can make remote-TLB lookups slower than page walks).
 
 from __future__ import annotations
 
-from repro.engine.stats import LatencyAccumulator
-
 
 class Link:
     """A unidirectional link with latency and finite injection bandwidth."""
@@ -23,7 +21,6 @@ class Link:
         "_next_free",
         "traffic",
         "drops",
-        "queueing",
     )
 
     def __init__(self, name: str, latency: int, bandwidth: float = 1.0) -> None:
@@ -39,7 +36,6 @@ class Link:
         self._next_free = 0.0
         self.traffic = 0
         self.drops = 0
-        self.queueing = LatencyAccumulator()
 
     def send(self, now: int) -> int:
         """Account one message entering the link at cycle ``now``.
@@ -47,20 +43,16 @@ class Link:
         Returns the cycle the message arrives at the far end (propagation
         latency plus any serialization queueing).
         """
-        depart = max(float(now), self._next_free)
+        # A float compare, not max(): both backends send every message
+        # through here.
+        depart = float(now)
+        next_free = self._next_free
+        if next_free > depart:
+            depart = next_free
         self._next_free = depart + self.cycles_per_message
         self.traffic += 1
-        queue_delay = int(depart) - now
-        self.queueing.record(queue_delay)
         return int(depart) + self.latency
 
     def record_drop(self) -> None:
         """Account a message lost on this link (fault injection)."""
         self.drops += 1
-
-    def reset(self) -> None:
-        """Clear traffic accounting and serialization state."""
-        self._next_free = 0.0
-        self.traffic = 0
-        self.drops = 0
-        self.queueing = LatencyAccumulator()

@@ -17,26 +17,29 @@ Two schedulers are provided:
 Walks can be *cancelled while still queued*: least-TLB races every tracker
 probe against a walk (Section 4.1), and when the remote L2 responds first
 the queued walk is squashed so the race does not waste walker throughput.
-A walk already dispatched to a walker cannot be cancelled — its result is
+A walk already running on a walker cannot be cancelled — its result is
 simply discarded on arrival.
+
+The pool is shared by both backends and never schedules anything: it
+decides and counts, and returns what must happen next.
+:meth:`WalkerPool.request` returns the ticket to start now (or ``None``
+when the walk queued); :meth:`WalkerPool.finish` frees a walker and
+returns the queued ticket it starts next (or ``None``).  Starting a ticket
+performs the walk, so a started ticket carries its frame (``ppn``) and
+latency (``cycles``); the caller schedules its completion — the event
+engine with its walker-stall, lost-walk and telemetry hooks
+(:class:`~repro.iommu.iommu.IOMMU`), the functional replay on its heap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Any
 
 from repro.config.system import IOMMUConfig
 from repro.core.protocol import walk_cycles
-from repro.engine.event_queue import EventQueue
 from repro.engine.stats import CounterSet, LatencyAccumulator
-from repro.structures.page_table import PageTableManager, WalkResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.injector import FaultInjector
-    from repro.telemetry.hub import TelemetryHub
-
-WalkCallback = Callable[[WalkResult], None]
+from repro.structures.page_table import PageTableManager
 
 _QUEUED = 0
 _RUNNING = 1
@@ -45,96 +48,102 @@ _CANCELLED = 3
 
 
 class WalkTicket:
-    """Handle for one requested walk, usable for cancellation."""
+    """One requested walk: its tag, its owner and, once started, its
+    outcome."""
 
-    __slots__ = ("pid", "vpn", "gpu_id", "callback", "enqueue_time", "state", "walker_id")
+    __slots__ = (
+        "pid",
+        "vpn",
+        "gpu_id",
+        "owner",
+        "enqueue_time",
+        "state",
+        "walker_id",
+        "ppn",
+        "cycles",
+    )
 
     def __init__(
-        self, pid: int, vpn: int, gpu_id: int, callback: WalkCallback, enqueue_time: int
+        self, pid: int, vpn: int, gpu_id: int, owner: Any, enqueue_time: int
     ) -> None:
         self.pid = pid
         self.vpn = vpn
         self.gpu_id = gpu_id
-        self.callback = callback
+        self.owner = owner
+        """Opaque to the pool: what the caller resumes when the walk
+        finishes."""
         self.enqueue_time = enqueue_time
         self.state = _QUEUED
         self.walker_id = -1
-        """Physical walker the walk was dispatched on (-1 while queued)."""
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`WalkerPool.cancel` squashed this walk."""
-        return self.state == _CANCELLED
+        """Physical walker the walk started on (-1 while queued)."""
+        self.ppn: int | None = None
+        """The walked frame, or ``None`` when the walk faulted (set at
+        start)."""
+        self.cycles = 0
+        """The walk's latency (set at start)."""
 
 
 class WalkerPool:
     """Eight multi-threaded page-table walkers shared by all GPUs."""
 
     def __init__(
-        self,
-        queue: EventQueue,
-        page_tables: PageTableManager,
-        config: IOMMUConfig,
-        num_gpus: int,
-        injector: "FaultInjector | None" = None,
-        telemetry: "TelemetryHub | None" = None,
+        self, page_tables: PageTableManager, config: IOMMUConfig, num_gpus: int
     ) -> None:
-        self.queue = queue
         self.page_tables = page_tables
-        self.config = config
         self.num_gpus = num_gpus
+        self.walker_threads = config.walker_threads
         self.capacity = config.num_walkers * config.walker_threads
-        self.scheduler = config.walker_scheduler
-        self.injector = injector
-        self.telemetry = telemetry
-        self._busy_total = 0
+        self.busy = 0
+        """Walks currently occupying walker threads."""
         self.stats = CounterSet()
         self.queue_wait = LatencyAccumulator()
+        self._walk_latency = config.walk_latency
+        self._levels = page_tables.levels
+        # A walk that finds its PTE touches every level: constant latency.
+        self._hit_cycles = walk_cycles(self._walk_latency, self._levels, self._levels)
         # Physical walker identity: walks are assigned round-robin over
         # the live walkers so a kill-walker fault can target the in-flight
         # work of one specific walker.
-        self._alive_walkers = list(range(config.num_walkers))
-        self._dead_walkers: set[int] = set()
+        self._alive = list(range(config.num_walkers))
+        self.dead: set[int] = set()
+        """Killed walkers; a walk that ran on one is lost."""
         self._walker_rotor = 0
-        if self.scheduler == "dws":
+        # FIFO keeps one shared queue; DWS one queue per GPU.
+        self._dws = config.walker_scheduler == "dws"
+        self._queues: list[deque[WalkTicket]] = [
+            deque() for _ in range(num_gpus if self._dws else 1)
+        ]
+        if self._dws:
             self._allocation = max(1, self.capacity // num_gpus)
             self._busy_per_gpu = [0] * num_gpus
-            self._queues: list[deque[WalkTicket]] = [deque() for _ in range(num_gpus)]
             self._steal_rotor = 0
-        else:
-            self._fifo: deque[WalkTicket] = deque()
 
     # -- public API ----------------------------------------------------------
 
-    @property
-    def busy(self) -> int:
-        """Walks currently occupying walker threads."""
-        return self._busy_total
-
-    def pending(self) -> int:
-        """Walks queued but not yet dispatched."""
-        if self.scheduler == "dws":
-            return sum(len(q) for q in self._queues)
-        return len(self._fifo)
-
-    def request(
-        self, pid: int, vpn: int, gpu_id: int, callback: WalkCallback
-    ) -> WalkTicket:
-        """Enqueue a walk for ``(pid, vpn)`` on behalf of ``gpu_id``.
-
-        ``callback(result)`` fires when the walk completes (after queueing
-        plus the walk latency for the levels it touched).  The returned
-        ticket allows cancellation while the walk is still queued.
-        """
+    def request(self, ticket: WalkTicket) -> WalkTicket | None:
+        """Admit a new walk: start it now (returned, with its outcome) if
+        a walker thread is free, else queue it (``None``)."""
         self.stats.inc("walks_requested")
-        ticket = WalkTicket(pid, vpn, gpu_id, callback, self.queue.now)
-        if self._busy_total < self.capacity:
-            self._dispatch(ticket)
-        elif self.scheduler == "dws":
-            self._queues[gpu_id].append(ticket)
-        else:
-            self._fifo.append(ticket)
-        return ticket
+        if self.busy < self.capacity:
+            self._start(ticket, ticket.enqueue_time)
+            return ticket
+        self._queues[ticket.gpu_id if self._dws else 0].append(ticket)
+        return None
+
+    def finish(self, ticket: WalkTicket, now: int) -> WalkTicket | None:
+        """``ticket``'s walk finished at ``now``: free its walker thread and
+        return the queued ticket started in its place, or ``None``."""
+        ticket.state = _DONE
+        self.busy -= 1
+        if self._dws:
+            self._busy_per_gpu[ticket.gpu_id] -= 1
+        if self.busy >= self.capacity:
+            # A killed walker shrank the pool below current occupancy.
+            return None
+        nxt = self._next_dws() if self._dws else self._next_fifo()
+        if nxt is not None:
+            self._start(nxt, now)
+        return nxt
 
     def cancel(self, ticket: WalkTicket) -> bool:
         """Squash a walk that has not started yet.
@@ -148,92 +157,73 @@ class WalkerPool:
         self.stats.inc("walks_cancelled")
         return True
 
+    def lose(self) -> None:
+        """Count a finished walk whose result never reaches its owner: its
+        walker died (:attr:`dead`) or a fault dropped it."""
+        self.stats.inc("walks_lost")
+
+    def pending(self) -> int:
+        """Live walks queued but not yet started."""
+        return sum(t.state == _QUEUED for queue in self._queues for t in queue)
+
     @property
     def lost_capacity(self) -> int:
         """Walker threads lost to killed walkers."""
-        return len(self._dead_walkers) * self.config.walker_threads
+        return len(self.dead) * self.walker_threads
 
     def kill_walker(self, walker_id: int) -> bool:
         """Fail one physical walker (fault injection).
 
-        The walker's in-flight walks are lost — their results never
-        arrive, leaving recovery to the hardening retries — and its
-        threads leave the pool, so queued and future walks redistribute
-        over the surviving walkers.  Returns ``False`` for an unknown or
-        already-dead walker.
+        The walker's running walks are lost — the caller drops a finished
+        ticket whose ``walker_id`` is in :attr:`dead`, leaving recovery to
+        the hardening retries — and its threads leave the pool, so queued
+        and future walks redistribute over the surviving walkers.  Returns
+        ``False`` for an unknown or already-dead walker.
         """
-        if walker_id in self._dead_walkers or walker_id not in self._alive_walkers:
+        if walker_id not in self._alive:
             return False
-        self._alive_walkers.remove(walker_id)
-        self._dead_walkers.add(walker_id)
-        self.capacity = self.config.walker_threads * len(self._alive_walkers)
-        if self.scheduler == "dws":
+        self._alive.remove(walker_id)
+        self.dead.add(walker_id)
+        self.capacity = self.walker_threads * len(self._alive)
+        if self._dws:
             self._allocation = max(1, self.capacity // self.num_gpus)
         self.stats.inc("walkers_killed")
         return True
 
     # -- internals ------------------------------------------------------------
 
-    def _walk_latency(self, result: WalkResult) -> int:
-        return walk_cycles(
-            self.config.walk_latency, result.levels_touched, self.page_tables.levels
-        )
-
-    def _dispatch(self, ticket: WalkTicket) -> None:
+    def _start(self, ticket: WalkTicket, now: int) -> None:
+        """Put ``ticket`` on a walker and walk the page table."""
         ticket.state = _RUNNING
-        if self._alive_walkers:
-            ticket.walker_id = self._alive_walkers[
-                self._walker_rotor % len(self._alive_walkers)
-            ]
+        alive = self._alive
+        if alive:
+            ticket.walker_id = alive[self._walker_rotor % len(alive)]
             self._walker_rotor += 1
-        self.queue_wait.record(self.queue.now - ticket.enqueue_time)
-        self._busy_total += 1
-        if self.scheduler == "dws":
+        self.queue_wait.record(now - ticket.enqueue_time)
+        self.busy += 1
+        if self._dws:
             self._busy_per_gpu[ticket.gpu_id] += 1
-        self.stats.inc("walks_dispatched")
-        result = self.page_tables.walk(ticket.pid, ticket.vpn)
-        if result.faulted:
-            self.stats.inc("walks_faulted")
-        latency = self._walk_latency(result)
-        if self.injector is not None:
-            latency += self.injector.walker_stall()
-        self.queue.schedule_after(latency, self._complete, ticket, result)
-
-    def _complete(self, ticket: WalkTicket, result: WalkResult) -> None:
-        ticket.state = _DONE
-        if self.telemetry is not None:
-            # Service time = queue wait + walk latency, per ticket.
-            self.telemetry.record_latency(
-                "walk_service", self.queue.now - ticket.enqueue_time
-            )
-        self._busy_total -= 1
-        if self.scheduler == "dws":
-            self._busy_per_gpu[ticket.gpu_id] -= 1
-            self._dequeue_dws(ticket.gpu_id)
+        stats = self.stats
+        stats.inc("walks_dispatched")
+        ppn = self.page_tables.translate(ticket.pid, ticket.vpn)
+        if ppn is not None:
+            ticket.ppn = ppn
+            ticket.cycles = self._hit_cycles
         else:
-            self._dequeue_fifo()
-        if ticket.walker_id in self._dead_walkers:
-            # The walker died with this walk in flight: the result is
-            # lost.  Hardening timeouts re-issue the walk on a survivor.
-            self.stats.inc("walks_lost")
-            return
-        if self.injector is not None and self.injector.drop_walk_result():
-            self.stats.inc("walks_lost")
-            return
-        ticket.callback(result)
+            stats.inc("walks_faulted")
+            touched = self.page_tables.walk(ticket.pid, ticket.vpn).levels_touched
+            ticket.cycles = walk_cycles(self._walk_latency, touched, self._levels)
 
-    def _dequeue_fifo(self) -> None:
-        if self._busy_total >= self.capacity:
-            # A killed walker shrank the pool below current occupancy.
-            return
-        while self._fifo:
-            ticket = self._fifo.popleft()
+    def _next_fifo(self) -> WalkTicket | None:
+        fifo = self._queues[0]
+        while fifo:
+            ticket = fifo.popleft()
             if ticket.state == _QUEUED:
-                self._dispatch(ticket)
-                return
+                return ticket
+        return None
 
-    def _dequeue_dws(self, freed_gpu: int) -> None:
-        """Serve the freed slot to the most under-served backlogged GPU.
+    def _next_dws(self) -> WalkTicket | None:
+        """The freed slot goes to the most under-served backlogged GPU.
 
         Each GPU owns ``capacity / num_gpus`` walker threads; a freed slot
         goes to the backlogged GPU furthest below its allocation (ties
@@ -241,28 +231,24 @@ class WalkerPool:
         but never starve a peer — the page-walk-stealing discipline of
         Section 5.6.
         """
-        if self._busy_total >= self.capacity:
-            # A killed walker shrank the pool below current occupancy.
-            return
-        self._drop_cancelled()
+        queues = self._queues
+        for queue in queues:
+            while queue and queue[0].state != _QUEUED:
+                queue.popleft()
+        num_gpus = self.num_gpus
         best_gpu = -1
-        best_deficit: int | None = None
-        for offset in range(self.num_gpus):
-            gpu = (self._steal_rotor + offset) % self.num_gpus
-            if not self._queues[gpu]:
+        best_deficit = 0
+        for offset in range(num_gpus):
+            gpu = (self._steal_rotor + offset) % num_gpus
+            if not queues[gpu]:
                 continue
             deficit = self._busy_per_gpu[gpu] - self._allocation
-            if best_deficit is None or deficit < best_deficit:
+            if best_gpu < 0 or deficit < best_deficit:
                 best_gpu = gpu
                 best_deficit = deficit
         if best_gpu < 0:
-            return
-        self._steal_rotor = (best_gpu + 1) % self.num_gpus
+            return None
+        self._steal_rotor = (best_gpu + 1) % num_gpus
         if self._busy_per_gpu[best_gpu] >= self._allocation:
             self.stats.inc("walks_stolen")
-        self._dispatch(self._queues[best_gpu].popleft())
-
-    def _drop_cancelled(self) -> None:
-        for queue in self._queues:
-            while queue and queue[0].state != _QUEUED:
-                queue.popleft()
+        return queues[best_gpu].popleft()

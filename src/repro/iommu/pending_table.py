@@ -6,50 +6,65 @@ whichever response returns first serves the requester, and the late arrival
 is discarded.  The same table also merges concurrent requests for one
 translation arriving from different GPUs, so one walk can feed many
 requesters (the IOMMU-level MSHR behaviour every policy needs).
+
+Both backends use this table: keys are packed TLB keys
+(:mod:`repro.structures.tlb`), and a waiter is whatever the backend's
+request is (an :class:`~repro.gpu.ats.ATSRequest` on the event engine, a
+plain tuple in the functional replay).
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, KeysView
-from dataclasses import dataclass, field
+from typing import Any
 
-from repro.gpu.ats import ATSRequest
+from repro.structures.tlb import unpack_key
 
 
-@dataclass(slots=True)
 class PendingEntry:
     """In-flight state for one translation key."""
 
-    key: tuple[int, int]
-    waiters: list[ATSRequest] = field(default_factory=list)
-    walk_pending: bool = False
-    remote_pending: bool = False
-    fault_pending: bool = False
-    served: bool = False
-    result_ppn: int | None = None
-    walk_ticket: object | None = None
-    """Handle of the racing walk, cancellable while still queued."""
+    __slots__ = (
+        "key",
+        "waiters",
+        "walk_pending",
+        "remote_pending",
+        "fault_pending",
+        "served",
+        "result_ppn",
+        "walk_ticket",
+        "created_at",
+        "serial",
+        "walk_attempts",
+        "walk_generation",
+        "remote_generation",
+    )
 
-    created_at: int = 0
-    """Cycle the entry was opened (surfaced in stall diagnostics)."""
-
-    serial: int = 0
-    """Table-unique incarnation number.  The walk/remote generation
-    counters below restart at 0 whenever a key's entry is reaped and
-    re-created, so a hardening timeout armed against a dead incarnation
-    could alias its successor's generation.  Callbacks therefore check
-    the serial too: same key, different incarnation → stale."""
-
-    walk_attempts: int = 0
-    """Walks issued for this key, including hardening retries."""
-
-    walk_generation: int = 0
-    """Monotonic walk-issue counter.  A hardening timeout or retry is
-    valid only for the generation it was armed against, so a late walk
-    response can never be mistaken for the loss of its successor."""
-
-    remote_generation: int = 0
-    """Same discipline for remote-probe timeouts."""
+    def __init__(self, key: int, first_waiter: Any, created_at: int, serial: int) -> None:
+        self.key = key
+        self.waiters = [first_waiter]
+        self.walk_pending = False
+        self.remote_pending = False
+        self.fault_pending = False
+        self.served = False
+        self.result_ppn: int | None = None
+        self.walk_ticket: Any = None
+        """Handle of the racing walk, cancellable while still queued."""
+        self.created_at = created_at
+        """Cycle the first waiter was issued (surfaced in stall diagnostics)."""
+        self.serial = serial
+        """Table-unique incarnation number.  The walk/remote generation
+        counters below restart at 0 whenever a key's entry is reaped and
+        re-created, so a hardening timeout armed against a dead incarnation
+        could alias its successor's generation.  Callbacks therefore check
+        the serial too: same key, different incarnation → stale."""
+        self.walk_attempts = 0
+        """Walks issued for this key, including hardening retries."""
+        self.walk_generation = 0
+        """Monotonic walk-issue counter.  A hardening timeout or retry is
+        valid only for the generation it was armed against, so a late walk
+        response can never be mistaken for the loss of its successor."""
+        self.remote_generation = 0
+        """Same discipline for remote-probe timeouts."""
 
     @property
     def resolved(self) -> bool:
@@ -57,9 +72,10 @@ class PendingEntry:
         return not (self.walk_pending or self.remote_pending or self.fault_pending)
 
     def describe(self) -> dict[str, object]:
-        """Structured snapshot for diagnostics dumps."""
+        """Structured snapshot for diagnostics dumps (the key as
+        ``(pid, vpn)``)."""
         return {
-            "key": self.key,
+            "key": unpack_key(self.key),
             "waiters": len(self.waiters),
             "walk_pending": self.walk_pending,
             "remote_pending": self.remote_pending,
@@ -70,66 +86,39 @@ class PendingEntry:
         }
 
 
-class PendingTable:
-    """Key → :class:`PendingEntry` with explicit lifecycle management."""
+class PendingTable(dict[int, PendingEntry]):
+    """Packed key → :class:`PendingEntry`, with the entry lifecycle.
 
-    __slots__ = ("_entries", "merges", "peak", "_created")
+    A plain dict underneath, so lookups (``get``, ``in``) cost what a dict
+    lookup costs on the replay's per-miss path."""
+
+    __slots__ = ("_created",)
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], PendingEntry] = {}
-        self.merges = 0
-        self.peak = 0
+        super().__init__()
         self._created = 0
 
-    def get(self, key: tuple[int, int]) -> PendingEntry | None:
-        """The in-flight entry for ``key``, or ``None``."""
-        return self._entries.get(key)
-
-    def create(self, request: ATSRequest) -> PendingEntry:
-        """Open a pending entry for ``request``'s key (must not exist)."""
-        key = request.key
-        if key in self._entries:
-            raise KeyError(f"pending entry already exists for {key}")
-        entry = PendingEntry(
-            key=key, waiters=[request], created_at=request.issue_time,
-            serial=self._created,
-        )
+    def create(self, key: int, waiter: Any, created_at: int) -> PendingEntry:
+        """Open the entry for ``key`` (must not exist) with its first
+        waiter."""
+        if key in self:
+            raise KeyError(f"pending entry already exists for {unpack_key(key)}")
+        entry = PendingEntry(key, waiter, created_at, self._created)
         self._created += 1
-        self._entries[key] = entry
-        if len(self._entries) > self.peak:
-            self.peak = len(self._entries)
+        self[key] = entry
         return entry
 
-    def attach(self, entry: PendingEntry, request: ATSRequest) -> None:
-        """Merge a later request for the same key."""
-        entry.waiters.append(request)
-        self.merges += 1
-
-    def maybe_remove(self, entry: PendingEntry) -> bool:
+    def maybe_remove(self, entry: PendingEntry) -> None:
         """Drop the entry once it is served and no response is outstanding.
 
         The entry must stay while a walk or probe is in flight: its arrival
         needs somewhere to learn it lost the race.
         """
-        if entry.served and entry.resolved:
-            self._entries.pop(entry.key, None)
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._entries
-
-    def keys(self) -> KeysView[tuple[int, int]]:
-        """All in-flight translation keys."""
-        return self._entries.keys()
-
-    def items(self) -> ItemsView[tuple[int, int], PendingEntry]:
-        """All in-flight ``(key, entry)`` pairs."""
-        return self._entries.items()
+        if entry.served and not (
+            entry.walk_pending or entry.remote_pending or entry.fault_pending
+        ):
+            self.pop(entry.key, None)
 
     def describe(self) -> list[dict[str, object]]:
         """Diagnostic snapshot of every in-flight entry (stall dumps)."""
-        return [entry.describe() for entry in self._entries.values()]
+        return [entry.describe() for entry in self.values()]

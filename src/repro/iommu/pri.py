@@ -7,134 +7,69 @@ batch dispatches when it reaches ``pri_batch_size`` entries or when the
 oldest entry has waited ``pri_timeout`` cycles, and completes after the
 CPU-side ``fault_handling_latency``.
 
-Robustness: a dispatched batch whose completion interrupt is lost (the
-``drop-pri`` fault site) would otherwise strand every request in it.
-When protocol hardening is active, each dispatched batch is tracked
-in flight and re-driven after ``fault_handling_latency +
-pri_retry_margin`` cycles of silence, up to ``max_pri_retries`` times;
-an abandoned batch is left to the engine watchdog.
+:class:`PRIQueue` is the batcher both backends share.  It never
+schedules: :meth:`PRIQueue.report` returns the batch to service now, the
+timer generation to arm, or ``None``, and :meth:`PRIQueue.expire` (the
+timer firing) returns its batch or ``None``.  Servicing a batch — and,
+on the event engine, losing it to the ``drop-pri`` fault site and
+re-driving it under protocol hardening — is the caller's, and so are its
+counters (:class:`~repro.iommu.iommu.IOMMU`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Any
 
 from repro.config.system import IOMMUConfig
-from repro.engine.event_queue import EventQueue
-from repro.engine.stats import CounterSet, LatencyAccumulator
-from repro.structures.page_table import PageTableManager
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import HardeningConfig
-    from repro.telemetry.hub import TelemetryHub
-
-FaultCallback = Callable[[int], None]
-"""Invoked with the newly mapped PPN once the fault is serviced."""
-
-_Batch = list[tuple[int, int, FaultCallback, int]]
+from repro.engine.stats import CounterSet
 
 
 class PRIQueue:
-    """The IOMMU's batched page-fault path."""
+    """The IOMMU's fault batcher: batch size, timeout generation and
+    counters."""
 
-    def __init__(
-        self,
-        queue: EventQueue,
-        page_tables: PageTableManager,
-        config: IOMMUConfig,
-        injector: "FaultInjector | None" = None,
-        hardening: "HardeningConfig | None" = None,
-        telemetry: "TelemetryHub | None" = None,
-    ) -> None:
-        self.queue = queue
-        self.page_tables = page_tables
-        self.config = config
-        self.injector = injector
-        self.hardening = hardening
-        self.telemetry = telemetry
-        self._pending: _Batch = []
-        self._timer_generation = 0
-        self._batch_seq = 0
-        self._in_flight: dict[int, tuple[_Batch, int]] = {}
+    def __init__(self, config: IOMMUConfig) -> None:
+        self.batch_size = config.pri_batch_size
+        self.timeout = config.pri_timeout
+        self.generation = 0
+        """Bumped by every flush, so a timer armed before a flush is
+        stale."""
+        self._pending: list[Any] = []
         self.stats = CounterSet()
-        self.service_time = LatencyAccumulator()
+        """``faults_reported``, ``batches`` and ``timeout_batches``."""
 
-    def report(self, pid: int, vpn: int, callback: FaultCallback) -> None:
-        """Record a page fault; ``callback(ppn)`` fires when serviced."""
+    def report(self, fault: Any) -> list[Any] | int | None:
+        """Queue ``fault`` (opaque to the batcher).
+
+        Returns the batch to service now when ``fault`` fills it; the
+        generation of the timer to arm, ``timeout`` cycles from now, when
+        ``fault`` is the first to pend; else ``None``.
+        """
         self.stats.inc("faults_reported")
-        self._pending.append((pid, vpn, callback, self.queue.now))
-        if len(self._pending) >= self.config.pri_batch_size:
-            self._dispatch_batch()
-        elif len(self._pending) == 1:
-            generation = self._timer_generation
-            self.queue.schedule_after(
-                self.config.pri_timeout, self._timeout, generation
-            )
+        pending = self._pending
+        pending.append(fault)
+        if len(pending) >= self.batch_size:
+            return self._flush()
+        if len(pending) == 1:
+            return self.generation
+        return None
 
-    def _timeout(self, generation: int) -> None:
-        # A batch dispatched since this timer was armed invalidates it.
-        if generation != self._timer_generation or not self._pending:
-            return
+    def expire(self, generation: int) -> list[Any] | None:
+        """The timer armed for ``generation`` fired: the batch to service
+        now, or ``None`` when a flush since then made the timer stale."""
+        if generation != self.generation or not self._pending:
+            return None
         self.stats.inc("timeout_batches")
-        self._dispatch_batch()
+        return self._flush()
 
-    def _dispatch_batch(self) -> None:
+    def _flush(self) -> list[Any]:
         batch = self._pending
         self._pending = []
-        self._timer_generation += 1
+        self.generation += 1
         self.stats.inc("batches")
-        self._send_batch(batch, attempt=1)
-
-    def _send_batch(self, batch: _Batch, attempt: int) -> None:
-        batch_id = self._batch_seq
-        self._batch_seq += 1
-        if self.injector is not None and self.injector.drop_pri_batch():
-            # The completion interrupt is lost in flight; only the
-            # hardening re-drive below (or the watchdog) saves the batch.
-            self.stats.inc("batches_dropped")
-        else:
-            self.queue.schedule_after(
-                self.config.fault_handling_latency, self._batch_done, batch_id, batch
-            )
-        if self.hardening is not None:
-            self._in_flight[batch_id] = (batch, attempt)
-            self.queue.schedule_after(
-                self.config.fault_handling_latency + self.hardening.pri_retry_margin,
-                self._batch_check,
-                batch_id,
-            )
-
-    def _batch_done(self, batch_id: int, batch: _Batch) -> None:
-        self._in_flight.pop(batch_id, None)
-        now = self.queue.now
-        for pid, vpn, callback, reported_at in batch:
-            ppn = self.page_tables.map_page(pid, vpn)
-            self.stats.inc("faults_serviced")
-            self.service_time.record(now - reported_at)
-            if self.telemetry is not None:
-                self.telemetry.record_latency("pri", now - reported_at)
-            callback(ppn)
-
-    def _batch_check(self, batch_id: int) -> None:
-        """Hardening re-drive: resend a batch that never completed."""
-        info = self._in_flight.pop(batch_id, None)
-        if info is None:
-            return
-        batch, attempt = info
-        assert self.hardening is not None
-        if attempt > self.hardening.max_pri_retries:
-            self.stats.inc("batches_abandoned")
-            return
-        self.stats.inc("batch_retries")
-        self._send_batch(batch, attempt + 1)
+        return batch
 
     @property
     def outstanding(self) -> int:
         """Faults reported but not yet dispatched in a batch."""
         return len(self._pending)
-
-    @property
-    def in_flight_batches(self) -> int:
-        """Dispatched batches awaiting completion (hardening mode only)."""
-        return len(self._in_flight)

@@ -122,7 +122,7 @@ class TranslationPolicy(ABC):
         the entry was served but before stragglers resolved are answered
         immediately from the recorded result.
         """
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         if pending is None:
             return None
         if pending.served:
@@ -131,11 +131,11 @@ class TranslationPolicy(ABC):
         else:
             if request.trace is not None:
                 request.trace.begin("pending_wait", self.queue.now)
-            self.iommu.pending.attach(pending, request)
+            pending.waiters.append(request)
         return pending
 
     def _start_walk(self, request: ATSRequest) -> None:
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         assert pending is not None, "walk started without a pending entry"
         pending.walk_pending = True
         pending.walk_attempts += 1
@@ -144,7 +144,7 @@ class TranslationPolicy(ABC):
             request.trace.begin(
                 "page_walk", self.queue.now, attempt=pending.walk_attempts
             )
-        pending.walk_ticket = self.iommu.start_walk(request, self._walk_complete)
+        pending.walk_ticket = self.iommu.start_walk(request)
         hardening = self.system.hardening
         if hardening is not None:
             # Hardened protocol: declare the walk lost if no response
@@ -158,8 +158,10 @@ class TranslationPolicy(ABC):
                 pending.walk_generation,
             )
 
-    def _walk_complete(self, request: ATSRequest, result) -> None:
-        pending = self.iommu.pending.get(request.key)
+    def on_walk_complete(self, request: ATSRequest, ppn: int | None) -> None:
+        """The walk started for ``request`` finished: ``ppn`` is the frame,
+        or ``None`` when the walk faulted."""
+        pending = self.iommu.pending.get(request.tlb_key)
         if pending is None:
             # Hardened protocol only: a retried walk (or PRI fallback)
             # already served and reaped the entry, and this is the
@@ -169,7 +171,7 @@ class TranslationPolicy(ABC):
                 request.trace.end("page_walk", self.queue.now, outcome="stale")
             return
         pending.walk_pending = False
-        if result.faulted:
+        if ppn is None:
             if request.trace is not None:
                 request.trace.end("page_walk", self.queue.now, outcome="fault")
             if pending.served:
@@ -182,19 +184,17 @@ class TranslationPolicy(ABC):
             pending.fault_pending = True
             if request.trace is not None:
                 request.trace.begin("pri_fault", self.queue.now)
-            self.iommu.report_fault(
-                request, lambda ppn: self._fault_serviced(request, ppn)
-            )
+            self.iommu.report_fault(request)
             return
         if request.trace is not None:
             request.trace.end("page_walk", self.queue.now, outcome="ok")
-        self._deliver_walk_result(request, result.ppn)
+        self._deliver_walk_result(request, ppn)
 
     def _walk_timed_out(
         self, request: ATSRequest, serial: int, generation: int
     ) -> None:
         """Hardening: the walk issued as ``generation`` never answered."""
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         if (
             pending is None
             or pending.serial != serial
@@ -235,15 +235,13 @@ class TranslationPolicy(ABC):
             pending.fault_pending = True
             if request.trace is not None:
                 request.trace.begin("pri_fault", self.queue.now)
-            self.iommu.report_fault(
-                request, lambda ppn: self._fault_serviced(request, ppn)
-            )
+            self.iommu.report_fault(request)
 
     def _retry_walk(
         self, request: ATSRequest, serial: int, generation: int
     ) -> None:
         """Hardening: re-issue a lost walk after its backoff delay."""
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         if (
             pending is None
             or pending.serial != serial
@@ -255,10 +253,11 @@ class TranslationPolicy(ABC):
             return  # answered or superseded while we backed off
         self._start_walk(request)
 
-    def _fault_serviced(self, request: ATSRequest, ppn: int) -> None:
+    def on_fault_serviced(self, request: ATSRequest, ppn: int) -> None:
+        """The PRI batch holding ``request``'s fault mapped it to ``ppn``."""
         if request.trace is not None:
             request.trace.end("pri_fault", self.queue.now, outcome="ok")
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         if pending is None:
             # Hardened protocol only: a PRI batch retry double-serviced
             # the fault after the first service reaped the entry.
@@ -271,7 +270,7 @@ class TranslationPolicy(ABC):
         """A walk (or fault service) produced ``ppn``; serve the waiters
         unless a racing responder beat it, then apply the policy's fill
         rule via :meth:`_fill_levels_after_walk`."""
-        pending = self.iommu.pending.get(request.key)
+        pending = self.iommu.pending.get(request.tlb_key)
         assert pending is not None
         if pending.served:
             self.iommu.stats.inc("walks_wasted")

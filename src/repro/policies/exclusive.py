@@ -35,7 +35,7 @@ class ExclusivePolicy(TranslationPolicy):
             return
         if self._attach_or_none(request) is not None:
             return
-        self.iommu.pending.create(request)
+        self.iommu.pending.create(request.tlb_key, request, request.issue_time)
         self._start_walk(request)
 
     def _fill_levels_after_walk(self, request: ATSRequest, ppn: int) -> None:

@@ -26,5 +26,5 @@ class MostlyInclusivePolicy(TranslationPolicy):
             return
         if self._attach_or_none(request) is not None:
             return
-        self.iommu.pending.create(request)
+        self.iommu.pending.create(request.tlb_key, request, request.issue_time)
         self._start_walk(request)

@@ -19,17 +19,24 @@ same cycles, in the same same-cycle FIFO order — through one flat loop:
   keys and payloads; the per-access reads (the L1 probe, the L2 probe)
   and the L1 fills run inline on its set lists, every other update calls
   its methods, and the IOMMU TLB keeps the Eviction Counters itself;
-* link serialization is two floats of per-link state updated inline with
-  the exact arithmetic of :class:`repro.interconnect.link.Link.send`;
+* every message crosses the event engine's own
+  :class:`~repro.interconnect.topology.Topology` links through
+  :meth:`~repro.interconnect.link.Link.send`;
 * the page tables and the Local TLB Tracker are the event engine's own
   :class:`~repro.structures.page_table.PageTableManager` and
   :class:`~repro.core.tracker.LocalTLBTracker` (flat PTE dicts; cuckoo
   partitions sharing one memoised key geometry), built in the same order
   from the same seed, so every frame number, walk depth, bucket and RNG
   draw is the engine's by construction;
-* protocol decisions (spill receiver, probe target, walk cycles, budget
-  gates) come from :mod:`repro.core.protocol` — the same kernel the event
-  engine calls — so the two backends cannot drift.
+* the IOMMU's pending table, walker pool (FIFO or DWS) and PRI fault
+  batcher are the engine's own
+  :class:`~repro.iommu.pending_table.PendingTable`,
+  :class:`~repro.iommu.page_walker.WalkerPool` and
+  :class:`~repro.iommu.pri.PRIQueue`: they decide and count, and the
+  replay schedules what they return on its heap;
+* protocol decisions (spill receiver, probe target, budget gates) come
+  from :mod:`repro.core.protocol` — the same kernel the event engine
+  calls — so the two backends cannot drift.
 
 Because the schedule is identical, every observable of
 :class:`repro.sim.results.SimulationResult` — ``total_cycles``,
@@ -40,31 +47,33 @@ guard branches for faults/hardening/telemetry, no attribute chains), not an
 approximation.
 
 Scope: the replay covers the statistics-relevant configuration space —
-``baseline``/``mostly-inclusive``/``least-tlb`` policies, the fifo walker
-scheduler, no fault injection / hardening / telemetry / snapshots /
-shootdowns.  Anything else raises :class:`BackendUnsupported`; run such a
-configuration on the event engine (``backend="event"``).
+``baseline``/``mostly-inclusive``/``least-tlb`` policies under either
+walker scheduler, no fault injection / hardening / telemetry / snapshots /
+shootdowns / local page tables.  Anything else raises
+:class:`BackendUnsupported`; run such a configuration on the event engine
+(``backend="event"``).
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any
 
 from repro.config.system import SystemConfig
 from repro.core.protocol import (
+    SpillReceiverSelector,
     choose_probe_target,
     least_tlb_options,
     probe_removes_entry,
-    select_spill_receiver,
     should_reenter_iommu,
     should_spill_victim,
-    walk_cycles,
 )
 from repro.core.tracker import LocalTLBTracker
 from repro.engine.watchdog import SimulationStalledError
+from repro.interconnect.topology import Topology
+from repro.iommu.page_walker import WalkerPool, WalkTicket
+from repro.iommu.pending_table import PendingTable
+from repro.iommu.pri import PRIQueue
 from repro.policies.base import check_no_options
 from repro.sim.backends import BackendUnsupported
 from repro.sim.results import AppResult, SimulationResult
@@ -96,23 +105,15 @@ _L2_LOOKUP = 1  # (cu, key, vpn, measured)
 _FILL = 2  # (gpu_id, key, vpn, pid, ppn, budget)
 _IOMMU_RECEIVE = 3  # (req)
 _IOMMU_LOOKUP = 4  # (req)
-_WALK_DONE = 5  # (ticket, ppn, faulted)
+_WALK_DONE = 5  # (ticket)
 _PROBE = 6  # (req, target, pend)
 _VICTIM = 7  # (gpu_id, key, payload)
 _SPILL = 8  # (gpu_id, key, vpn, payload)
 _PRI_TIMEOUT = 9  # (generation)
 _PRI_BATCH = 10  # (batch)
 
-# Link-model constants (Topology builds host links at bandwidth 0.5 and
-# peer links at bandwidth 1.0; cycles_per_message = 1 / bandwidth).
-_HOST_CPM = 2.0
-_PEER_CPM = 1.0
-
-# Walk-ticket states (mirrors repro.iommu.page_walker).
-_QUEUED = 0
-_RUNNING = 1
-_DONE = 2
-_CANCELLED = 3
+# A request is the tuple (gpu_id, pid, vpn, key, issue_time, measured):
+# the pending table's waiter, a walk ticket's owner and a PRI fault.
 
 
 class _CU:
@@ -173,44 +174,12 @@ class _GPU:
         self.cus: list[_CU] = []
 
 
-class _Pend:
-    """Pending-table entry (mirror of PendingEntry; serials/generations are
-    omitted — without hardening an entry cannot be reaped while a response
-    is still in flight, so the stale paths they guard never execute)."""
-
-    __slots__ = (
-        "key",
-        "waiters",
-        "walk_pending",
-        "remote_pending",
-        "fault_pending",
-        "served",
-        "ppn",
-        "ticket",
-    )
-
-    def __init__(self, key: int, first_waiter: tuple) -> None:
-        self.key = key
-        self.waiters = [first_waiter]
-        self.walk_pending = False
-        self.remote_pending = False
-        self.fault_pending = False
-        self.served = False
-        self.ppn = 0
-        self.ticket: list | None = None
-
-
 def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
     """Reject every configuration whose observables depend on machinery the
     functional backend does not replay."""
     if config.local_page_tables:
         raise BackendUnsupported(
             "functional backend does not model local page tables (Figure 23)"
-        )
-    if config.iommu.walker_scheduler != "fifo":
-        raise BackendUnsupported(
-            "functional backend supports only the fifo walker scheduler, "
-            f"not {config.iommu.walker_scheduler!r}"
         )
     defaults: dict[str, Any] = {
         "snapshot_interval": 0,
@@ -340,32 +309,38 @@ def run_functional(
         if is_least
         else None
     )
-    receiver_rng = random.Random(config.seed) if is_least else None
+    receivers = (
+        SpillReceiverSelector(receiver_policy, num_gpus, config.seed)
+        if is_least
+        else None
+    )
     multi_probe_removes = probe_removes_entry(mode)
 
     stream_rec: list[tuple[int, int]] | None = [] if record_iommu_stream else None
 
     # -- protocol-global scalars -------------------------------------------
-    host_lat = config.interconnect.host_link_latency
-    peer_lat = config.interconnect.scaled_peer_latency
     l1l2_lat = l1_cfg.lookup_latency + l2_cfg.lookup_latency
     l2_lookup_lat = l2_cfg.lookup_latency
     iommu_lookup_lat = config.iommu.tlb.lookup_latency
     cfg_budget = config.spill_budget
-    walk_latency_cfg = config.iommu.walk_latency
-    pt_levels = page_tables.levels
-    # A non-faulted walk always touches every level → constant latency.
-    walk_full_lat = walk_cycles(walk_latency_cfg, pt_levels, pt_levels)
-    w_capacity = config.iommu.num_walkers * config.iommu.walker_threads
-    pri_batch_size = config.iommu.pri_batch_size
-    pri_timeout_cfg = config.iommu.pri_timeout
     fault_latency = config.iommu.fault_handling_latency
 
-    # Link serialization state: _next_free per link, exact Link.send math.
-    up_free = [0.0] * num_gpus  # gpu -> iommu (host, bw 0.5)
-    down_free = [0.0] * num_gpus  # iommu -> gpu (host, bw 0.5)
-    probe_free = [0.0] * num_gpus  # iommu ~> gpu (peer, bw 1.0)
-    peer_free = [[0.0] * num_gpus for _ in range(num_gpus)]
+    # The event engine's links, walker pool, PRI batcher and pending table
+    # (IOMMU.__init__); the link senders are bound once per link.
+    topology = Topology(num_gpus, config.interconnect)
+    up_send = [link.send for link in topology.to_iommu]
+    down_send = [link.send for link in topology.from_iommu]
+    probe_send = [link.send for link in topology.iommu_to_gpu_probe]
+    gpu_to_gpu = topology.gpu_to_gpu
+    walkers = WalkerPool(page_tables, config.iommu, num_gpus)
+    walk_finish = walkers.finish
+    walk_cancel = walkers.cancel
+    pri = PRIQueue(config.iommu)
+    pri_expire = pri.expire
+    pending = PendingTable()
+    pend_get = pending.get
+    pend_create = pending.create
+    maybe_remove = pending.maybe_remove
 
     # The IOMMU TLB, built as IOMMU.__init__ builds it; it keeps the
     # Eviction Counters (``ec``) through every insert and remove.
@@ -378,23 +353,13 @@ def run_functional(
     ec = io_tlb.owner_counts
 
     ist: dict[str, int] = {}  # IOMMU CounterSet mirror
-    ws: dict[str, int] = {}  # walker CounterSet mirror
     # The three hottest IOMMU counters run as plain ints and fold into
     # ``ist`` after the loop (they are +1 increments, so key-existence ⇔
     # a positive count, exactly like the engine's defaultdict).
     ist_requests = 0
     ist_hit = 0
     ist_miss = 0
-    spill_ptr = 0
     probe_rotor = 0
-    recv_rotor = 0
-    qw_count = 0  # walker queue-wait accumulator
-    qw_total = 0
-    w_busy = 0
-    w_fifo: deque[list] = deque()
-    pend: dict[int, _Pend] = {}
-    pri_pending: list[tuple[tuple, _Pend]] = []
-    pri_gen = 0
 
     heap: list[tuple] = []
     seq = 0
@@ -421,36 +386,22 @@ def run_functional(
         _push=heappush,
         _ist=ist,
         _ec=ec,
-        _probe_free=probe_free,
+        _probe=probe_send,
         _spilling=spilling,
-        _rpolicy=receiver_policy,
-        _rng=receiver_rng,
-        _n=num_gpus,
-        _plat=peer_lat,
+        _select=receivers.select if receivers is not None else None,
     ):
         """LeastTLBPolicy.on_iommu_tlb_evicted."""
-        nonlocal spill_ptr, recv_rotor
         budget = vval & BUDGET_MASK
         if not should_spill_victim(_spilling, budget):
             return seq
-        if _rpolicy == "counter":
-            receiver, spill_ptr = select_spill_receiver(_ec, spill_ptr)
-        elif _rpolicy == "round-robin":
-            receiver = recv_rotor
-            recv_rotor = (receiver + 1) % _n
-        else:
-            receiver = _rng.randrange(_n)
+        receiver = _select(_ec)
         _ist["spills"] = _ist.get("spills", 0) + 1
         skey = f"spills_to_gpu{receiver}"
         _ist[skey] = _ist.get(skey, 0) + 1
-        nf = _probe_free[receiver]
-        f = float(now)
-        depart = f if f > nf else nf
-        _probe_free[receiver] = depart + _PEER_CPM
         _push(
             _heap,
             (
-                int(depart) + _plat,
+                _probe[receiver](now),
                 seq,
                 _SPILL,
                 receiver,
@@ -474,8 +425,7 @@ def run_functional(
         _least=is_least,
         _tracker=tracker,
         _spilling=spilling,
-        _up_free=up_free,
-        _hlat=host_lat,
+        _up=up_send,
     ):
         """GPUDevice._insert_l2 with the policy's fill/eviction hooks."""
         mask = gpu.l2_mask
@@ -493,21 +443,7 @@ def run_functional(
                     _ist["spilled_discarded"] = _ist.get("spilled_discarded", 0) + 1
                 else:
                     g = gpu.gid
-                    nf = _up_free[g]
-                    f = float(now)
-                    depart = f if f > nf else nf
-                    _up_free[g] = depart + _HOST_CPM
-                    _push(
-                        _heap,
-                        (
-                            int(depart) + _hlat,
-                            seq,
-                            _VICTIM,
-                            g,
-                            vkey,
-                            vval,
-                        ),
-                    )
+                    _push(_heap, (_up[g](now), seq, _VICTIM, g, vkey, vval))
                     seq += 1
         # Baseline: victims drop silently (mostly-inclusive semantics).
         return seq
@@ -523,20 +459,15 @@ def run_functional(
         _push=heappush,
         _pcs=pcs,
         _ist=ist,
-        _down=down_free,
+        _down=down_send,
         _lat_c=lat_count,
         _lat_t=lat_total,
-        _hlat=host_lat,
         _budget=cfg_budget,
     ):
         """IOMMU.respond over the host down-links, budget = config's."""
-        f = float(now)
         for w in waiters:
             wg = w[0]
-            nf = _down[wg]
-            depart = f if f > nf else nf
-            _down[wg] = depart + _HOST_CPM
-            arrival = int(depart) + _hlat
+            arrival = _down[wg](now)
             _push(_heap, (arrival, seq, _FILL, wg, w[3], w[2], w[1], ppn, _budget))
             seq += 1
             if w[5]:
@@ -548,63 +479,27 @@ def run_functional(
         _ist[rkey] = _ist.get(rkey, 0) + len(waiters)
         return seq
 
-    def maybe_remove(p, _pend=pend):
-        if p.served and not (p.walk_pending or p.remote_pending or p.fault_pending):
-            _pend.pop(p.key, None)
-
-    def dispatch_walk(
-        ticket,
-        now,
-        seq,
-        _heap=heap,
-        _push=heappush,
-        _ws=ws,
-        _translate=page_tables.translate,
-        _walk=page_tables.walk,
-        _wlat=walk_latency_cfg,
-        _levels=pt_levels,
-        _full=walk_full_lat,
-    ):
-        nonlocal w_busy, qw_count, qw_total
-        ticket[0] = _RUNNING
-        qw_count += 1
-        qw_total += now - ticket[2]
-        w_busy += 1
-        _ws["walks_dispatched"] = _ws.get("walks_dispatched", 0) + 1
-        req = ticket[1]
-        ppn = _translate(req[1], req[2])
-        if ppn is not None:
-            _push(_heap, (now + _full, seq, _WALK_DONE, ticket, ppn, False))
-        else:
-            _ws["walks_faulted"] = _ws.get("walks_faulted", 0) + 1
-            touched = _walk(req[1], req[2]).levels_touched
-            lat = walk_cycles(_wlat, touched, _levels)
-            _push(_heap, (now + lat, seq, _WALK_DONE, ticket, 0, True))
-        return seq + 1
-
     def start_walk(
         req,
         p,
         now,
         seq,
+        _heap=heap,
+        _push=heappush,
         _pcs=pcs,
-        _ws=ws,
-        _fifo=w_fifo,
-        _cap=w_capacity,
-        _dispatch=dispatch_walk,
+        _request=walkers.request,
     ):
-        """policy._start_walk + IOMMU.start_walk + WalkerPool.request."""
+        """policy._start_walk + IOMMU.start_walk."""
         p.walk_pending = True
         if req[5]:
             pc = _pcs[req[1]]
             pc["walks"] = pc.get("walks", 0) + 1
-        _ws["walks_requested"] = _ws.get("walks_requested", 0) + 1
-        ticket = [_QUEUED, req, now, p]
-        p.ticket = ticket
-        if w_busy < _cap:
-            return _dispatch(ticket, now, seq)
-        _fifo.append(ticket)
-        return seq
+        ticket = WalkTicket(req[1], req[2], req[0], req, now)
+        p.walk_ticket = ticket
+        if _request(ticket) is None:
+            return seq
+        _push(_heap, (now + ticket.cycles, seq, _WALK_DONE, ticket))
+        return seq + 1
 
     def deliver(
         req,
@@ -623,7 +518,7 @@ def run_functional(
             _ist["walks_wasted"] = _ist.get("walks_wasted", 0) + 1
         else:
             p.served = True
-            p.ppn = ppn
+            p.result_ppn = ppn
             if not _least:
                 # Mostly-inclusive: the walk result also fills the IOMMU
                 # TLB, owned by the requester with a spill budget of 1.
@@ -636,34 +531,29 @@ def run_functional(
 
     def report_fault(
         req,
-        p,
         now,
         seq,
         _heap=heap,
         _push=heappush,
         _pcs=pcs,
         _ist=ist,
-        _bsize=pri_batch_size,
+        _report=pri.report,
         _flat=fault_latency,
-        _timeout=pri_timeout_cfg,
+        _timeout=pri.timeout,
     ):
-        """IOMMU.report_fault + PRIQueue.report."""
-        nonlocal pri_pending, pri_gen
+        """IOMMU.report_fault."""
         if req[5]:
             pc = _pcs[req[1]]
             pc["page_faults"] = pc.get("page_faults", 0) + 1
         _ist["page_faults"] = _ist.get("page_faults", 0) + 1
-        pri_pending.append((req, p))
-        if len(pri_pending) >= _bsize:
-            batch = pri_pending
-            pri_pending = []
-            pri_gen += 1
-            _push(_heap, (now + _flat, seq, _PRI_BATCH, batch))
-            return seq + 1
-        if len(pri_pending) == 1:
-            _push(_heap, (now + _timeout, seq, _PRI_TIMEOUT, pri_gen))
-            return seq + 1
-        return seq
+        action = _report(req)
+        if action is None:
+            return seq
+        if isinstance(action, list):
+            _push(_heap, (now + _flat, seq, _PRI_BATCH, action))
+        else:
+            _push(_heap, (now + _timeout, seq, _PRI_TIMEOUT, action))
+        return seq + 1
 
     # -- start events (GPUDevice.start, in gpu/cu order) ---------------------
     for gpu in gpus:
@@ -842,11 +732,7 @@ def run_functional(
             g = gpu.gid
             req = (g, cu.pid, vpn, key, now, measured)
             # policy.on_l2_miss: host up-link to the IOMMU.
-            nf = up_free[g]
-            f = float(now)
-            depart = f if f > nf else nf
-            up_free[g] = depart + _HOST_CPM
-            push(heap, (int(depart) + host_lat, seq, _IOMMU_RECEIVE, req))
+            push(heap, (up_send[g](now), seq, _IOMMU_RECEIVE, req))
             seq += 1
 
         elif code == 2:  # _FILL: (gpu_id, key, vpn, pid, ppn, budget)
@@ -921,17 +807,17 @@ def run_functional(
                 )
                 continue
             ist_miss += 1
-            p = pend.get(key)
+            p = pend_get(key)
             if p is not None:
                 if p.served:
                     seq = respond(
-                        [req], p.ppn, "served_pending", "responses_pending", now, seq
+                        [req], p.result_ppn, "served_pending", "responses_pending",
+                        now, seq,
                     )
                 else:
                     p.waiters.append(req)
                 continue
-            p = _Pend(key, req)
-            pend[key] = p
+            p = pend_create(key, req, req[4])
             if not is_least:
                 seq = start_walk(req, p, now, seq)
                 continue
@@ -945,37 +831,31 @@ def run_functional(
                 if req[5]:
                     pc = pcs[req[1]]
                     pc["tracker_positive"] = pc.get("tracker_positive", 0) + 1
-                nf = probe_free[target]
-                f = float(now)
-                depart = f if f > nf else nf
-                probe_free[target] = depart + _PEER_CPM
-                arrival = int(depart) + peer_lat
+                arrival = probe_send[target](now)
                 push(heap, (arrival + l2_lookup_lat, seq, _PROBE, req, target, p))
                 seq += 1
             if race_ptw or not probing:
                 seq = start_walk(req, p, now, seq)
 
-        elif code == 5:  # _WALK_DONE: (ticket, ppn, faulted)
+        elif code == 5:  # _WALK_DONE: (ticket) — IOMMU._walk_done
             ticket = ev[3]
-            ticket[0] = _DONE
-            w_busy -= 1
-            # WalkerPool._dequeue_fifo: dispatch the next live queued walk.
-            while w_fifo:
-                t2 = w_fifo.popleft()
-                if t2[0] == _QUEUED:
-                    seq = dispatch_walk(t2, now, seq)
-                    break
-            req = ticket[1]
-            p = ticket[3]
+            started = walk_finish(ticket, now)
+            if started is not None:
+                push(heap, (now + started.cycles, seq, _WALK_DONE, started))
+                seq += 1
+            # policy.on_walk_complete: a running walk keeps its entry.
+            req = ticket.owner
+            p = pend_get(req[3])
             p.walk_pending = False
-            if ev[5]:  # faulted
+            ppn = ticket.ppn
+            if ppn is None:  # faulted
                 if p.served:
                     maybe_remove(p)
                 elif not p.fault_pending:
                     p.fault_pending = True
-                    seq = report_fault(req, p, now, seq)
+                    seq = report_fault(req, now, seq)
             else:
-                seq = deliver(req, p, ev[4], now, seq)
+                seq = deliver(req, p, ppn, now, seq)
 
         elif code == 6:  # _PROBE: (req, target, pend) — policy._remote_probe
             req = ev[3]
@@ -1001,20 +881,12 @@ def run_functional(
                 else:
                     p.served = True
                     ppn = value >> frame_shift
-                    p.ppn = ppn
+                    p.result_ppn = ppn
                     # policy._respond_from_remote over the peer fabric.
-                    f = float(now)
                     waiters = p.waiters
                     for w in waiters:
                         wg = w[0]
-                        if wg == target:
-                            arrival = now
-                        else:
-                            row = peer_free[target]
-                            nf = row[wg]
-                            depart = f if f > nf else nf
-                            row[wg] = depart + _PEER_CPM
-                            arrival = int(depart) + peer_lat
+                        arrival = gpu_to_gpu(target, wg, now)
                         push(
                             heap,
                             (arrival, seq, _FILL, wg, key, vpn, w[1], ppn, cfg_budget),
@@ -1031,13 +903,12 @@ def run_functional(
                         waiters
                     )
                     p.waiters = []
-                    ticket = p.ticket
+                    # Squash the racing walk if it is still queued.
+                    ticket = p.walk_ticket
                     if p.walk_pending and ticket is not None:
-                        if ticket[0] == _QUEUED:
-                            ticket[0] = _CANCELLED
-                            ws["walks_cancelled"] = ws.get("walks_cancelled", 0) + 1
+                        if walk_cancel(ticket):
                             p.walk_pending = False
-                            p.ticket = None
+                            p.walk_ticket = None
             else:
                 ist["tracker_false_positives"] = (
                     ist.get("tracker_false_positives", 0) + 1
@@ -1060,17 +931,17 @@ def run_functional(
             # GPUDevice.receive_spill: insert only, no MSHR waiters.
             seq = insert_l2(gpus[ev[3]], ev[4], ev[5], ev[6], now, seq)
 
-        elif code == 9:  # _PRI_TIMEOUT: (generation)
-            if ev[3] == pri_gen and pri_pending:
-                batch = pri_pending
-                pri_pending = []
-                pri_gen += 1
+        elif code == 9:  # _PRI_TIMEOUT: (generation) — IOMMU._pri_timeout
+            batch = pri_expire(ev[3])
+            if batch is not None:
                 push(heap, (now + fault_latency, seq, _PRI_BATCH, batch))
                 seq += 1
 
-        else:  # _PRI_BATCH: (batch)
-            for req, p in ev[3]:
+        else:  # _PRI_BATCH: (batch) — IOMMU._pri_batch_done
+            for req in ev[3]:
                 ppn = page_tables.map_page(req[1], req[2])
+                # policy.on_fault_serviced: a pending fault keeps its entry.
+                p = pend_get(req[3])
                 p.fault_pending = False
                 seq = deliver(req, p, ppn, now, seq)
 
@@ -1162,8 +1033,8 @@ def run_functional(
         total_cycles=now,
         apps=apps,
         iommu_counters=ist,
-        walker_counters=ws,
-        walker_queue_wait_mean=qw_total / qw_count if qw_count else 0.0,
+        walker_counters=walkers.stats.as_dict(),
+        walker_queue_wait_mean=walkers.queue_wait.mean,
         tracker_stats=tracker_stats,
         snapshots=[],
         iommu_stream=stream_rec,

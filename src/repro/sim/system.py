@@ -148,7 +148,7 @@ class MultiGPUSystem:
         )
         for gpu in self.gpus:
             tables = PageTableManager(levels=self.config.page_table_levels)
-            pool = WalkerPool(self.queue, tables, local_cfg, num_gpus=1)
+            pool = WalkerPool(tables, local_cfg, num_gpus=1)
             gpu.attach_local_translation(tables, pool)
 
     # -- measurement services ---------------------------------------------------
@@ -289,7 +289,7 @@ class MultiGPUSystem:
             },
             "pri": {
                 "outstanding": self.iommu.pri.outstanding,
-                "in_flight_batches": self.iommu.pri.in_flight_batches,
+                "in_flight_batches": self.iommu.pri_in_flight,
             },
             "interconnect": self.topology.describe_state(),
             "fault_injections": (

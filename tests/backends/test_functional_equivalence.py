@@ -85,6 +85,9 @@ def build_workload(gpu_vpns, kind):
 
 @st.composite
 def scenarios(draw):
+    """A random workload on a tiny system with a random IOMMU: walker
+    scheduler and pool size, PRI batching, link latencies, and whether
+    pages are prefaulted (if not, every first touch goes through PRI)."""
     num_gpus = draw(st.integers(2, 4))
     gpu_vpns = [
         draw(st.lists(st.integers(0, 30), min_size=0, max_size=40))
@@ -93,7 +96,22 @@ def scenarios(draw):
     if not any(gpu_vpns):
         gpu_vpns[0] = [0]
     seed = draw(st.integers(0, 3))
-    return num_gpus, gpu_vpns, seed
+    config = tiny_config(num_gpus=num_gpus, seed=seed)
+    latencies = st.sampled_from([0, 1, 15])
+    config = config.derive(
+        iommu=dataclasses.replace(
+            config.iommu,
+            walker_scheduler=draw(st.sampled_from(["fifo", "dws"])),
+            num_walkers=draw(st.integers(1, 3)),
+            walker_threads=draw(st.integers(1, 3)),
+            pri_batch_size=draw(st.integers(1, 4)),
+            pri_timeout=draw(st.integers(1, 400)),
+        ),
+        interconnect=InterconnectConfig(
+            host_link_latency=draw(latencies), peer_link_latency=draw(latencies)
+        ),
+    )
+    return config, gpu_vpns, draw(st.booleans())
 
 
 @pytest.mark.parametrize("backend", ["functional"])
@@ -102,12 +120,12 @@ def scenarios(draw):
 @given(scenario=scenarios())
 @settings(max_examples=20, deadline=None)
 def test_fast_backends_are_bit_identical(backend, policy, kind, scenario):
-    num_gpus, gpu_vpns, seed = scenario
+    config, gpu_vpns, prefault = scenario
     workload = build_workload(gpu_vpns, kind)
-    config = tiny_config(num_gpus=num_gpus, seed=seed)
-    ref = simulate(config, workload, policy, max_cycles=5_000_000)
+    ref = simulate(config, workload, policy, max_cycles=5_000_000, prefault=prefault)
     fast = simulate(
-        config, workload, policy, backend=backend, max_cycles=5_000_000
+        config, workload, policy, backend=backend, max_cycles=5_000_000,
+        prefault=prefault,
     )
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
 

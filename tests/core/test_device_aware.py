@@ -60,30 +60,35 @@ class TestValidation:
         assert system.policy.qos_weights == [1.0] * 4
 
 
+def select(system):
+    """The run's spill receiver for the IOMMU's current Eviction Counters."""
+    return system.policy.receivers.select(system.iommu.eviction_counters)
+
+
 class TestReceiverSelection:
     def test_uniform_weights_match_plain_least_tlb(self, tiny_config):
         qos = build(tiny_config)
         qos.iommu.eviction_counters[:] = [3, 1, 3, 1]
-        picks = [qos.policy._select_receiver() for _ in range(4)]
+        picks = [select(qos) for _ in range(4)]
         plain = MultiGPUSystem(
             tiny_config, workload({0: [1]}), "least-tlb"
         )
         plain.iommu.eviction_counters[:] = [3, 1, 3, 1]
-        plain_picks = [plain.policy._select_receiver() for _ in range(4)]
+        plain_picks = [select(plain) for _ in range(4)]
         assert picks == plain_picks
 
     def test_heavy_device_avoided(self, tiny_config):
         # Equal counters: spills must land on the lightest devices.
         system = build(tiny_config, weights=[10.0, 1.0, 10.0, 1.0])
         system.iommu.eviction_counters[:] = [0, 0, 0, 0]
-        picks = {system.policy._select_receiver() for _ in range(8)}
+        picks = {select(system) for _ in range(8)}
         assert picks == {1, 3}
 
     def test_weighting_trades_off_against_load(self, tiny_config):
         # A light device that is already loaded loses to an idle heavy one.
         system = build(tiny_config, weights=[1.0, 1.0, 1.0, 2.0])
         system.iommu.eviction_counters[:] = [50, 50, 50, 0]
-        assert system.policy._select_receiver() == 3
+        assert select(system) == 3
 
 
 class TestBudgets:

@@ -183,7 +183,7 @@ class TestPriAndTlbFaults:
             ),
         )
         assert_completed(system, result)
-        pri = system.iommu.pri.stats
+        pri = system.iommu.pri_service
         assert pri["batches_dropped"] > 0
         assert pri["batch_retries"] > 0
 

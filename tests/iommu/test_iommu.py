@@ -63,15 +63,22 @@ class TestEvictionCounters:
 
 
 class TestSpillReceiverSelection:
+    """The run's one spill-receiver selector (``repro.core.protocol``)
+    over the IOMMU TLB's Eviction Counters."""
+
+    @staticmethod
+    def select(system):
+        return system.policy.receivers.select(system.iommu.eviction_counters)
+
     def test_min_counter_wins(self, system):
         iommu = system.iommu
         iommu.eviction_counters[:] = [5, 2, 7, 9]
-        assert iommu.select_spill_receiver() == 1
+        assert self.select(system) == 1
 
     def test_tie_break_rotates(self, system):
         iommu = system.iommu
         iommu.eviction_counters[:] = [1, 1, 1, 1]
-        picks = [iommu.select_spill_receiver() for _ in range(6)]
+        picks = [self.select(system) for _ in range(6)]
         # Rotating priority: each selection starts scanning after the last
         # winner, so ties spread round-robin instead of dumping on GPU 0.
         assert picks == [0, 1, 2, 3, 0, 1]
@@ -79,9 +86,9 @@ class TestSpillReceiverSelection:
     def test_rotation_respects_counter_changes(self, system):
         iommu = system.iommu
         iommu.eviction_counters[:] = [3, 1, 3, 1]
-        assert iommu.select_spill_receiver() == 1
-        assert iommu.select_spill_receiver() == 3
-        assert iommu.select_spill_receiver() == 1
+        assert self.select(system) == 1
+        assert self.select(system) == 3
+        assert self.select(system) == 1
 
 
 class TestShootdown:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.gpu.ats import ATSRequest
 from repro.iommu.pending_table import PendingTable
+from repro.structures.tlb import pack_key
+
+KEY = pack_key(1, 5)
 
 
 def req(gpu=0, pid=1, vpn=5):
@@ -12,42 +15,36 @@ def req(gpu=0, pid=1, vpn=5):
 
 def test_create_and_get():
     table = PendingTable()
-    entry = table.create(req())
-    assert table.get((1, 5)) is entry
-    assert (1, 5) in table
+    entry = table.create(KEY, req(), 0)
+    assert table.get(KEY) is entry
+    assert KEY in table
     assert len(table) == 1
 
 
 def test_double_create_rejected():
     table = PendingTable()
-    table.create(req())
-    with pytest.raises(KeyError):
-        table.create(req(gpu=1))
-
-
-def test_attach_merges_waiters():
-    table = PendingTable()
-    entry = table.create(req(gpu=0))
-    table.attach(entry, req(gpu=1))
-    assert len(entry.waiters) == 2
-    assert table.merges == 1
+    table.create(KEY, req(), 0)
+    with pytest.raises(KeyError, match=r"\(1, 5\)"):
+        table.create(KEY, req(gpu=1), 0)
 
 
 def test_maybe_remove_requires_served_and_resolved():
     table = PendingTable()
-    entry = table.create(req())
+    entry = table.create(KEY, req(), 0)
     entry.walk_pending = True
-    assert table.maybe_remove(entry) is False
+    table.maybe_remove(entry)
+    assert KEY in table  # not served
     entry.served = True
-    assert table.maybe_remove(entry) is False  # walk still in flight
+    table.maybe_remove(entry)
+    assert KEY in table  # walk still in flight
     entry.walk_pending = False
-    assert table.maybe_remove(entry) is True
-    assert (1, 5) not in table
+    table.maybe_remove(entry)
+    assert KEY not in table
 
 
 def test_resolved_property():
     table = PendingTable()
-    entry = table.create(req())
+    entry = table.create(KEY, req(), 0)
     assert entry.resolved
     entry.remote_pending = True
     assert not entry.resolved
@@ -56,8 +53,22 @@ def test_resolved_property():
     assert not entry.resolved
 
 
-def test_peak_tracking():
+def test_serials_and_diagnostics_name_each_incarnation():
     table = PendingTable()
-    for vpn in range(5):
-        table.create(req(vpn=vpn))
-    assert table.peak == 5
+    first = table.create(KEY, req(), 7)
+    first.served = True
+    table.maybe_remove(first)
+    second = table.create(KEY, req(), 9)
+    assert second.serial == first.serial + 1
+    assert table.describe() == [
+        {
+            "key": (1, 5),
+            "waiters": 1,
+            "walk_pending": False,
+            "remote_pending": False,
+            "fault_pending": False,
+            "served": False,
+            "walk_attempts": 0,
+            "created_at": 9,
+        }
+    ]

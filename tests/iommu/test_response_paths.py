@@ -40,7 +40,7 @@ class TestFaultPath:
         assert c["page_faults"] == 1
         assert c["runs"] == 1
         assert system.page_tables.walk(1, 99).hit
-        assert system.iommu.pri.stats["faults_serviced"] == 1
+        assert system.iommu.pri_service["faults_serviced"] == 1
 
     def test_fault_latency_dwarfs_walk_latency(self, tiny_config):
         mapped = MultiGPUSystem(tiny_config, workload({0: [5]}), "baseline")

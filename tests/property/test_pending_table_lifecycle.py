@@ -27,13 +27,13 @@ from repro.config.system import (
 from repro.faults import HardeningConfig
 from repro.gpu.ats import ATSRequest
 from repro.sim.system import MultiGPUSystem
-from repro.structures.page_table import WalkResult
 from repro.structures.tlb import pack_key, pack_payload
 from repro.workloads.trace import CUStream, Placement, Workload
 
 PID = 1
 VPN = 77
 PPN = 4242
+KEY = pack_key(PID, VPN)
 
 RESPONSE_SOURCES = ("iommu", "walk", "pending", "remote", "fault")
 
@@ -99,7 +99,7 @@ def _make_system(*, remote_entry: bool) -> tuple[MultiGPUSystem, ATSRequest]:
     if remote_entry:
         system.gpus[1].l2_tlb.insert(pack_key(PID, VPN), pack_payload(PPN, budget=1))
     request = ATSRequest(gpu_id=0, pid=PID, vpn=VPN, issue_time=0, measured=True)
-    pending = system.iommu.pending.create(request)
+    pending = system.iommu.pending.create(KEY, request, 0)
     pending.walk_pending = True
     pending.walk_attempts = 1
     pending.walk_generation = 1
@@ -116,7 +116,7 @@ def _responses_delivered(system: MultiGPUSystem) -> int:
 
 def _assert_exactly_once(system: MultiGPUSystem) -> None:
     system.queue.run()
-    assert (PID, VPN) not in system.iommu.pending, "pending entry leaked"
+    assert KEY not in system.iommu.pending, "pending entry leaked"
     assert _responses_delivered(system) == 1, (
         f"waiter served {_responses_delivered(system)} times"
     )
@@ -124,14 +124,10 @@ def _assert_exactly_once(system: MultiGPUSystem) -> None:
 
 def _event_set(system: MultiGPUSystem, request: ATSRequest, *, walk_faulted: bool):
     policy = system.policy
-    result = (
-        WalkResult(ppn=None, levels_touched=4, faulted=True)
-        if walk_faulted
-        else WalkResult(ppn=PPN, levels_touched=4, faulted=False)
-    )
-    serial = system.iommu.pending.get((PID, VPN)).serial
+    ppn = None if walk_faulted else PPN
+    serial = system.iommu.pending.get(KEY).serial
     return {
-        "walk-response": lambda: policy._walk_complete(request, result),
+        "walk-response": lambda: policy.on_walk_complete(request, ppn),
         "walk-timeout": lambda: policy._walk_timed_out(request, serial, 1),
         "probe-response": lambda: policy._remote_probe(request, 1, serial),
         "probe-timeout": lambda: policy._probe_timed_out(request, serial, 1),
@@ -175,7 +171,7 @@ class TestEveryInterleaving:
         """Timeouts armed for generation 1 must not fire against a retried
         generation-2 walk."""
         system, request = _make_system(remote_entry=False)
-        pending = system.iommu.pending.get((PID, VPN))
+        pending = system.iommu.pending.get(KEY)
         pending.walk_generation = 2
         pending.remote_generation = 2
         before = pending.walk_pending, pending.remote_pending
@@ -185,9 +181,7 @@ class TestEveryInterleaving:
         assert system.iommu.stats["walk_timeouts"] == 0
         assert system.iommu.stats["probe_timeouts"] == 0
         # Resolve the entry cleanly via the current generation.
-        system.policy._walk_complete(
-            request, WalkResult(ppn=PPN, levels_touched=4, faulted=False)
-        )
+        system.policy.on_walk_complete(request, PPN)
         system.policy._probe_timed_out(request, pending.serial, 2)
         _assert_exactly_once(system)
 
@@ -197,17 +191,15 @@ class TestEveryInterleaving:
         the serial is the only thing separating them (this exact aliasing
         once cancelled a live walk and leaked its telemetry span)."""
         system, request = _make_system(remote_entry=False)
-        old = system.iommu.pending.get((PID, VPN))
+        old = system.iommu.pending.get(KEY)
         old_serial = old.serial
         # First incarnation resolves and is reaped.
         old.remote_pending = False
-        system.policy._walk_complete(
-            request, WalkResult(ppn=PPN, levels_touched=4, faulted=False)
-        )
-        assert (PID, VPN) not in system.iommu.pending
+        system.policy.on_walk_complete(request, PPN)
+        assert KEY not in system.iommu.pending
         # Same key misses again: new incarnation, same generation numbers.
         retry = ATSRequest(gpu_id=0, pid=PID, vpn=VPN, issue_time=50, measured=True)
-        fresh = system.iommu.pending.create(retry)
+        fresh = system.iommu.pending.create(KEY, retry, 50)
         fresh.walk_pending = True
         fresh.walk_attempts = 1
         fresh.walk_generation = 1
@@ -227,18 +219,14 @@ class TestEveryInterleaving:
 
     def test_stale_responses_after_reap_are_counted_not_fatal(self):
         system, request = _make_system(remote_entry=False)
-        pending = system.iommu.pending.get((PID, VPN))
+        pending = system.iommu.pending.get(KEY)
         pending.remote_pending = False
-        system.policy._walk_complete(
-            request, WalkResult(ppn=PPN, levels_touched=4, faulted=False)
-        )
-        assert (PID, VPN) not in system.iommu.pending
+        system.policy.on_walk_complete(request, PPN)
+        assert KEY not in system.iommu.pending
         # Late echoes of every kind against the reaped key:
-        system.policy._walk_complete(
-            request, WalkResult(ppn=PPN, levels_touched=4, faulted=False)
-        )
+        system.policy.on_walk_complete(request, PPN)
         system.policy._remote_probe(request, 1, 0)
-        system.policy._fault_serviced(request, PPN)
+        system.policy.on_fault_serviced(request, PPN)
         assert system.iommu.stats["stale_walk_responses"] == 1
         assert system.iommu.stats["stale_probe_responses"] == 1
         assert system.iommu.stats["stale_fault_responses"] == 1

@@ -1,6 +1,7 @@
 """Tests for the parallel experiment runner (bench matrix, dedup, cache)."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import re
@@ -76,6 +77,41 @@ class TestMatrixDeclaration:
             list(fidelity.DEFAULT_BENCHES), goldens["scale"], goldens["seeds"]
         )
         assert sorted(fidelity.case_id(spec) for spec in specs) == sorted(goldens["cases"])
+
+    def test_case_ids_name_only_what_makes_a_variant(self):
+        fidelity = _load_script("check_fidelity")
+
+        @dataclasses.dataclass(frozen=True)
+        class Level:
+            entries: int = 64
+            replacement: str = "lru"
+
+        @dataclasses.dataclass(frozen=True)
+        class Config:
+            l2: Level = Level()
+            spill_budget: int = 1
+            replacement: str = "lru"
+
+        # A field both configs hold at the same value, at any depth, never
+        # reaches the id: deleting or adding one re-keys nothing.
+        assert fidelity.config_changes(Config(spill_budget=2), Config()) == [
+            "spill_budget=2"
+        ]
+        assert fidelity.config_changes(Config(l2=Level(entries=32)), Config()) == [
+            "l2.entries=32"
+        ]
+        spec = JobSpec("single", "MM", "least-tlb", scale=0.2, seed=0)
+        assert fidelity.case_id(dataclasses.replace(spec, config=baseline_config())) == (
+            fidelity.case_id(spec)
+        )
+        variant = dataclasses.replace(
+            spec,
+            config=baseline_config().derive(spill_budget=2),
+            options=(("policy_options", {"race_ptw": False}),),
+        )
+        assert fidelity.case_id(variant) == (
+            "single:MM/least-tlb@0.2/seed0/policy_options.race_ptw=false,spill_budget=2"
+        )
 
     def test_select_all(self):
         assert select_benches(None) == bench_names()

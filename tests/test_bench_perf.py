@@ -50,6 +50,20 @@ def test_regressed_row_fails(tmp_path):
     assert _check(tmp_path, report) == 1
 
 
+def test_slow_rows_log_three_significant_digits(tmp_path, capsys):
+    # A serve row runs a few jobs per second: the log must show how near
+    # it came to its floor, not round 1.9 vs 1.87 (floor 1.31) to 2/2/1.
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps({"serve": _rows("serve-e2e", eps=1.87)}))
+    report = {"serve": _rows("serve-e2e", eps=1.9)}
+    assert _load_bench_perf().check_regression(report, baseline, 0.30) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.split() == [
+        "regression-check", "serve", "serve-e2e",
+        "1.90", "vs", "baseline", "1.87", "(floor", "1.31)", "ok",
+    ]
+
+
 def test_ingest_section_measures_its_gated_rows():
     bench_perf = _load_bench_perf()
     rows = bench_perf.measure_ingest(accesses=20_000)
