@@ -33,7 +33,7 @@ def test_fig05_reuse_distance_cdf(runs):
         "fig05_reuse_cdf",
         "Figure 5: IOMMU-level reuse distances "
         "(paper: on average 45% of reuses exceed the 4096-entry capacity)",
-        ["app", "reuses", "<=512", "<=4096", ">4096"],
+        ["app", "reuses", "<512", "<4096", ">=4096"],
         rows,
     )
 

@@ -33,7 +33,7 @@ def test_fig08_multiapp_reuse_distances(runs):
         "fig08_multiapp_reuse_cdf",
         "Figure 8: fraction of reuses within the 4096-entry IOMMU TLB "
         "capacity, per application per workload",
-        ["wl", "cat", "app", "reuses", "<=4096"],
+        ["wl", "cat", "app", "reuses", "<4096"],
         rows,
     )
 

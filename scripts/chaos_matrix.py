@@ -42,7 +42,6 @@ from typing import Any
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.faults.plan import FaultPlan, FaultPlanError  # noqa: E402
 from repro.reporting.export import result_to_dict  # noqa: E402
 from repro.sim.cache import ResultCache  # noqa: E402
 from repro.sim.parallel import (  # noqa: E402
@@ -53,7 +52,12 @@ from repro.sim.parallel import (  # noqa: E402
     run_matrix,
     select_benches,
 )
-from repro.sim.resilience import ResiliencePolicy, SweepJournal  # noqa: E402
+from repro.sim.resilience import (  # noqa: E402
+    ChaosPlanError,
+    ChaosState,
+    ResiliencePolicy,
+    SweepJournal,
+)
 
 
 def _result_map(outcomes: list[JobOutcome]) -> dict[str, dict[str, Any]]:
@@ -105,11 +109,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        plan = FaultPlan.parse(args.plan)
-    except FaultPlanError as exc:
+        plan = ChaosState.from_plan(args.plan)
+    except ChaosPlanError as exc:
         print(f"error: --plan: {exc}", file=sys.stderr)
         return 2
-    if plan.is_empty() or not plan.runner_specs():
+    if plan is None:
         print("error: --plan must contain at least one runner-level chaos site",
               file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ from repro.workloads.tables import (
 from repro.workloads.trace_files import SPLIT_POLICIES, sniff_format
 
 if TYPE_CHECKING:
-    from repro.faults import FaultPlan
     from repro.sim.parallel import JobSpec
     from repro.sim.results import SimulationResult
     from repro.workloads.trace import Workload
@@ -244,8 +243,8 @@ def _simulate(
     configuration the backend cannot run and a malformed trace file are
     usage errors."""
     from repro.engine.watchdog import SimulationStalledError
-    from repro.faults import InvariantViolation
     from repro.sim.backends import BackendUnsupported
+    from repro.sim.invariants import InvariantViolation
 
     try:
         return _profiled(execute, dump=profile_dump) if profile else execute()
@@ -338,25 +337,6 @@ def _run_kind(name: str, *, trace_flag: bool) -> str:
             f"--trace: no such file: {name!r}" if trace_flag else _unknown_workload(name)
         )
     return "npz" if path.suffix == ".npz" else "trace"
-
-
-def _fault_plan(text: str | None) -> FaultPlan | None:
-    """``--faults``, parsed before the run starts so a typo fails fast."""
-    from repro.faults import FaultPlan, FaultPlanError
-
-    if text is None:
-        return None
-    try:
-        faults = FaultPlan.parse(text)
-    except FaultPlanError as exc:
-        raise _cli_error(str(exc)) from None
-    if faults.runner_specs():
-        sites = ", ".join(s.site for s in faults.runner_specs())
-        raise _cli_error(
-            f"--faults: {sites} are runner-level chaos sites; use "
-            "`repro bench --chaos` instead"
-        )
-    return faults
 
 
 def _refuse_local_flags(flags: dict[str, bool]) -> None:
@@ -460,7 +440,7 @@ def _run_spans(args: argparse.Namespace, rate: float) -> int:
         profile=args.profile, profile_dump=args.profile_dump,
         record_iommu_stream=args.record_stream,
         snapshot_interval=args.snapshot_interval,
-        faults=_fault_plan(args.faults), check_invariants=args.check_invariants,
+        check_invariants=args.check_invariants,
     )
     if traced is None:
         return 3
@@ -492,7 +472,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         _refuse_local_flags({
             "--profile": args.profile,
             "--trace RATE": trace_rate is not None,
-            "--faults": args.faults is not None,
         })
     name = trace_path if trace_path is not None else args.workload
     kind = _run_kind(name, trace_flag=trace_path is not None)
@@ -510,7 +489,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     )}
     if kind == "trace":
         options["split"] = args.split
-    faults = _fault_plan(args.faults)
     if kind == "npz":
         from repro.sim.driver import simulate
 
@@ -518,8 +496,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         policy = resolve_policy(args.policy)
         workload = resolve_workload(name, config, args.scale, args.seed)
         kwargs = dict(parse_options(options))
-        if faults is not None:
-            kwargs["faults"] = faults
 
         def execute() -> SimulationResult:
             return simulate(config, workload, policy, backend=args.backend, **kwargs)
@@ -534,9 +510,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise _cli_error(str(exc)) from None
         if args.server:
             return _run_served(args, spec)
-        if faults is not None:
-            # Local-only, so never part of what --server submits.
-            spec = replace(spec, options=tuple(sorted((*spec.options, ("faults", faults)))))
         execute = spec.execute
 
     result = _simulate(
@@ -820,7 +793,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Imported here so plain ``repro run`` never pays for the runner.
     import fnmatch
 
-    from repro.faults.plan import FaultPlan, FaultPlanError
     from repro.sim.cache import ResultCache
     from repro.sim.parallel import (
         BENCH_MATRIX,
@@ -833,7 +805,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         trace_bench_pairs,
         trace_family,
     )
-    from repro.sim.resilience import ChaosState, ResiliencePolicy, SweepJournal
+    from repro.sim.resilience import (
+        ChaosPlanError,
+        ChaosState,
+        ResiliencePolicy,
+        SweepJournal,
+    )
 
     if args.server:
         # The daemon owns its cache and worker pool, and reads no local file.
@@ -895,8 +872,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.resume and args.no_cache:
         raise _cli_error("--resume needs the result cache (drop --no-cache)")
     try:
-        chaos = ChaosState.from_plan(FaultPlan.parse(args.chaos)) if args.chaos else None
-    except FaultPlanError as exc:
+        chaos = ChaosState.from_plan(args.chaos) if args.chaos else None
+    except ChaosPlanError as exc:
         raise _cli_error(f"--chaos: {exc}") from None
     if args.profile and chaos is not None and chaos.needs_subprocess():
         raise _cli_error(
@@ -1007,7 +984,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "jobs": len(pairs),
             **summary,
             "chaos": {
-                "plan": chaos.plan.describe() if chaos is not None else None,
+                "plan": chaos.describe() if chaos is not None else None,
                 "injected": dict(chaos.injected) if chaos is not None else {},
             },
             "outcomes": [
@@ -1385,9 +1362,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record the IOMMU request stream")
     run.add_argument("--snapshot-interval", type=count, default=0,
                      help="TLB-content snapshot interval in cycles (default 0 = off)")
-    run.add_argument("--faults", default=None,
-                     help="fault-injection plan, e.g. drop-remote:0.01,flip-tlb:0.0001 "
-                          "(see docs/robustness.md)")
     run.add_argument("--check-invariants", action="store_true",
                      help="audit translation-hierarchy invariants while running")
     run.add_argument("--max-cycles", type=count, default=0, metavar="N",

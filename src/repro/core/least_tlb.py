@@ -45,6 +45,7 @@ from repro.structures.tlb import pack_payload, unpack_key, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
+    from repro.iommu.pending_table import PendingEntry
     from repro.sim.system import MultiGPUSystem
 
 
@@ -119,7 +120,6 @@ class LeastTLBPolicy(TranslationPolicy):
         probing = bool(targets) and self.remote_probes
         if probing:
             pending.remote_pending = True
-            pending.remote_generation += 1
             target, self._probe_rotor = choose_probe_target(
                 targets, self._probe_rotor
             )
@@ -127,72 +127,22 @@ class LeastTLBPolicy(TranslationPolicy):
                 self.system.stats_for(request.pid).inc("tracker_positive")
             if request.trace is not None:
                 request.trace.begin("remote_probe", self.queue.now, target=target)
-            injector = self.system.faults
-            if injector is not None and injector.drop_remote_probe():
-                # The probe vanishes in the peer fabric; only the probe
-                # timeout below releases remote_pending and (for the
-                # serial variant) falls back to the walk.
-                self.iommu.stats.inc("probes_dropped")
-                self.topology.iommu_to_gpu_probe[target].record_drop()
-                if request.trace is not None:
-                    request.trace.end("remote_probe", self.queue.now,
-                                      outcome="fault")
-            else:
-                extra = injector.remote_probe_delay() if injector is not None else 0
-                arrival = self.topology.probe_to_gpu(target, self.queue.now, extra)
-                self.queue.schedule(
-                    arrival + self._l2_lookup_latency,
-                    self._remote_probe,
-                    request,
-                    target,
-                    pending.serial,
-                )
-            hardening = self.system.hardening
-            if hardening is not None:
-                self.queue.schedule_after(
-                    hardening.probe_timeout,
-                    self._probe_timed_out,
-                    request,
-                    pending.serial,
-                    pending.remote_generation,
-                )
+            arrival = self.topology.probe_to_gpu(target, self.queue.now)
+            self.queue.schedule(
+                arrival + self._l2_lookup_latency,
+                self._remote_probe,
+                request,
+                target,
+                pending,
+            )
         if self.race_ptw or not probing:
             # The walk races the probe; the pending table keeps whichever
             # response arrives second from being delivered twice.
             self._start_walk(request)
 
-    def _probe_timed_out(
-        self, request: ATSRequest, serial: int, generation: int
+    def _remote_probe(
+        self, request: ATSRequest, target: int, pending: PendingEntry
     ) -> None:
-        """Hardening: the probe issued as ``generation`` never answered."""
-        pending = self.iommu.pending.get(request.tlb_key)
-        if (
-            pending is None
-            or pending.serial != serial
-            or not pending.remote_pending
-            or pending.remote_generation != generation
-        ):
-            return  # the probe answered, or a newer probe/entry owns the key
-        self.iommu.stats.inc("probe_timeouts")
-        if request.trace is not None:
-            request.trace.end("remote_probe", self.queue.now, outcome="timeout")
-        pending.remote_pending = False
-        if not pending.served and not pending.walk_pending and not pending.fault_pending:
-            # Serial (remote-then-walk) variant, or a racing walk that was
-            # itself lost: fall back to the walk path.
-            self._start_walk(request)
-        else:
-            self.iommu.pending.maybe_remove(pending)
-
-    def _remote_probe(self, request: ATSRequest, target: int, serial: int) -> None:
-        pending = self.iommu.pending.get(request.tlb_key)
-        if pending is None or pending.serial != serial:
-            # Hardened protocol only: the probe timed out, its fallback
-            # walk served the waiters, and the entry was reaped (and
-            # possibly re-created for a new miss — a different serial is
-            # a different incarnation, not this probe's entry).
-            self.iommu.stats.inc("stale_probe_responses")
-            return
         pending.remote_pending = False
         payload = self.gpus[target].probe_l2(
             request.tlb_key, remove_on_hit=probe_removes_entry(self.mode)
@@ -235,19 +185,6 @@ class LeastTLBPolicy(TranslationPolicy):
             # delete on a false positive would remove an aliased resident
             # key's fingerprint and silently drain the tracker.
             self.iommu.stats.inc("tracker_false_positives")
-            hardening = self.system.hardening
-            if (
-                hardening is not None
-                and hardening.tracker_fp_limit > 0
-                and self.remote_probes
-                and self.iommu.stats["tracker_false_positives"]
-                >= hardening.tracker_fp_limit
-            ):
-                # Graceful degradation: a tracker misbehaving this badly
-                # (e.g. corrupted by flip-tlb faults) wastes fabric
-                # bandwidth on every miss; downgrade to walk-only mode.
-                self.remote_probes = False
-                self.iommu.stats.inc("tracker_downgrades")
             if not pending.served and pending.resolved:
                 # Serial (remote-only) variant: fall back to the walk now.
                 self._start_walk(request)

@@ -11,8 +11,8 @@ occupancy, and the event-queue head — so a hung run is debuggable from
 the exception alone.
 
 The periodic no-progress check is an *event* (it reschedules itself
-every ``interval`` cycles), so it is armed only when fault injection is
-active or explicitly requested; the drained-while-outstanding check in
+every ``interval`` cycles), so it is armed only when requested
+(``watchdog=True``); the drained-while-outstanding check in
 ``MultiGPUSystem.run`` costs nothing and is always on.
 """
 
@@ -62,8 +62,8 @@ class Watchdog:
 
     Progress is the system's ``progress_marker`` — a counter bumped every
     time any CU retires a translation run.  Events may keep executing
-    (retry storms, self-rescheduling timers) without the marker moving;
-    that is exactly the livelock this watchdog exists to catch.
+    (self-rescheduling timers) without the marker moving; that is exactly
+    the livelock this watchdog exists to catch.
     """
 
     def __init__(

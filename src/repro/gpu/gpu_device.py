@@ -150,14 +150,6 @@ class GPUDevice:
         hub = self.system.telemetry
         now = self.system.queue.now
         payload = self.l2_tlb.lookup(key)
-        faults = self.system.faults
-        if payload is not None and faults is not None and faults.tlb_parity():
-            # Parity-error model at the L2: the entry is dropped and the
-            # access degrades to a miss.  The tracker keeps a now-stale
-            # fingerprint — exactly the false-positive noise the tracker
-            # is designed to absorb.
-            self.l2_tlb.remove(key)
-            payload = None
         if payload is not None:
             if stats is not None:
                 stats.inc("l2_hit")

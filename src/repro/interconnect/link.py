@@ -20,7 +20,6 @@ class Link:
         "cycles_per_message",
         "_next_free",
         "traffic",
-        "drops",
     )
 
     def __init__(self, name: str, latency: int, bandwidth: float = 1.0) -> None:
@@ -35,7 +34,6 @@ class Link:
         self.cycles_per_message = 1.0 / bandwidth
         self._next_free = 0.0
         self.traffic = 0
-        self.drops = 0
 
     def send(self, now: int) -> int:
         """Account one message entering the link at cycle ``now``.
@@ -52,7 +50,3 @@ class Link:
         self._next_free = depart + self.cycles_per_message
         self.traffic += 1
         return int(depart) + self.latency
-
-    def record_drop(self) -> None:
-        """Account a message lost on this link (fault injection)."""
-        self.drops += 1

@@ -59,12 +59,9 @@ class Topology:
         """Arrival time at ``gpu_id`` of a message sent by the IOMMU now."""
         return self.from_iommu[gpu_id].send(now)
 
-    def probe_to_gpu(self, gpu_id: int, now: int, extra_delay: int = 0) -> int:
-        """Arrival time of a remote-L2 probe at ``gpu_id``.
-
-        ``extra_delay`` models in-fabric perturbation (the ``delay-remote``
-        fault site) on top of propagation and serialization."""
-        return self.iommu_to_gpu_probe[gpu_id].send(now) + extra_delay
+    def probe_to_gpu(self, gpu_id: int, now: int) -> int:
+        """Arrival time of a remote-L2 probe at ``gpu_id``."""
+        return self.iommu_to_gpu_probe[gpu_id].send(now)
 
     def gpu_to_gpu(self, src: int, dst: int, now: int) -> int:
         """Arrival time of a peer-fabric message from ``src`` to ``dst``."""
@@ -90,16 +87,9 @@ class Topology:
         probe = sum(l.traffic for l in self.iommu_to_gpu_probe)
         return peer + probe
 
-    def total_drops(self) -> int:
-        """Messages lost to fault injection across every link."""
-        links = [*self.to_iommu, *self.from_iommu, *self.iommu_to_gpu_probe]
-        links += [l for row in self.peer for l in row if l is not None]
-        return sum(l.drops for l in links)
-
     def describe_state(self) -> dict[str, int]:
         """Compact fabric summary for stall diagnostics."""
         return {
             "host_traffic": self.total_host_traffic(),
             "peer_traffic": self.total_peer_traffic(),
-            "dropped_messages": self.total_drops(),
         }

@@ -27,8 +27,8 @@ when the walk queued); :meth:`WalkerPool.finish` frees a walker and
 returns the queued ticket it starts next (or ``None``).  Starting a ticket
 performs the walk, so a started ticket carries its frame (``ppn``) and
 latency (``cycles``); the caller schedules its completion — the event
-engine with its walker-stall, lost-walk and telemetry hooks
-(:class:`~repro.iommu.iommu.IOMMU`), the functional replay on its heap.
+engine with its telemetry hooks (:class:`~repro.iommu.iommu.IOMMU`), the
+functional replay on its heap.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class WalkTicket:
         "owner",
         "enqueue_time",
         "state",
-        "walker_id",
         "ppn",
         "cycles",
     )
@@ -74,8 +73,6 @@ class WalkTicket:
         finishes."""
         self.enqueue_time = enqueue_time
         self.state = _QUEUED
-        self.walker_id = -1
-        """Physical walker the walk started on (-1 while queued)."""
         self.ppn: int | None = None
         """The walked frame, or ``None`` when the walk faulted (set at
         start)."""
@@ -91,7 +88,6 @@ class WalkerPool:
     ) -> None:
         self.page_tables = page_tables
         self.num_gpus = num_gpus
-        self.walker_threads = config.walker_threads
         self.capacity = config.num_walkers * config.walker_threads
         self.busy = 0
         """Walks currently occupying walker threads."""
@@ -101,13 +97,6 @@ class WalkerPool:
         self._levels = page_tables.levels
         # A walk that finds its PTE touches every level: constant latency.
         self._hit_cycles = walk_cycles(self._walk_latency, self._levels, self._levels)
-        # Physical walker identity: walks are assigned round-robin over
-        # the live walkers so a kill-walker fault can target the in-flight
-        # work of one specific walker.
-        self._alive = list(range(config.num_walkers))
-        self.dead: set[int] = set()
-        """Killed walkers; a walk that ran on one is lost."""
-        self._walker_rotor = 0
         # FIFO keeps one shared queue; DWS one queue per GPU.
         self._dws = config.walker_scheduler == "dws"
         self._queues: list[deque[WalkTicket]] = [
@@ -137,9 +126,6 @@ class WalkerPool:
         self.busy -= 1
         if self._dws:
             self._busy_per_gpu[ticket.gpu_id] -= 1
-        if self.busy >= self.capacity:
-            # A killed walker shrank the pool below current occupancy.
-            return None
         nxt = self._next_dws() if self._dws else self._next_fifo()
         if nxt is not None:
             self._start(nxt, now)
@@ -157,48 +143,15 @@ class WalkerPool:
         self.stats.inc("walks_cancelled")
         return True
 
-    def lose(self) -> None:
-        """Count a finished walk whose result never reaches its owner: its
-        walker died (:attr:`dead`) or a fault dropped it."""
-        self.stats.inc("walks_lost")
-
     def pending(self) -> int:
         """Live walks queued but not yet started."""
         return sum(t.state == _QUEUED for queue in self._queues for t in queue)
-
-    @property
-    def lost_capacity(self) -> int:
-        """Walker threads lost to killed walkers."""
-        return len(self.dead) * self.walker_threads
-
-    def kill_walker(self, walker_id: int) -> bool:
-        """Fail one physical walker (fault injection).
-
-        The walker's running walks are lost — the caller drops a finished
-        ticket whose ``walker_id`` is in :attr:`dead`, leaving recovery to
-        the hardening retries — and its threads leave the pool, so queued
-        and future walks redistribute over the surviving walkers.  Returns
-        ``False`` for an unknown or already-dead walker.
-        """
-        if walker_id not in self._alive:
-            return False
-        self._alive.remove(walker_id)
-        self.dead.add(walker_id)
-        self.capacity = self.walker_threads * len(self._alive)
-        if self._dws:
-            self._allocation = max(1, self.capacity // self.num_gpus)
-        self.stats.inc("walkers_killed")
-        return True
 
     # -- internals ------------------------------------------------------------
 
     def _start(self, ticket: WalkTicket, now: int) -> None:
         """Put ``ticket`` on a walker and walk the page table."""
         ticket.state = _RUNNING
-        alive = self._alive
-        if alive:
-            ticket.walker_id = alive[self._walker_rotor % len(alive)]
-            self._walker_rotor += 1
         self.queue_wait.record(now - ticket.enqueue_time)
         self.busy += 1
         if self._dws:

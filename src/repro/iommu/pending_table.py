@@ -11,6 +11,12 @@ Both backends use this table: keys are packed TLB keys
 (:mod:`repro.structures.tlb`), and a waiter is whatever the backend's
 request is (an :class:`~repro.gpu.ats.ATSRequest` on the event engine, a
 plain tuple in the functional replay).
+
+No responder outlives its entry: a walk, a remote probe and a PRI fault
+each keep their ``*_pending`` flag set until they land, and the entry is
+reaped only once it is served and all three have cleared.  A walk
+cancelled while still queued never calls back, so cancelling clears its
+flag.
 """
 
 from __future__ import annotations
@@ -33,13 +39,9 @@ class PendingEntry:
         "result_ppn",
         "walk_ticket",
         "created_at",
-        "serial",
-        "walk_attempts",
-        "walk_generation",
-        "remote_generation",
     )
 
-    def __init__(self, key: int, first_waiter: Any, created_at: int, serial: int) -> None:
+    def __init__(self, key: int, first_waiter: Any, created_at: int) -> None:
         self.key = key
         self.waiters = [first_waiter]
         self.walk_pending = False
@@ -51,20 +53,6 @@ class PendingEntry:
         """Handle of the racing walk, cancellable while still queued."""
         self.created_at = created_at
         """Cycle the first waiter was issued (surfaced in stall diagnostics)."""
-        self.serial = serial
-        """Table-unique incarnation number.  The walk/remote generation
-        counters below restart at 0 whenever a key's entry is reaped and
-        re-created, so a hardening timeout armed against a dead incarnation
-        could alias its successor's generation.  Callbacks therefore check
-        the serial too: same key, different incarnation → stale."""
-        self.walk_attempts = 0
-        """Walks issued for this key, including hardening retries."""
-        self.walk_generation = 0
-        """Monotonic walk-issue counter.  A hardening timeout or retry is
-        valid only for the generation it was armed against, so a late walk
-        response can never be mistaken for the loss of its successor."""
-        self.remote_generation = 0
-        """Same discipline for remote-probe timeouts."""
 
     @property
     def resolved(self) -> bool:
@@ -81,7 +69,6 @@ class PendingEntry:
             "remote_pending": self.remote_pending,
             "fault_pending": self.fault_pending,
             "served": self.served,
-            "walk_attempts": self.walk_attempts,
             "created_at": self.created_at,
         }
 
@@ -92,19 +79,14 @@ class PendingTable(dict[int, PendingEntry]):
     A plain dict underneath, so lookups (``get``, ``in``) cost what a dict
     lookup costs on the replay's per-miss path."""
 
-    __slots__ = ("_created",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._created = 0
+    __slots__ = ()
 
     def create(self, key: int, waiter: Any, created_at: int) -> PendingEntry:
         """Open the entry for ``key`` (must not exist) with its first
         waiter."""
         if key in self:
             raise KeyError(f"pending entry already exists for {unpack_key(key)}")
-        entry = PendingEntry(key, waiter, created_at, self._created)
-        self._created += 1
+        entry = PendingEntry(key, waiter, created_at)
         self[key] = entry
         return entry
 

@@ -10,10 +10,8 @@ CPU-side ``fault_handling_latency``.
 :class:`PRIQueue` is the batcher both backends share.  It never
 schedules: :meth:`PRIQueue.report` returns the batch to service now, the
 timer generation to arm, or ``None``, and :meth:`PRIQueue.expire` (the
-timer firing) returns its batch or ``None``.  Servicing a batch — and,
-on the event engine, losing it to the ``drop-pri`` fault site and
-re-driving it under protocol hardening — is the caller's, and so are its
-counters (:class:`~repro.iommu.iommu.IOMMU`).
+timer firing) returns its batch or ``None``.  Servicing a batch is the
+caller's, and so are its counters (:class:`~repro.iommu.iommu.IOMMU`).
 """
 
 from __future__ import annotations

@@ -93,11 +93,14 @@ def reuse_cdf(
 
 def fraction_within(distances: np.ndarray, capacity: int) -> float:
     """Fraction of reuses a ``capacity``-entry fully-associative LRU TLB
-    could capture — the paper's "reuses within the IOMMU TLB capacity"."""
+    could capture — the paper's "reuses within the IOMMU TLB capacity".
+
+    A reuse at distance ``d`` finds ``d`` other keys used since its last
+    access, so it hits a ``capacity``-entry LRU iff ``d < capacity``."""
     finite = distances[distances >= 0]
     if len(finite) == 0:
         return 0.0
-    return float(np.count_nonzero(finite <= capacity)) / len(finite)
+    return float(np.count_nonzero(finite < capacity)) / len(finite)
 
 
 def per_pid_distances(

@@ -135,41 +135,16 @@ class TranslationPolicy(ABC):
         return pending
 
     def _start_walk(self, request: ATSRequest) -> None:
-        pending = self.iommu.pending.get(request.tlb_key)
-        assert pending is not None, "walk started without a pending entry"
+        pending = self.iommu.pending[request.tlb_key]
         pending.walk_pending = True
-        pending.walk_attempts += 1
-        pending.walk_generation += 1
         if request.trace is not None:
-            request.trace.begin(
-                "page_walk", self.queue.now, attempt=pending.walk_attempts
-            )
+            request.trace.begin("page_walk", self.queue.now)
         pending.walk_ticket = self.iommu.start_walk(request)
-        hardening = self.system.hardening
-        if hardening is not None:
-            # Hardened protocol: declare the walk lost if no response
-            # arrives in time, and retry it (page_walker faults can eat
-            # walks whole; without this the pending entry hangs forever).
-            self.queue.schedule_after(
-                hardening.walk_timeout,
-                self._walk_timed_out,
-                request,
-                pending.serial,
-                pending.walk_generation,
-            )
 
     def on_walk_complete(self, request: ATSRequest, ppn: int | None) -> None:
         """The walk started for ``request`` finished: ``ppn`` is the frame,
         or ``None`` when the walk faulted."""
-        pending = self.iommu.pending.get(request.tlb_key)
-        if pending is None:
-            # Hardened protocol only: a retried walk (or PRI fallback)
-            # already served and reaped the entry, and this is the
-            # original, slower response straggling in.
-            self.iommu.stats.inc("stale_walk_responses")
-            if request.trace is not None:
-                request.trace.end("page_walk", self.queue.now, outcome="stale")
-            return
+        pending = self.iommu.pending[request.tlb_key]
         pending.walk_pending = False
         if ppn is None:
             if request.trace is not None:
@@ -177,9 +152,6 @@ class TranslationPolicy(ABC):
             if pending.served:
                 # The remote probe won the race; no need to fault.
                 self.iommu.pending.maybe_remove(pending)
-                return
-            if pending.fault_pending:
-                # A concurrent (retried) walk already reported the fault.
                 return
             pending.fault_pending = True
             if request.trace is not None:
@@ -190,88 +162,18 @@ class TranslationPolicy(ABC):
             request.trace.end("page_walk", self.queue.now, outcome="ok")
         self._deliver_walk_result(request, ppn)
 
-    def _walk_timed_out(
-        self, request: ATSRequest, serial: int, generation: int
-    ) -> None:
-        """Hardening: the walk issued as ``generation`` never answered."""
-        pending = self.iommu.pending.get(request.tlb_key)
-        if (
-            pending is None
-            or pending.serial != serial
-            or not pending.walk_pending
-            or pending.walk_generation != generation
-        ):
-            return  # the walk answered, or a newer attempt/entry owns the key
-        hardening = self.system.hardening
-        assert hardening is not None
-        self.iommu.stats.inc("walk_timeouts")
-        if request.trace is not None:
-            request.trace.end("page_walk", self.queue.now, outcome="timeout")
-        if pending.walk_ticket is not None:
-            # Squash the lost walk if it is still queued so a retry does
-            # not double-book walker throughput.
-            self.iommu.walkers.cancel(pending.walk_ticket)
-            pending.walk_ticket = None
-        pending.walk_pending = False
-        if pending.served:
-            # A racing responder already answered; the timeout only
-            # releases the entry the lost walk would have pinned forever.
-            self.iommu.pending.maybe_remove(pending)
-            return
-        if pending.walk_attempts <= hardening.max_walk_retries:
-            self.iommu.stats.inc("walk_retries")
-            self.queue.schedule_after(
-                hardening.backoff(pending.walk_attempts),
-                self._retry_walk,
-                request,
-                pending.serial,
-                pending.walk_generation,
-            )
-            return
-        # Retries exhausted: last resort is the PRI fault path, which
-        # re-drives the mapping through the CPU.
-        self.iommu.stats.inc("walk_retries_exhausted")
-        if not pending.fault_pending:
-            pending.fault_pending = True
-            if request.trace is not None:
-                request.trace.begin("pri_fault", self.queue.now)
-            self.iommu.report_fault(request)
-
-    def _retry_walk(
-        self, request: ATSRequest, serial: int, generation: int
-    ) -> None:
-        """Hardening: re-issue a lost walk after its backoff delay."""
-        pending = self.iommu.pending.get(request.tlb_key)
-        if (
-            pending is None
-            or pending.serial != serial
-            or pending.served
-            or pending.walk_pending
-            or pending.fault_pending
-            or pending.walk_generation != generation
-        ):
-            return  # answered or superseded while we backed off
-        self._start_walk(request)
-
     def on_fault_serviced(self, request: ATSRequest, ppn: int) -> None:
         """The PRI batch holding ``request``'s fault mapped it to ``ppn``."""
         if request.trace is not None:
             request.trace.end("pri_fault", self.queue.now, outcome="ok")
-        pending = self.iommu.pending.get(request.tlb_key)
-        if pending is None:
-            # Hardened protocol only: a PRI batch retry double-serviced
-            # the fault after the first service reaped the entry.
-            self.iommu.stats.inc("stale_fault_responses")
-            return
-        pending.fault_pending = False
+        self.iommu.pending[request.tlb_key].fault_pending = False
         self._deliver_walk_result(request, ppn)
 
     def _deliver_walk_result(self, request: ATSRequest, ppn: int) -> None:
         """A walk (or fault service) produced ``ppn``; serve the waiters
         unless a racing responder beat it, then apply the policy's fill
         rule via :meth:`_fill_levels_after_walk`."""
-        pending = self.iommu.pending.get(request.tlb_key)
-        assert pending is not None
+        pending = self.iommu.pending[request.tlb_key]
         if pending.served:
             self.iommu.stats.inc("walks_wasted")
         else:

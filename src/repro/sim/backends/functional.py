@@ -43,13 +43,13 @@ Because the schedule is identical, every observable of
 ``events_executed``, per-application counters, latency means, IOMMU and
 walker counters, tracker statistics, metadata — is **bit-identical** to the
 event engine's.  The speedup is a constant factor (no object graph, no
-guard branches for faults/hardening/telemetry, no attribute chains), not an
+guard branches for telemetry, no attribute chains), not an
 approximation.
 
 Scope: the replay covers the statistics-relevant configuration space —
 ``baseline``/``mostly-inclusive``/``least-tlb`` policies under either
-walker scheduler, no fault injection / hardening / telemetry / snapshots /
-shootdowns / local page tables.  Anything else raises
+walker scheduler, no telemetry / snapshots / shootdowns / invariant checks /
+watchdog / local page tables.  Anything else raises
 :class:`BackendUnsupported`; run such a configuration on the event engine
 (``backend="event"``).
 """
@@ -184,10 +184,8 @@ def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
     defaults: dict[str, Any] = {
         "snapshot_interval": 0,
         "shootdown_interval": 0,
-        "faults": None,
-        "hardening": None,
         "check_invariants": False,
-        "watchdog": None,
+        "watchdog": False,
         "telemetry": None,
     }
     for key, value in system_kwargs.items():
@@ -195,11 +193,7 @@ def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
             raise BackendUnsupported(
                 f"functional backend does not accept system option {key!r}"
             )
-        default = defaults[key]
-        # watchdog=False is equivalent to the default (no injector → off).
-        if key == "watchdog" and not value:
-            continue
-        if value != default:
+        if value != defaults[key]:
             raise BackendUnsupported(
                 f"functional backend does not support {key}={value!r}; "
                 "use the event backend"
@@ -222,7 +216,7 @@ def run_functional(
     :class:`SimulationResult` bit-identical to the event engine's.
 
     Raises :class:`BackendUnsupported` for configurations outside the
-    replayable scope (faults, telemetry, …), and the event engine's own
+    replayable scope (telemetry, snapshots, …), and the event engine's own
     errors for a bad policy option or placement.
     """
     policy_name = _SUPPORTED_POLICIES.get(policy.lower())

@@ -2,8 +2,8 @@
 
 A simulation is a pure function of its inputs: the
 :class:`~repro.config.system.SystemConfig`, the workload specification
-(name, kind, scale, seed), the translation policy, any fault/hardening
-configuration, and the simulator code itself.  This module fingerprints
+(name, kind, scale, seed), the translation policy, its options, and the
+simulator code itself.  This module fingerprints
 that tuple, hashes it, and stores the finished
 :class:`~repro.sim.results.SimulationResult` on disk under the digest, so
 re-running any benchmark after an unrelated edit is a cache hit instead of
@@ -15,9 +15,6 @@ Keying rules (see ``docs/performance.md``):
   mutating any of them forces a re-simulation;
 * ``scale`` and ``seed`` are keyed explicitly, never read from the
   environment at lookup time;
-* fault plans and hardening configs are keyed via their canonical forms,
-  so a fault campaign never reuses a fault-free result (determinism
-  interaction: the fault-plan seed is the config seed, which is keyed);
 * a hash over the ``repro`` package's source invalidates everything
   whenever simulator code changes.
 
@@ -47,7 +44,6 @@ try:  # advisory inter-process locking; absent on non-POSIX platforms
 except ImportError:  # pragma: no cover - POSIX-only test environment
     fcntl = None  # type: ignore[assignment]
 
-from repro.faults.plan import FaultPlan
 from repro.reporting.export import result_from_dict, result_to_dict
 from repro.sim.results import SimulationResult
 
@@ -91,8 +87,7 @@ def code_version_hash() -> str:
 def canonicalize(value: Any) -> Any:
     """Reduce ``value`` to a deterministic JSON-serialisable form.
 
-    Dataclasses flatten to field dictionaries, fault plans to their CLI
-    syntax, containers recurse, and anything else falls back to ``repr``
+    Dataclasses flatten to field dictionaries, containers recurse, and anything else falls back to ``repr``
     (stable for the value types that reach a simulation's keyword
     arguments).
 
@@ -108,8 +103,6 @@ def canonicalize(value: Any) -> Any:
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, FaultPlan):
-        return {"fault_plan": value.describe()}
     if is_dataclass(value) and not isinstance(value, type):
         return {"__type__": type(value).__name__, **canonicalize(asdict(value))}
     if isinstance(value, dict):

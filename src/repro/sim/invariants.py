@@ -170,11 +170,11 @@ class InvariantChecker:
                         outstanding=cu.outstanding,
                     )
         walkers = self.system.iommu.walkers
-        if walkers.busy < 0 or walkers.busy > walkers.capacity + walkers.lost_capacity:
+        if walkers.busy < 0 or walkers.busy > walkers.capacity:
             self._fail(
                 "walker-occupancy",
                 f"walker occupancy {walkers.busy} outside "
-                f"[0, {walkers.capacity + walkers.lost_capacity}]",
+                f"[0, {walkers.capacity}]",
                 busy=walkers.busy,
                 capacity=walkers.capacity,
             )

@@ -28,12 +28,11 @@ treat job failure as a first-class event, and so does this layer:
   with ``status``/``attempt_errors``/``error`` instead of aborting the
   matrix; :func:`repro.sim.parallel.matrix_summary` turns them into a
   ``failed_jobs`` manifest.
-* **orchestration chaos** — the runner-level sites of
-  :mod:`repro.faults.plan` (``kill-worker``, ``slow-worker``,
-  ``fail-job``, ``corrupt-cache``) inject worker death, hangs, transient
-  exceptions, and cache bitrot deterministically (victims are the first
-  ``count`` jobs in submission order), which is what
-  ``scripts/chaos_matrix.py`` drives.
+* **orchestration chaos** — a :class:`ChaosState` plan of runner sites
+  (``kill-worker``, ``slow-worker``, ``fail-job``, ``corrupt-cache``)
+  injects worker death, hangs, transient exceptions, and cache bitrot
+  deterministically (victims are the first ``count`` jobs in submission
+  order), which is what ``scripts/chaos_matrix.py`` drives.
 
 Determinism note: host-side scheduling (monotonic deadlines, backoff
 sleeps) never reaches a recorded simulation result — results remain a
@@ -57,7 +56,6 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.faults.plan import RUNNER_SITES, FaultPlan, FaultPlanError
 from repro.policies import policy_class, policy_names
 from repro.reporting.export import result_from_dict, result_to_dict
 from repro.sim.backends import BackendUnsupported
@@ -151,10 +149,25 @@ class ResiliencePolicy:
 # -- chaos -------------------------------------------------------------------
 
 
+class ChaosPlanError(ValueError):
+    """A chaos plan could not be parsed."""
+
+
+#: Chaos sites, each with the arguments it takes after its name.
+CHAOS_SITES = {
+    "kill-worker": ("count",),    # SIGKILL the worker mid-job (an OOM kill)
+    "fail-job": ("count",),       # transient exception before the job runs
+    "corrupt-cache": ("count",),  # scribble over a cache entry before read
+    "slow-worker": ("count", "millis"),  # delay every attempt of the job
+}
+
+
 class ChaosState:
     """Runner-level chaos decisions for one sweep.
 
-    Victim selection is deterministic: each site hits the first ``count``
+    A plan is comma-separated ``site:count`` items (``slow-worker:count:ms``
+    for the delay site), e.g. ``kill-worker:2,corrupt-cache:1``.  Victim
+    selection is deterministic: each site hits the first ``count``
     *missing* jobs in submission order.  ``kill-worker`` and ``fail-job``
     fire on the first attempt only (transient faults a retry recovers
     from); ``slow-worker`` delays every attempt of its victims (a hung
@@ -163,41 +176,62 @@ class ChaosState:
     are read.
     """
 
-    def __init__(self, plan: FaultPlan) -> None:
-        protocol = [s.site for s in plan.protocol_specs()]
-        if protocol:
-            raise FaultPlanError(
-                f"chaos plans take runner-level sites only ({', '.join(RUNNER_SITES)}); "
-                f"{', '.join(protocol)} belong in a simulation fault plan (--faults)"
-            )
-        self.plan = plan
-        self.kills = 0
-        self.fails = 0
-        self.slow = 0
-        self.slow_ms = 0
-        self.corrupt_budget = 0
-        for spec in plan.runner_specs():
-            if spec.site == "kill-worker":
-                self.kills = spec.count
-            elif spec.site == "fail-job":
-                self.fails = spec.count
-            elif spec.site == "slow-worker":
-                self.slow = spec.count
-                self.slow_ms = spec.param
-            elif spec.site == "corrupt-cache":
-                self.corrupt_budget = spec.count
+    def __init__(self, sites: dict[str, tuple[int, ...]]) -> None:
+        self.sites = sites
+        """Site → its arguments, in plan order."""
+        self.kills = self.sites.get("kill-worker", (0,))[0]
+        self.fails = self.sites.get("fail-job", (0,))[0]
+        self.slow, self.slow_ms = self.sites.get("slow-worker", (0, 0))
+        self.corrupt_budget = self.sites.get("corrupt-cache", (0,))[0]
         self.injected: dict[str, int] = {}
 
     @classmethod
-    def from_plan(cls, plan: "FaultPlan | str | ChaosState | None") -> "ChaosState | None":
-        """Normalise a chaos plan (object, CLI string, state, or ``None``)."""
+    def parse(cls, text: str) -> "ChaosState":
+        """Parse a chaos plan; raises :class:`ChaosPlanError`."""
+        sites: dict[str, tuple[int, ...]] = {}
+        for item in filter(None, (part.strip() for part in text.split(","))):
+            site, *args = item.split(":")
+            if site not in CHAOS_SITES:
+                raise ChaosPlanError(
+                    f"unknown chaos site {site!r}; chaos plans take the "
+                    f"runner-level sites {', '.join(CHAOS_SITES)}"
+                )
+            if site in sites:
+                raise ChaosPlanError(f"duplicate chaos site {site!r}")
+            names = CHAOS_SITES[site]
+            if len(args) != len(names):
+                raise ChaosPlanError(
+                    f"{site}: expected {':'.join((site, *(f'<{n}>' for n in names)))}, "
+                    f"got {item!r}"
+                )
+            values = []
+            for name, arg in zip(names, args):
+                try:
+                    value = int(arg)
+                except ValueError:
+                    raise ChaosPlanError(
+                        f"{site}: {name} {arg!r} is not an integer"
+                    ) from None
+                if value < 0:
+                    raise ChaosPlanError(f"{site}: {name} must be >= 0, got {value}")
+                values.append(value)
+            sites[site] = tuple(values)
+        return cls(sites)
+
+    @classmethod
+    def from_plan(cls, plan: "ChaosState | str | None") -> "ChaosState | None":
+        """Normalise a chaos plan (text, state, or ``None``); ``None`` when
+        it injects nothing."""
         if plan is None or isinstance(plan, cls):
             return plan
-        if isinstance(plan, str):
-            plan = FaultPlan.parse(plan)
-        if plan.is_empty():
-            return None
-        return cls(plan)
+        state = cls.parse(plan)
+        return state if any(args[0] for args in state.sites.values()) else None
+
+    def describe(self) -> str:
+        """The plan back in its canonical text form."""
+        return ",".join(
+            ":".join((site, *map(str, args))) for site, args in self.sites.items()
+        )
 
     def needs_subprocess(self) -> bool:
         """True when the plan injects faults only a worker process can
@@ -463,7 +497,7 @@ def run_matrix_resilient(
     cache: ResultCache | None = None,
     progress: Callable[[str], None] | None = None,
     policy: ResiliencePolicy | None = None,
-    chaos: FaultPlan | str | None = None,
+    chaos: ChaosState | str | None = None,
     journal: SweepJournal | None = None,
     resume: bool = False,
 ) -> list[JobOutcome]:

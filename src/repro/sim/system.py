@@ -25,7 +25,6 @@ from repro.config.system import IOMMUConfig, SystemConfig
 from repro.engine.event_queue import EventQueue
 from repro.engine.stats import CounterSet, LatencyAccumulator
 from repro.engine.watchdog import SimulationStalledError, Watchdog
-from repro.faults import FaultPlan, HardeningConfig, InvariantChecker, build_injector
 from repro.gpu.ats import ATSRequest
 from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.gpu_device import GPUDevice
@@ -33,6 +32,7 @@ from repro.iommu.iommu import IOMMU
 from repro.iommu.page_walker import WalkerPool
 from repro.interconnect.topology import Topology
 from repro.policies import make_policy
+from repro.sim.invariants import InvariantChecker
 from repro.sim.results import AppResult, SimulationResult, Snapshot
 from repro.structures.page_table import PageTableManager
 from repro.structures.tlb import unpack_key
@@ -54,10 +54,8 @@ class MultiGPUSystem:
         snapshot_interval: int = 0,
         shootdown_interval: int = 0,
         prefault: bool = True,
-        faults: "FaultPlan | str | None" = None,
-        hardening: HardeningConfig | None = None,
         check_invariants: bool = False,
-        watchdog: bool | None = None,
+        watchdog: bool = False,
         telemetry: TelemetryConfig | None = None,
     ) -> None:
         workload.check_placements(config.num_gpus)
@@ -69,27 +67,10 @@ class MultiGPUSystem:
         self.halted = False
         self.progress_marker = 0
 
-        # Fault injection, hardening, and checking — all resolved before
-        # the IOMMU is built, since it wires the injector into its walker
-        # pool and PRI queue.  ``self.faults is None`` (the default) is the
-        # zero-perturbation path: no hook fires, no extra event schedules.
-        if isinstance(faults, FaultPlan):
-            self.fault_plan = faults
-        else:
-            self.fault_plan = FaultPlan.parse(faults)
-        self.faults = build_injector(self.fault_plan, config.seed)
-        if hardening is None and self.faults is not None:
-            hardening = HardeningConfig()
-        self.hardening = hardening
-        if watchdog is None:
-            watchdog = self.faults is not None
+        # The watchdog, the invariant checker and telemetry are opt-in:
+        # ``None`` (the default) is the zero-perturbation path.
         self.watchdog = Watchdog(self) if watchdog else None
         self.invariants = InvariantChecker(self) if check_invariants else None
-
-        # Telemetry follows the same pattern as fault injection: the
-        # default ``self.telemetry is None`` is the zero-perturbation
-        # path, and the hub must exist before the IOMMU is built so the
-        # walker pool and PRI queue can wire themselves to it.
         self.telemetry = (
             TelemetryHub(telemetry, config.num_gpus)
             if telemetry is not None
@@ -236,9 +217,6 @@ class MultiGPUSystem:
             )
         if self.shootdown_interval > 0:
             self.queue.schedule_after(self.shootdown_interval, self._periodic_shootdown)
-        if self.faults is not None:
-            for walker_id, cycle in self.faults.walker_kills:
-                self.queue.schedule(cycle, self.iommu.walkers.kill_walker, walker_id)
         if self.watchdog is not None:
             self.watchdog.arm()
         if self.invariants is not None:
@@ -285,16 +263,9 @@ class MultiGPUSystem:
             "walkers": {
                 "busy": self.iommu.walkers.busy,
                 "queued": self.iommu.walkers.pending(),
-                "lost_capacity": self.iommu.walkers.lost_capacity,
             },
-            "pri": {
-                "outstanding": self.iommu.pri.outstanding,
-                "in_flight_batches": self.iommu.pri_in_flight,
-            },
+            "pri": {"outstanding": self.iommu.pri.outstanding},
             "interconnect": self.topology.describe_state(),
-            "fault_injections": (
-                self.faults.stats.as_dict() if self.faults is not None else {}
-            ),
         }
 
     def shootdown(self, pid: int | None = None) -> None:
@@ -363,9 +334,6 @@ class MultiGPUSystem:
             "local_page_tables": self.config.local_page_tables,
             "seed": self.config.seed,
         }
-        if self.faults is not None:
-            metadata["faults"] = self.fault_plan.describe()
-            metadata["fault_injections"] = self.faults.stats.as_dict()
         if self.invariants is not None:
             metadata["invariant_checks"] = self.invariants.checks_run
             metadata["invariant_max_overlap"] = self.invariants.max_overlap

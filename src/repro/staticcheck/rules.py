@@ -1,9 +1,10 @@
 """The built-in rule set.
 
-Determinism rules (D1–D8) encode the simulator's own invariants — the
-properties whose violations historically cost a runtime hunt (CHANGES.md
-PRs 1 and 3) — and two generic hygiene rules (G1, G2) cover the Python
-footguns that keep producing heisenbugs in event-driven code.
+Determinism rules (D1–D10; D4 is retired) encode the simulator's own
+invariants — the properties whose violations historically cost a runtime
+hunt (CHANGES.md PRs 1 and 3) — and two generic hygiene rules (G1, G2)
+cover the Python footguns that keep producing heisenbugs in event-driven
+code.
 
 Every rule is intentionally *syntactic*: no type inference, no imports
 resolved.  That keeps the pass fast and predictable; where a judgement
@@ -26,10 +27,6 @@ SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "schedule_after"})
 
 #: Known set-returning APIs of the codebase (syntactic type knowledge).
 SET_RETURNING_METHODS = frozenset({"resident_keys"})
-
-#: Pending-table protocol callbacks that must thread the entry's serial
-#: (the PR 3 incarnation-aliasing bug, enforced statically by D4).
-PROTOCOL_CALLBACK_RE = re.compile(r"(_timed_out|_retry_walk|_remote_probe)$")
 
 #: Variable names that hold integer cycle counts (D5).
 CYCLE_NAME_RE = re.compile(r"(^|_)(cycle|cycles|delay|deadline|arrival|when)$")
@@ -284,55 +281,6 @@ class ScheduleInPastRule(Rule):
         left = expr.left
         name = terminal_name(left)
         return name == "now"
-
-
-@register
-class PendingSerialRule(Rule):
-    """D4: pending-table callbacks must thread the entry's serial.
-
-    Generation counters restart when a key's pending entry is reaped and
-    re-created, so a timeout armed against a dead incarnation can alias
-    its successor and cancel a live walk (the bug PR 3's tracing found).
-    Every scheduled protocol callback therefore carries the table-unique
-    ``serial`` and re-validates it on entry; this rule rejects
-    registrations that drop it.
-    """
-
-    id = "D4"
-    name = "pending-serial-not-threaded"
-    description = (
-        "pending-table timeout/retry/probe callback scheduled without the "
-        "entry's table-unique serial"
-    )
-
-    def interests(self) -> Iterable[type[ast.AST]]:
-        return (ast.Call,)
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> None:
-        assert isinstance(node, ast.Call)
-        if _is_schedule_call(node) is None or len(node.args) < 2:
-            return
-        callback = node.args[1]
-        cb_name = terminal_name(callback)
-        if cb_name is None or PROTOCOL_CALLBACK_RE.search(cb_name) is None:
-            return
-        extras = node.args[2:]
-        if any(self._is_serial(arg) for arg in extras):
-            return
-        ctx.report(
-            self,
-            node,
-            f"{cb_name} is a pending-table protocol callback but no "
-            "`serial` is threaded through the schedule call; a reaped and "
-            "re-created entry would alias this registration (pass "
-            "pending.serial and re-validate it in the callback)",
-        )
-
-    @staticmethod
-    def _is_serial(arg: ast.expr) -> bool:
-        if isinstance(arg, ast.Attribute) and arg.attr == "serial":
-            return True
-        return isinstance(arg, ast.Name) and arg.id == "serial"
 
 
 @register

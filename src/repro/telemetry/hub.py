@@ -89,9 +89,9 @@ class TelemetryHub:
             self.traces.append(trace)
 
     def finalize(self, cycle: int) -> None:
-        """End-of-run sweep: any trace still live lost its response (fault
-        injection, event caps).  Close every open span with
-        ``outcome="fault"`` so the collected set stays balanced."""
+        """End-of-run sweep: any trace still live never got its response
+        (the run was cut off by ``max_cycles``).  Close every open span
+        with ``outcome="fault"`` so the collected set stays balanced."""
         for trace in list(self.live.values()):
             self.incomplete_traces += 1
             self.leaked_spans += trace.finalize(cycle, outcome="fault")

@@ -13,19 +13,19 @@ One :class:`RequestTrace` follows a single sampled CU issue end-to-end:
       pending_wait                   merged into an in-flight IOMMU miss
       remote_probe                   tracker-directed peer-L2 probe
       ring_probe                     tlb-probing's neighbour probes
-      page_walk                      one per walk attempt (retries reopen)
+      page_walk                      walker-pool walk
       pri_fault                      PRI batch service of a faulting walk
       local_walk                     device-memory walk (Figure 23 variant)
       response                       IOMMU/peer → GPU transit
 
 Spans carry begin/end cycles and an ``outcome`` tag (``ok``/``hit``/
-``miss``/``timeout``/``cancelled``/``fault``/…).  The tree is *balanced*
-by construction: at most one span per name is open at a time, closes are
-idempotent (a timeout closing a span that already answered is a no-op),
-and closing a child after the root closed extends the root — so children
-always nest inside their parent.  :meth:`RequestTrace.finalize` force-
-closes anything still open (e.g. a walk whose response a fault injector
-dropped) with ``outcome="fault"`` so no span ever leaks.
+``miss``/``cancelled``/``fault``/…).  The tree is *balanced* by
+construction: at most one span per name is open at a time, closes are
+idempotent (closing a span that already closed is a no-op), and closing
+a child after the root closed extends the root — so children always
+nest inside their parent.  :meth:`RequestTrace.finalize` force-closes
+anything still open (e.g. a walk still in flight when ``max_cycles``
+cut the run off) with ``outcome="fault"`` so no span ever leaks.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class RequestTrace:
         return name in self._open
 
     def begin(self, name: str, cycle: int, **tags: Any) -> Span:
-        """Open a child span.  A same-named span must be closed first —
-        protocol retries (walk re-issues) close the old attempt before
-        opening the next, so this is an API-misuse guard, not a limit."""
+        """Open a child span.  A same-named span must be closed first (it
+        may be reopened once closed), so this is an API-misuse guard, not
+        a limit."""
         if name in self._open:
             raise ValueError(f"span {name!r} is already open in trace {self.trace_id}")
         span = Span(self._next_id, self.root.span_id, name, cycle, tags or None)
@@ -132,8 +132,7 @@ class RequestTrace:
 
     def end(self, name: str, cycle: int, outcome: str = "ok") -> bool:
         """Close the open span ``name``.  Idempotent: returns ``False``
-        without effect when no such span is open (the loser of a
-        timeout-vs-response race simply no-ops)."""
+        without effect when no such span is open."""
         span = self._open.pop(name, None)
         if span is None:
             return False
@@ -170,8 +169,8 @@ class RequestTrace:
     def finalize(self, cycle: int, outcome: str = "fault") -> int:
         """Force-close every span still open (children first, root last)
         with ``outcome``; returns how many were closed.  This is how a
-        trace whose response was lost to fault injection stays balanced
-        instead of leaking open spans."""
+        trace whose response never arrived (the run was cut off) stays
+        balanced instead of leaking open spans."""
         closed = 0
         for name in [n for n in self._open if n != ROOT_SPAN]:
             self.end(name, cycle, outcome)

@@ -289,7 +289,7 @@ class TestScopeRejections:
     def test_default_valued_options_accepted(self):
         result = run_functional(
             tiny_config(), self._workload(), "baseline",
-            faults=None, check_invariants=False, watchdog=False,
+            check_invariants=False, watchdog=False,
         )
         assert result.events_executed > 0
 

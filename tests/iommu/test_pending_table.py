@@ -53,13 +53,12 @@ def test_resolved_property():
     assert not entry.resolved
 
 
-def test_serials_and_diagnostics_name_each_incarnation():
+def test_diagnostics_describe_the_live_entry():
     table = PendingTable()
     first = table.create(KEY, req(), 7)
     first.served = True
     table.maybe_remove(first)
-    second = table.create(KEY, req(), 9)
-    assert second.serial == first.serial + 1
+    table.create(KEY, req(), 9)
     assert table.describe() == [
         {
             "key": (1, 5),
@@ -68,7 +67,6 @@ def test_serials_and_diagnostics_name_each_incarnation():
             "remote_pending": False,
             "fault_pending": False,
             "served": False,
-            "walk_attempts": 0,
             "created_at": 9,
         }
     ]

@@ -12,10 +12,8 @@ FIFO queue or one queue per GPU under DWS (allocation
 ``max(1, capacity // num_gpus)``; a freed thread goes to the backlogged
 GPU with the smallest deficit, ties to the first GPU at or after the
 rotor, counting ``walks_stolen`` when that GPU is at or over its
-allocation), walker ids round-robin over live walkers, ``kill_walker``
-shrinking capacity and losing the killed walker's running walks, a walk
-latency of ``max(1, latency * levels_touched // levels)``, and one
-queue-wait sample per started walk.
+allocation), a walk latency of ``max(1, latency * levels_touched //
+levels)``, and one queue-wait sample per started walk.
 
 The PRI model flushes at the batch size and arms a timer for the batch
 that pends when the first fault arrives; a timer flushes only the batch
@@ -41,20 +39,16 @@ class ModelPool:
     def __init__(self, scheduler, num_gpus, num_walkers, threads, page_tables):
         self.dws = scheduler == "dws"
         self.num_gpus = num_gpus
-        self.threads = threads
-        self.alive = list(range(num_walkers))
-        self.dead = set()
         self.capacity = num_walkers * threads
         self.queues = [[] for _ in range(num_gpus if self.dws else 1)]
         self.running = {}  # walk -> its GPU
         self.busy = [0] * num_gpus
-        self.walker_rotor = 0
         self.steal_rotor = 0
         self.counters = Counter()
         self.waits = []
         self.page_tables = page_tables
         self.walks = {}  # walk -> (pid, vpn, gpu, enqueued at)
-        self.started = {}  # walk -> (walker, ppn, cycles)
+        self.started = {}  # walk -> (ppn, cycles)
 
     def request(self, walk, pid, vpn, gpu, now):
         self.walks[walk] = (pid, vpn, gpu, now)
@@ -66,18 +60,15 @@ class ModelPool:
         return None
 
     def finish(self, walk, now):
-        """The walk started next (or None), and whether ``walk`` is lost."""
+        """The walk started next, or None."""
         gpu = self.running.pop(walk)
         self.busy[gpu] -= 1
-        lost = self.started[walk][0] in self.dead
-        if sum(self.busy) >= self.capacity:
-            return None, lost
         queue = self._dws_queue() if self.dws else self.queues[0]
         if not queue:
-            return None, lost
+            return None
         nxt = queue.pop(0)
         self._start(nxt, now)
-        return nxt, lost
+        return nxt
 
     def cancel(self, walk):
         for queue in self.queues:
@@ -87,19 +78,8 @@ class ModelPool:
                 return True
         return False
 
-    def kill(self, walker):
-        if walker not in self.alive:
-            return False
-        self.alive.remove(walker)
-        self.dead.add(walker)
-        self.capacity = self.threads * len(self.alive)
-        self.counters["walkers_killed"] += 1
-        return True
-
     def _start(self, walk, now):
         pid, vpn, gpu, enqueued = self.walks[walk]
-        walker = self.alive[self.walker_rotor % len(self.alive)]
-        self.walker_rotor += 1
         self.waits.append(now - enqueued)
         self.running[walk] = gpu
         self.busy[gpu] += 1
@@ -109,7 +89,7 @@ class ModelPool:
             self.counters["walks_faulted"] += 1
         levels = self.page_tables.levels
         cycles = max(1, LATENCY * result.levels_touched // levels)
-        self.started[walk] = (walker, result.ppn, cycles)
+        self.started[walk] = (result.ppn, cycles)
 
     def _dws_queue(self):
         """The queue a freed thread serves under DWS, or None."""
@@ -133,7 +113,7 @@ class ModelPool:
 walker_ops = st.lists(
     st.tuples(
         st.sampled_from(["request", "request", "request", "cancel", "finish",
-                         "finish", "kill"]),
+                         "finish"]),
         st.integers(0, 63),
         st.integers(0, 63),
         st.integers(0, 40),
@@ -189,23 +169,16 @@ def test_walker_pool_matches_model(scheduler, num_gpus, num_walkers, threads, op
             running.discard(walk)
             ticket = tickets[walk]
             started = pool.finish(ticket, now)
-            expected, lost = model.finish(walk, now)
-            assert (ticket.walker_id in pool.dead) == lost
-            if lost:
-                pool.lose()
-                model.counters["walks_lost"] += 1
+            expected = model.finish(walk, now)
             assert (None if started is None else started.owner) == expected
             if started is not None:
                 running.add(expected)
-        elif kind == "kill":
-            walker = x % (num_walkers + 1)  # one id past the last is unknown
-            assert pool.kill_walker(walker) == model.kill(walker)
 
         assert running == set(model.running)
         assert pool.busy == len(running)
         for walk in running:
             ticket = tickets[walk]
-            assert (ticket.walker_id, ticket.ppn, ticket.cycles) == model.started[walk]
+            assert (ticket.ppn, ticket.cycles) == model.started[walk]
         live = [
             [t.owner for t in queue
              if t.owner not in cancelled and t.owner not in model.started]
@@ -214,8 +187,6 @@ def test_walker_pool_matches_model(scheduler, num_gpus, num_walkers, threads, op
         assert live == model.queues
         assert pool.pending() == sum(map(len, model.queues))
         assert pool.stats.as_dict() == dict(model.counters)
-        assert pool.capacity == model.capacity
-        assert pool.lost_capacity == len(model.dead) * threads
         waits = pool.queue_wait
         assert (waits.count, waits.total) == (len(model.waits), sum(model.waits))
         if model.waits:

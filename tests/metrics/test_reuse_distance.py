@@ -91,10 +91,26 @@ class TestFractionWithin:
         assert fraction_within(reuse_distances(keys(1, 2, 3)), 10) == 0.0
 
     def test_partial(self):
-        # distances: 0 (1->1) and 2 (2 ... 2 across {3,4}).
+        # distances: 0 (1->1) and 3 (2 ... 2 across {1,3,4}).
         stream = keys(2, 1, 1, 3, 4, 2)
         distances = reuse_distances(stream)
         assert fraction_within(distances, 1) == pytest.approx(0.5)
+
+    def test_distance_equal_to_capacity_is_missed(self):
+        # A B A: the reuse of A has distance 1, and a 1-entry LRU has
+        # already evicted A for B.
+        distances = reuse_distances(keys(1, 2, 1))
+        assert distances.tolist() == [COLD, COLD, 1]
+        assert fraction_within(distances, 1) == 0.0
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 8])
+    def test_boundary(self, capacity):
+        # One reuse at distance capacity - 1, one at distance capacity.
+        near = keys(0, *range(1, capacity), 0)
+        far = keys(100, *range(101, 101 + capacity), 100)
+        distances = reuse_distances(near + far)
+        assert sorted(distances[distances >= 0].tolist()) == [capacity - 1, capacity]
+        assert fraction_within(distances, capacity) == pytest.approx(0.5)
 
 
 class TestPerPid:

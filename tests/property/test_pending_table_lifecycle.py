@@ -1,17 +1,16 @@
 """Interleaving tests for the pending-table protocol.
 
-One translation key can have up to four responders racing: the page walk,
-its hardening timeout, the remote-L2 probe, and the probe's timeout.  The
-protocol must deliver **exactly one** response to the waiters and reap
-the pending entry no matter which order those events land in.  These
-tests drive the policy's handlers directly, in *every* permutation of
-the racing completions, and assert both properties after the event queue
-drains.
+One translation key can have up to three responders in flight: the page
+walk, the remote-L2 probe and, once a walk faults, the PRI service.  The
+protocol must deliver **exactly one** response to the waiters and reap the
+pending entry no matter which order those responders land in.  These tests
+hold every responder back as it is scheduled, fire them in *every* order
+they can arrive in (a responder scheduled by another joins the race when
+it is scheduled), and assert both properties once the rest of the event
+queue drains.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from repro.config.system import (
     TLBLevelConfig,
     TrackerConfig,
 )
-from repro.faults import HardeningConfig
+from repro.engine.event_queue import EventQueue
 from repro.gpu.ats import ATSRequest
 from repro.sim.system import MultiGPUSystem
 from repro.structures.tlb import pack_key, pack_payload
@@ -35,7 +34,30 @@ VPN = 77
 PPN = 4242
 KEY = pack_key(PID, VPN)
 
-RESPONSE_SOURCES = ("iommu", "walk", "pending", "remote", "fault")
+RESPONSE_SOURCES = ("iommu", "walk", "pending", "remote")
+
+RESPONDERS = frozenset({"_walk_done", "_remote_probe", "_pri_batch_done"})
+"""The callbacks that answer a pending entry: a walk, a probe, a PRI batch."""
+
+
+class RacingQueue(EventQueue):
+    """An event queue that holds the responders back, so a test chooses the
+    order they land in; every other event is scheduled as usual."""
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held: list[tuple[str, object, tuple]] = []
+
+    def schedule(self, time, callback, *args):
+        if callback.__name__ in RESPONDERS:
+            self.held.append((callback.__name__, callback, args))
+        else:
+            super().schedule(time, callback, *args)
+
+    def schedule_after(self, delay, callback, *args):
+        self.schedule(self.now + delay, callback, *args)
 
 
 def _tiny_config() -> SystemConfig:
@@ -52,6 +74,8 @@ def _tiny_config() -> SystemConfig:
             num_walkers=2,
             walker_threads=2,
             walk_latency=40,
+            # One fault per batch: the PRI service is one responder.
+            pri_batch_size=1,
         ),
         tracker=TrackerConfig(total_entries=32, kind="perfect"),
         interconnect=InterconnectConfig(host_link_latency=15, peer_link_latency=5),
@@ -60,7 +84,6 @@ def _tiny_config() -> SystemConfig:
 
 
 def _tiny_workload() -> Workload:
-    streams = []
     placements = []
     for gpu_id in (0, 1):
         stream = CUStream(
@@ -68,7 +91,6 @@ def _tiny_workload() -> Workload:
             np.full(1, 37, dtype=np.int64),
             np.ones(1, dtype=np.int64),
         )
-        streams.append(stream)
         placements.append(
             Placement(
                 gpu_id=gpu_id, pid=PID, app_name="race", cu_ids=[gpu_id * 4],
@@ -81,153 +103,95 @@ def _tiny_workload() -> Workload:
     )
 
 
-def _make_system(*, remote_entry: bool) -> tuple[MultiGPUSystem, ATSRequest]:
-    """A system with one pending entry racing a walk and a remote probe.
+def _missed(*, remote_entry: bool, race_ptw: bool, walk_faults: bool):
+    """A system whose GPU 0 just missed on ``KEY`` at the IOMMU.
 
-    ``remote_entry`` controls whether GPU 1's L2 actually holds the
-    translation (probe hit) or not (tracker false positive)."""
+    The tracker names GPU 1, so least-TLB probes it; ``remote_entry``
+    controls whether GPU 1's L2 holds the translation (probe hit) or not
+    (tracker false positive), and ``walk_faults`` whether the page table
+    maps it."""
     system = MultiGPUSystem(
-        _tiny_config(),
-        _tiny_workload(),
-        "least-tlb",
-        hardening=HardeningConfig(
-            walk_timeout=500, probe_timeout=200, retry_backoff_base=50
-        ),
-        watchdog=False,
+        _tiny_config(), _tiny_workload(), "least-tlb",
+        policy_options={"race_ptw": race_ptw}, prefault=False,
     )
-    system.page_tables.table_for(PID).map(VPN, PPN)
+    system.queue = RacingQueue()
+    if not walk_faults:
+        system.page_tables.table_for(PID).map(VPN, PPN)
+    system.policy.tracker.register(1, PID, VPN)
     if remote_entry:
-        system.gpus[1].l2_tlb.insert(pack_key(PID, VPN), pack_payload(PPN, budget=1))
+        system.gpus[1].l2_tlb.insert(KEY, pack_payload(PPN, budget=1))
     request = ATSRequest(gpu_id=0, pid=PID, vpn=VPN, issue_time=0, measured=True)
-    pending = system.iommu.pending.create(KEY, request, 0)
-    pending.walk_pending = True
-    pending.walk_attempts = 1
-    pending.walk_generation = 1
-    pending.remote_pending = True
-    pending.remote_generation = 1
-    return system, request
+    system.policy.on_iommu_request(request)
+    return system
 
 
-def _responses_delivered(system: MultiGPUSystem) -> int:
-    return sum(
-        system.iommu.stats[f"responses_{source}"] for source in RESPONSE_SOURCES
-    )
+def _every_order(**case) -> list[tuple[str, ...]]:
+    """Fire the held responders in every order they can land in, each
+    order on a fresh system, and assert exactly one response and a reaped
+    entry after each.  Returns the orders explored."""
+    orders = []
 
+    def explore(prefix: tuple[int, ...]) -> None:
+        system = _missed(**case)
+        fired = []
+        for choice in prefix:
+            name, callback, args = system.queue.held.pop(choice)
+            fired.append(name)
+            callback(*args)
+        held = len(system.queue.held)
+        if held:
+            for choice in range(held):
+                explore((*prefix, choice))
+            return
+        system.queue.run()
+        responses = sum(
+            system.iommu.stats[f"responses_{source}"] for source in RESPONSE_SOURCES
+        )
+        assert responses == 1, f"{fired}: waiter served {responses} times"
+        assert KEY not in system.iommu.pending, f"{fired}: pending entry leaked"
+        orders.append(tuple(fired))
 
-def _assert_exactly_once(system: MultiGPUSystem) -> None:
-    system.queue.run()
-    assert KEY not in system.iommu.pending, "pending entry leaked"
-    assert _responses_delivered(system) == 1, (
-        f"waiter served {_responses_delivered(system)} times"
-    )
-
-
-def _event_set(system: MultiGPUSystem, request: ATSRequest, *, walk_faulted: bool):
-    policy = system.policy
-    ppn = None if walk_faulted else PPN
-    serial = system.iommu.pending.get(KEY).serial
-    return {
-        "walk-response": lambda: policy.on_walk_complete(request, ppn),
-        "walk-timeout": lambda: policy._walk_timed_out(request, serial, 1),
-        "probe-response": lambda: policy._remote_probe(request, 1, serial),
-        "probe-timeout": lambda: policy._probe_timed_out(request, serial, 1),
-    }
+    explore(())
+    return orders
 
 
 class TestEveryInterleaving:
     @pytest.mark.parametrize("remote_entry", [True, False])
-    def test_all_orders_of_all_four_racers(self, remote_entry):
-        events = ["walk-response", "walk-timeout", "probe-response", "probe-timeout"]
-        for order in permutations(events):
-            system, request = _make_system(remote_entry=remote_entry)
-            handlers = _event_set(system, request, walk_faulted=False)
-            for name in order:
-                handlers[name]()
-            _assert_exactly_once(system)
+    def test_all_orders_of_walk_and_probe(self, remote_entry):
+        for race_ptw in (True, False):
+            orders = _every_order(
+                remote_entry=remote_entry, race_ptw=race_ptw, walk_faults=False
+            )
+            if race_ptw:
+                # The walk and the probe race: both orders happen.
+                assert sorted(orders) == [
+                    ("_remote_probe", "_walk_done"),
+                    ("_walk_done", "_remote_probe"),
+                ]
+            elif remote_entry:
+                assert orders == [("_remote_probe",)]
+            else:
+                # Serial variant: a probe miss falls back to the walk.
+                assert orders == [("_remote_probe", "_walk_done")]
 
     @pytest.mark.parametrize("remote_entry", [True, False])
     def test_faulting_walk_orders(self, remote_entry):
-        """A faulting walk must fall back to the PRI path (or lose to the
+        """A faulting walk falls back to the PRI path (or loses to the
         probe) without double service."""
-        events = ["walk-response", "probe-response", "probe-timeout"]
-        for order in permutations(events):
-            system, request = _make_system(remote_entry=remote_entry)
-            handlers = _event_set(system, request, walk_faulted=True)
-            for name in order:
-                handlers[name]()
-            _assert_exactly_once(system)
-
-    def test_timeouts_alone_recover_the_request(self):
-        """Both responses lost: the timeouts alone must re-drive the key
-        to completion via a retried walk."""
-        for order in permutations(["walk-timeout", "probe-timeout"]):
-            system, request = _make_system(remote_entry=False)
-            handlers = _event_set(system, request, walk_faulted=False)
-            for name in order:
-                handlers[name]()
-            _assert_exactly_once(system)
-
-    def test_stale_generation_timeouts_are_ignored(self):
-        """Timeouts armed for generation 1 must not fire against a retried
-        generation-2 walk."""
-        system, request = _make_system(remote_entry=False)
-        pending = system.iommu.pending.get(KEY)
-        pending.walk_generation = 2
-        pending.remote_generation = 2
-        before = pending.walk_pending, pending.remote_pending
-        system.policy._walk_timed_out(request, pending.serial, 1)
-        system.policy._probe_timed_out(request, pending.serial, 1)
-        assert (pending.walk_pending, pending.remote_pending) == before
-        assert system.iommu.stats["walk_timeouts"] == 0
-        assert system.iommu.stats["probe_timeouts"] == 0
-        # Resolve the entry cleanly via the current generation.
-        system.policy.on_walk_complete(request, PPN)
-        system.policy._probe_timed_out(request, pending.serial, 2)
-        _assert_exactly_once(system)
-
-    def test_stale_serial_timeouts_ignore_reincarnated_entry(self):
-        """A timeout armed against a dead incarnation of the key must not
-        cancel the live one — generations restart at 0 on re-creation, so
-        the serial is the only thing separating them (this exact aliasing
-        once cancelled a live walk and leaked its telemetry span)."""
-        system, request = _make_system(remote_entry=False)
-        old = system.iommu.pending.get(KEY)
-        old_serial = old.serial
-        # First incarnation resolves and is reaped.
-        old.remote_pending = False
-        system.policy.on_walk_complete(request, PPN)
-        assert KEY not in system.iommu.pending
-        # Same key misses again: new incarnation, same generation numbers.
-        retry = ATSRequest(gpu_id=0, pid=PID, vpn=VPN, issue_time=50, measured=True)
-        fresh = system.iommu.pending.create(KEY, retry, 50)
-        fresh.walk_pending = True
-        fresh.walk_attempts = 1
-        fresh.walk_generation = 1
-        fresh.remote_pending = True
-        fresh.remote_generation = 1
-        assert fresh.serial != old_serial
-        # The dead incarnation's timeouts fire: they must be no-ops.
-        system.policy._walk_timed_out(request, old_serial, 1)
-        system.policy._probe_timed_out(request, old_serial, 1)
-        assert fresh.walk_pending and fresh.remote_pending
-        assert system.iommu.stats["walk_timeouts"] == 0
-        assert system.iommu.stats["probe_timeouts"] == 0
-        # And its late probe response is stale, not a serve.
-        system.policy._remote_probe(request, 1, old_serial)
-        assert system.iommu.stats["stale_probe_responses"] == 1
-        assert not fresh.served
-
-    def test_stale_responses_after_reap_are_counted_not_fatal(self):
-        system, request = _make_system(remote_entry=False)
-        pending = system.iommu.pending.get(KEY)
-        pending.remote_pending = False
-        system.policy.on_walk_complete(request, PPN)
-        assert KEY not in system.iommu.pending
-        # Late echoes of every kind against the reaped key:
-        system.policy.on_walk_complete(request, PPN)
-        system.policy._remote_probe(request, 1, 0)
-        system.policy.on_fault_serviced(request, PPN)
-        assert system.iommu.stats["stale_walk_responses"] == 1
-        assert system.iommu.stats["stale_probe_responses"] == 1
-        assert system.iommu.stats["stale_fault_responses"] == 1
-        _assert_exactly_once(system)
+        for race_ptw in (True, False):
+            orders = _every_order(
+                remote_entry=remote_entry, race_ptw=race_ptw, walk_faults=True
+            )
+            serviced = [order for order in orders if "_pri_batch_done" in order]
+            for order in serviced:
+                assert order.index("_walk_done") < order.index("_pri_batch_done")
+            if remote_entry:
+                # Only a walk that faults before the probe hits reports
+                # the fault.
+                assert all(o.index("_walk_done") < o.index("_remote_probe")
+                           for o in serviced)
+            else:
+                # A tracker false positive leaves the fault path to serve
+                # every order.
+                assert serviced == orders
+            assert orders

@@ -27,7 +27,6 @@ def test_serve_usage_errors(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "MM", "--server", "http://x", "--profile"],
     ["run", "MM", "--server", "http://x", "--trace"],
-    ["run", "MM", "--server", "http://x", "--faults", "drop-remote:0.01"],
     ["run", "./missing.npz", "--server", "http://x"],
     ["bench", "--server", "http://x", "--chaos", "kill-worker:1"],
     ["bench", "--server", "http://x", "--profile"],

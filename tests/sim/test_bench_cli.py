@@ -98,7 +98,7 @@ def test_bench_resume_without_cache_is_usage_error(capsys):
 
 def test_bench_bad_chaos_plan_is_usage_error(capsys):
     _usage_error(["bench", "--chaos", "no-such-site:1"], capsys, "--chaos")
-    # Protocol sites belong in `repro run --faults`, not a chaos plan.
+    # A former protocol fault site is not a chaos site either.
     _usage_error(["bench", "--chaos", "drop-remote:0.5"], capsys, "--chaos")
 
 
@@ -108,8 +108,8 @@ def test_bench_profile_rejects_subprocess_chaos(capsys):
 
 
 def test_run_rejects_runner_chaos_sites(capsys):
-    _usage_error(["run", "MM", "--faults", "kill-worker:1"], capsys,
-                 "repro bench --chaos")
+    # Runner chaos is a sweep option: `repro run` has no --chaos.
+    _usage_error(["run", "MM", "--chaos", "kill-worker:1"], capsys, "--chaos")
 
 
 def test_bench_degraded_family_exits_three(tmp_path, capsys):

@@ -67,20 +67,21 @@ class TestFunctionalBackendCli:
         ]) == 0
 
     def test_run_functional_backend_out_of_scope(self, capsys):
-        # Fault injection is outside the fast path's scope: refuse with
-        # the CLI convention instead of silently running without faults.
+        # The invariant checker is outside the fast path's scope: refuse
+        # with the CLI convention instead of silently running unchecked.
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "run", "FIR", "--scale", "0.02", "--backend", "functional",
-                "--faults", "drop-remote:0.01",
+                "--check-invariants",
             ])
         assert excinfo.value.code == 2
         assert "error: --backend functional" in capsys.readouterr().err
 
 
 class TestRemovedOptions:
-    """``--backend vectorized`` and ``--shards`` are not options: naming
-    either is an argparse usage error, never a silently different run."""
+    """``--backend vectorized``, ``--shards`` and the retired fault-plan
+    flag of ``run`` are not options: naming one is an argparse usage
+    error, never a silently different run."""
 
     @pytest.mark.parametrize(
         ("argv", "token"),
@@ -88,8 +89,9 @@ class TestRemovedOptions:
             (["run", "FIR", "--backend", "vectorized"], "vectorized"),
             (["run", "FIR", "--shards", "2"], "--shards"),
             (["bench", "--only", "fig02*", "--shards", "2"], "--shards"),
+            (["run", "FIR", "--faults", "drop-remote:0.01"], "--faults"),
         ],
-        ids=["run-backend-vectorized", "run-shards", "bench-shards"],
+        ids=["run-backend-vectorized", "run-shards", "bench-shards", "run-faults"],
     )
     def test_removed_option_is_usage_error(self, capsys, argv, token):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.config.presets import baseline_config
-from repro.faults import InvariantChecker, InvariantViolation
 from repro.gpu.ats import ATSRequest
+from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.system import MultiGPUSystem
 from repro.workloads.multi_app import (
     build_multi_app_workload,

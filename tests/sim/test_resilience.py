@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.reporting.export import result_to_dict
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import (
@@ -23,7 +22,9 @@ from repro.sim.parallel import (
     run_matrix,
 )
 from repro.sim.resilience import (
+    CHAOS_SITES,
     JOURNAL_NAME,
+    ChaosPlanError,
     ChaosState,
     ResiliencePolicy,
     SweepJournal,
@@ -95,16 +96,55 @@ class TestPolicy:
         assert ResiliencePolicy(backoff_base=0).backoff_delay("d", 1) == 0.0
 
 
+class TestChaosParse:
+    def test_empty_text_is_empty_plan(self):
+        for text in ("", "   ", ","):
+            state = ChaosState.parse(text)
+            assert state.sites == {}
+            assert state.describe() == ""
+            assert ChaosState.from_plan(text) is None
+
+    def test_describe_round_trips(self):
+        text = "kill-worker:2,corrupt-cache:1,slow-worker:1:500,fail-job:3"
+        state = ChaosState.parse(text)
+        assert state.describe() == text
+        assert ChaosState.parse(" kill-worker: 02 ").describe() == "kill-worker:2"
+
+    def test_all_sites_parseable(self):
+        for site, args in CHAOS_SITES.items():
+            text = ":".join((site, *["2"] * len(args)))
+            assert ChaosState.from_plan(text) is not None
+
+    @pytest.mark.parametrize("bad", [
+        "melt-cpu:1.0",          # unknown site
+        "drop-remote:0.5",       # a protocol fault site, not a chaos site
+        "kill-worker",           # missing count
+        "slow-worker:1",         # missing millis
+        "fail-job:1:2",          # an argument too many
+        "kill-worker:x",         # non-integer count
+        "corrupt-cache:-1",      # negative count
+        "slow-worker:1:-5",      # negative millis
+    ])
+    def test_parse_rejects(self, bad):
+        with pytest.raises(ChaosPlanError):
+            ChaosState.parse(bad)
+
+    def test_duplicate_site_rejected(self):
+        with pytest.raises(ChaosPlanError, match="duplicate"):
+            ChaosState.parse("kill-worker:1,kill-worker:2")
+
+
 class TestChaosState:
     def test_from_plan_normalises(self):
         assert ChaosState.from_plan(None) is None
-        assert ChaosState.from_plan(FaultPlan()) is None
+        assert ChaosState.from_plan("") is None
+        assert ChaosState.from_plan("kill-worker:0") is None
         state = ChaosState.from_plan("kill-worker:2")
         assert state is not None and state.kills == 2
         assert ChaosState.from_plan(state) is state
 
     def test_rejects_protocol_sites(self):
-        with pytest.raises(FaultPlanError, match="runner-level"):
+        with pytest.raises(ChaosPlanError, match="runner-level"):
             ChaosState.from_plan("drop-remote:0.5")
 
     def test_kill_and_fail_are_transient(self):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.config.presets import baseline_config
-from repro.faults.plan import FaultPlan
 from repro.reporting.export import result_from_dict, result_to_dict
 from repro.sim.cache import (
     CacheCorruptionWarning,
@@ -77,9 +76,6 @@ class TestFingerprint:
                         l1_tlb=dataclasses.replace(config.gpu.l1_tlb, num_entries=32),
                     ),
                 )
-            ),
-            "fault_plan": _fingerprint(
-                options={"fault_plan": FaultPlan.parse("flip-tlb:0.01")}
             ),
             "options": _fingerprint(options={"max_cycles": 1000}),
         }

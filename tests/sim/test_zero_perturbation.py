@@ -1,9 +1,8 @@
 """The zero-perturbation guarantee.
 
-The robustness subsystem (fault hooks, hardening timers, watchdog,
-invariant checker) must be invisible when disabled: a fault-free run of
-the instrumented code produces **bit-identical** results to the
-pre-instrumentation simulator.  The goldens in ``tests/golden/`` pin
+The opt-in subsystems (watchdog, invariant checker, telemetry) must be
+invisible when disabled: a default run of the instrumented code produces
+**bit-identical** results to the pre-instrumentation simulator.  The goldens in ``tests/golden/`` pin
 that behaviour — ``events_executed`` is part of the comparison, so even
 one extra scheduled event breaks these tests.
 
@@ -24,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.config.presets import baseline_config
-from repro.faults import FaultPlan
 from repro.reporting import result_to_dict
 from repro.sim.system import MultiGPUSystem
 from repro.workloads.multi_app import (
@@ -56,39 +54,18 @@ class TestGoldenRegression:
         expected = json.loads((GOLDEN_DIR / golden).read_text())
         assert run_case(name, policy, builder) == expected
 
-    @pytest.mark.parametrize("golden", sorted(CASES))
-    def test_empty_fault_plan_is_no_fault_plan(self, golden):
-        """An empty/zero-rate plan must not build an injector, arm
-        hardening, or perturb a single event."""
-        name, policy, builder = CASES[golden]
-        expected = json.loads((GOLDEN_DIR / golden).read_text())
-        for faults in ("", FaultPlan(), "drop-remote:0.0"):
-            assert run_case(name, policy, builder, faults=faults) == expected
-
 
 class TestDisabledSubsystemState:
     def test_fault_free_system_holds_no_robustness_state(self):
         config = baseline_config()
         workload = build_single_app_workload("MM", config, scale=0.05)
         system = MultiGPUSystem(config, workload, "least-tlb")
-        assert system.faults is None
-        assert system.hardening is None
         assert system.watchdog is None
         assert system.invariants is None
         # The walker pool and PRI queue are shared with the functional
-        # replay and hold no hooks: the IOMMU reads ``system.faults`` and
-        # ``system.hardening`` around their calls.
+        # replay and hold no hooks of the event engine.
         for shared in (system.iommu.walkers, system.iommu.pri):
-            assert not hasattr(shared, "injector")
-            assert not hasattr(shared, "hardening")
-
-    def test_active_plan_arms_everything(self):
-        config = baseline_config()
-        workload = build_single_app_workload("MM", config, scale=0.05)
-        system = MultiGPUSystem(config, workload, "least-tlb", faults="flip-tlb:0.5")
-        assert system.faults is not None
-        assert system.hardening is not None
-        assert system.watchdog is not None
+            assert not hasattr(shared, "system")
 
     def test_determinism_across_repeat_runs(self):
         name, policy, builder = CASES["mm_least_tlb_scale005.json"]
@@ -96,8 +73,8 @@ class TestDisabledSubsystemState:
 
 
 class TestTelemetryZeroPerturbation:
-    """The telemetry subsystem honours the same contract as fault
-    injection: no hub by default, and even an *enabled* span tracer is
+    """The telemetry subsystem honours the same contract: no hub by
+    default, and even an *enabled* span tracer is
     invisible to the simulation — it only annotates existing events."""
 
     def test_default_system_holds_no_telemetry_state(self):

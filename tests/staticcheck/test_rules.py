@@ -25,7 +25,6 @@ RULE_FIXTURES = {
     "D1": "d1_unordered_iteration.py",
     "D2": "d2_wall_clock.py",
     "D3": "d3_schedule_in_past.py",
-    "D4": "d4_pending_serial.py",
     "D5": "d5_float_cycle.py",
     "D6": "d6_config_mutation.py",
     "D7": "d7_stats_ownership.py",

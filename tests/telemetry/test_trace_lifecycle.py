@@ -1,7 +1,7 @@
 """End-to-end span lifecycle invariants on real simulations.
 
-Every sampled trace collected from a full run — healthy or fault-injected
-— must satisfy the balanced-span-tree contract: root closed with exactly
+Every sampled trace collected from a run — complete or cut off by
+``max_cycles`` — must satisfy the balanced-span-tree contract: root closed with exactly
 one terminal outcome, no leaked spans, ``begin <= end``, children nested
 inside the root interval.
 """
@@ -97,35 +97,7 @@ class TestHealthyRuns:
         assert len(system.telemetry.traces) == 10
 
 
-class TestFaultInjectedRuns:
-    def test_dropped_probes_close_spans_as_fault_not_leak(self):
-        """drop-remote:1.0 loses every probe; the racing walk still serves
-        each request, and the dropped probe's span must close with
-        ``outcome=fault`` instead of leaking open."""
-        system = traced_system(
-            "MM", build_single_app_workload, "least-tlb",
-            rate=0.25, faults="drop-remote:1.0",
-        )
-        system.run()
-        hub = system.telemetry
-        assert_all_balanced(hub)
-        probes = [
-            s for t in hub.traces for s in t.spans if s.name == "remote_probe"
-        ]
-        assert probes, "fault plan produced no traced probes"
-        assert all(s.outcome == "fault" for s in probes)
-
-    def test_dropped_walks_stay_balanced_via_retries(self):
-        """drop-walk:0.5 eats walk results; hardening retries re-issue
-        them.  Every page_walk span still closes (ok/timeout/stale) and
-        trees stay balanced."""
-        system = traced_system(
-            "MM", build_single_app_workload, "least-tlb",
-            rate=0.25, faults="drop-walk:0.5",
-        )
-        system.run()
-        assert_all_balanced(system.telemetry)
-
+class TestCutOffRuns:
     def test_finalize_closes_traces_lost_to_event_cap(self):
         """A run cut off mid-flight (max_cycles) leaves live traces; the
         end-of-run sweep must close them as faults, not leak them."""
