@@ -27,10 +27,12 @@ median.
 Usage::
 
     PYTHONPATH=src python scripts/bench_perf.py                  # record
-    PYTHONPATH=src python scripts/bench_perf.py \
+    PYTHONPATH=src python scripts/bench_perf.py --output BENCH_smoke.json \
         --baseline BENCH_kernel.json --max-regression 0.30       # gate
 
-With ``--baseline``, the harness exits non-zero if any gated section's
+With ``--baseline``, the harness exits 2 when ``--output`` is the baseline
+file itself (the run would overwrite the baseline, then compare with
+itself) or the baseline cannot be read, and non-zero if any gated section's
 throughput falls more than ``--max-regression`` below the
 baseline file's, or if a gated baseline row was not measured at all
 (used by the CI perf-smoke job).  Numbers are machine-relative: compare
@@ -346,14 +348,20 @@ def _rate(value: float) -> str:
     return f"{value:,.0f}" if abs(value) >= 100 else f"{value:#.3g}"
 
 
-def check_regression(report: dict, baseline_path: Path, max_regression: float) -> int:
+def load_baseline(path: Path) -> dict | None:
+    """The committed baseline report, or ``None`` (with an error printed)
+    when it cannot be read."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read baseline {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def check_regression(report: dict, baseline: dict, max_regression: float,
+                     baseline_name: str = "the baseline") -> int:
     """Compare every gated baseline row's events/sec against this run's;
     a baseline row the run did not measure fails as well."""
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 2
     failures = 0
     for section in ("kernel", "fastpath", "serve", "ingest"):
         rows = {row["name"]: row for row in report.get(section, [])}
@@ -378,7 +386,7 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
     if failures:
         print(
             f"error: {failures} case(s) regressed more than "
-            f"{max_regression:.0%} below {baseline_path} or went unmeasured",
+            f"{max_regression:.0%} below {baseline_name} or went unmeasured",
             file=sys.stderr,
         )
         return 1
@@ -395,6 +403,24 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed fractional events/sec drop vs the "
                              "baseline (default 0.30)")
     args = parser.parse_args(argv)
+    output = Path(args.output)
+
+    # The baseline is read before anything is written: with --output at
+    # its default the run would otherwise overwrite the baseline and then
+    # compare against itself.
+    baseline = None
+    if args.baseline:
+        baseline_path = Path(args.baseline)
+        if output.resolve() == baseline_path.resolve():
+            print(
+                f"error: --output {args.output} is the --baseline file; write "
+                "the run elsewhere (CI uses --output BENCH_smoke.json)",
+                file=sys.stderr,
+            )
+            return 2
+        baseline = load_baseline(baseline_path)
+        if baseline is None:
+            return 2
 
     report = {
         "schema": 1,
@@ -405,12 +431,11 @@ def main(argv: list[str] | None = None) -> int:
     report["serve"] = measure_serve()
     report["ingest"] = measure_ingest()
 
-    output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
 
-    if args.baseline:
-        return check_regression(report, Path(args.baseline), args.max_regression)
+    if baseline is not None:
+        return check_regression(report, baseline, args.max_regression, args.baseline)
     return 0
 
 

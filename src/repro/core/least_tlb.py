@@ -41,7 +41,14 @@ from repro.core.protocol import (
 from repro.core.tracker import LocalTLBTracker
 from repro.gpu.ats import ATSRequest
 from repro.policies.base import TranslationPolicy
-from repro.structures.tlb import pack_payload, unpack_key, unpack_payload
+from repro.structures.tlb import (
+    FRAME_SHIFT,
+    PID_BITS,
+    PID_MASK,
+    pack_payload,
+    unpack_key,
+    unpack_payload,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -96,21 +103,25 @@ class LeastTLBPolicy(TranslationPolicy):
             self.receiver_policy, config.num_gpus, config.seed
         )
         self._l2_lookup_latency = config.gpu.l2_tlb.lookup_latency
+        self._probe_removes = probe_removes_entry(self.mode)
+        # Per GPU, the name of the counter of spills it receives.
+        self._spills_to = [f"spills_to_gpu{g}" for g in range(config.num_gpus)]
 
     # -- IOMMU request handling (Algorithms 1 & 2, lookup) -----------------------
 
     def on_iommu_request(self, request: ATSRequest) -> None:
-        payload = self.iommu.lookup(request)
+        iommu = self.iommu
+        payload = iommu.lookup(request)
         if payload is not None:
             # Victim-TLB move: the hit entry migrates to the requester's L2.
-            self.iommu.tlb.remove(request.tlb_key)
-            self.iommu.respond([request], unpack_payload(payload)[0], source="iommu")
+            iommu.tlb.remove(request.key)
+            iommu.respond([request], payload >> FRAME_SHIFT, source="iommu")
             return
-        if self._attach_or_none(request) is not None:
+        pending = iommu.pending.get(request.key)
+        if pending is not None:
+            self._attach(request, pending)
             return
-        pending = self.iommu.pending.create(
-            request.tlb_key, request, request.issue_time
-        )
+        pending = iommu.pending.create(request.key, request, request.issue_time)
 
         targets = [
             gpu_id
@@ -125,9 +136,10 @@ class LeastTLBPolicy(TranslationPolicy):
             )
             if request.measured:
                 self.system.stats_for(request.pid).inc("tracker_positive")
+            now = self.queue.now
             if request.trace is not None:
-                request.trace.begin("remote_probe", self.queue.now, target=target)
-            arrival = self.topology.probe_to_gpu(target, self.queue.now)
+                request.trace.begin("remote_probe", now, target=target)
+            arrival = self.topology.send_probe[target](now)
             self.queue.schedule(
                 arrival + self._l2_lookup_latency,
                 self._remote_probe,
@@ -138,14 +150,14 @@ class LeastTLBPolicy(TranslationPolicy):
         if self.race_ptw or not probing:
             # The walk races the probe; the pending table keeps whichever
             # response arrives second from being delivered twice.
-            self._start_walk(request)
+            self._start_walk(request, pending)
 
     def _remote_probe(
         self, request: ATSRequest, target: int, pending: PendingEntry
     ) -> None:
         pending.remote_pending = False
         payload = self.gpus[target].probe_l2(
-            request.tlb_key, remove_on_hit=probe_removes_entry(self.mode)
+            request.key, remove_on_hit=self._probe_removes
         )
         if request.trace is not None:
             request.trace.end(
@@ -163,7 +175,7 @@ class LeastTLBPolicy(TranslationPolicy):
                 self.iommu.stats.inc("remote_wasted")
             else:
                 pending.served = True
-                ppn = unpack_payload(payload)[0]
+                ppn = payload >> FRAME_SHIFT
                 pending.result_ppn = ppn
                 self._respond_from_remote(pending.waiters, target, ppn)
                 pending.waiters.clear()
@@ -187,7 +199,7 @@ class LeastTLBPolicy(TranslationPolicy):
             self.iommu.stats.inc("tracker_false_positives")
             if not pending.served and pending.resolved:
                 # Serial (remote-only) variant: fall back to the walk now.
-                self._start_walk(request)
+                self._start_walk(request, pending)
         self.iommu.pending.maybe_remove(pending)
 
     def _respond_from_remote(
@@ -197,33 +209,32 @@ class LeastTLBPolicy(TranslationPolicy):
 
         A re-fetched spilled entry gets a fresh spill budget (the paper
         resets the spill bit to 1 on reuse)."""
-        budget = self.system.config.spill_budget
-        now = self.queue.now
-        hub = self.system.telemetry
+        system = self.system
+        budget = system.config.spill_budget
+        queue = self.queue
+        now = queue.now
+        gpu_to_gpu = self.topology.gpu_to_gpu
+        fill = system.gpu_fills
+        hub = system.telemetry
         for waiter in waiters:
-            arrival = self.topology.gpu_to_gpu(target, waiter.gpu_id, now)
+            gpu_id = waiter.gpu_id
+            arrival = gpu_to_gpu(target, gpu_id, now)
             if waiter.trace is not None:
                 waiter.trace.end("pending_wait", now)
                 waiter.trace.add_complete("response", now, arrival,
                                           outcome="remote")
-            self.queue.schedule(
-                arrival,
-                self.gpus[waiter.gpu_id].receive_fill,
-                waiter.pid,
-                waiter.vpn,
-                ppn,
-                budget,
-            )
+            queue.schedule(arrival, fill[gpu_id], waiter.pid, waiter.vpn, ppn, budget)
             if waiter.measured:
-                stats = self.system.stats_for(waiter.pid)
-                stats.inc("remote_hit")
-                stats.inc("served_remote")
+                pid = waiter.pid
+                stats = system.stats_for(pid)
+                stats["remote_hit"] += 1
+                stats["served_remote"] += 1
                 latency = arrival - waiter.issue_time
-                self.system.latency_for(waiter.pid).record(latency)
+                system.latency_for(pid).record(latency)
                 if hub is not None:
                     hub.record_latency("l2_miss", latency)
                     hub.record_latency("remote_probe", latency)
-                    hub.record_app_latency(waiter.pid, latency)
+                    hub.record_app_latency(pid, latency)
         self.iommu.stats.inc("responses_remote", len(waiters))
 
     def _fill_levels_after_walk(self, request: ATSRequest, ppn: int) -> None:
@@ -237,7 +248,7 @@ class LeastTLBPolicy(TranslationPolicy):
     def on_l2_fill(self, gpu: "GPUDevice", key: int, payload: int) -> None:
         # Every translation brought into an L2 TLB is registered in that
         # GPU's tracker partition (Section 4.1).
-        self.tracker.register(gpu.gpu_id, *unpack_key(key))
+        self.tracker.register(gpu.gpu_id, key & PID_MASK, key >> PID_BITS)
 
     def on_l2_eviction(self, gpu: "GPUDevice", key: int, payload: int) -> None:
         self.tracker.unregister(gpu.gpu_id, *unpack_key(key))
@@ -246,7 +257,7 @@ class LeastTLBPolicy(TranslationPolicy):
             # lines 27-29): re-inserting it would ping-pong forever.
             self.iommu.stats.inc("spilled_discarded")
             return
-        arrival = self.topology.gpu_to_iommu(gpu.gpu_id, self.queue.now)
+        arrival = self.topology.send_to_iommu[gpu.gpu_id](self.queue.now)
         self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, key, payload)
 
     def on_iommu_tlb_evicted(self, key: int, payload: int) -> None:
@@ -257,8 +268,8 @@ class LeastTLBPolicy(TranslationPolicy):
             return
         receiver = self.receivers.select(self.iommu.eviction_counters)
         self.iommu.stats.inc("spills")
-        self.iommu.stats.inc(f"spills_to_gpu{receiver}")
-        arrival = self.topology.probe_to_gpu(receiver, self.queue.now)
+        self.iommu.stats.inc(self._spills_to[receiver])
+        arrival = self.topology.send_probe[receiver](self.queue.now)
         self.queue.schedule(
             arrival,
             self.gpus[receiver].receive_spill,

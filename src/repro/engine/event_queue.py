@@ -34,33 +34,30 @@ class EventQueue:
     for reproducible tie-breaking.
     """
 
-    __slots__ = ("_heap", "_seq", "_now", "_events_executed", "_running")
+    __slots__ = ("_heap", "_seq", "now", "_running")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable[..., None], tuple[Any, ...]]] = []
         self._seq = 0
-        self._now = 0
-        self._events_executed = 0
+        self.now = 0
+        """Current simulation time in cycles (advanced only by the queue)."""
         self._running = False
 
     @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
-    @property
     def events_executed(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_executed
+        """Total number of events executed so far: every scheduled event
+        that left the heap (an event is never removed unexecuted), the
+        running one included."""
+        return self._seq - len(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def schedule(self, time: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run at absolute cycle ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {time} < now={self._now}"
+                f"cannot schedule event in the past: {time} < now={self.now}"
             )
         _heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
@@ -69,7 +66,7 @@ class EventQueue:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        _heappush(self._heap, (self._now + delay, self._seq, callback, args))
+        _heappush(self._heap, (self.now + delay, self._seq, callback, args))
         self._seq += 1
 
     def step(self) -> bool:
@@ -77,8 +74,7 @@ class EventQueue:
         if not self._heap:
             return False
         time, _seq, callback, args = _heappop(self._heap)
-        self._now = time
-        self._events_executed += 1
+        self.now = time
         callback(*args)
         return True
 
@@ -103,24 +99,22 @@ class EventQueue:
                 # Hot path: drain to empty with no per-event bound checks.
                 while heap:
                     time, _seq, callback, args = pop(heap)
-                    self._now = time
-                    self._events_executed += 1
+                    self.now = time
                     callback(*args)
-                return self._now
+                return self.now
             executed = 0
             while heap:
                 if until is not None and heap[0][0] > until:
-                    if until > self._now:
-                        self._now = until
+                    if until > self.now:
+                        self.now = until
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 time, _seq, callback, args = pop(heap)
-                self._now = time
-                self._events_executed += 1
+                self.now = time
                 callback(*args)
                 executed += 1
-            return self._now
+            return self.now
         finally:
             self._running = False
 

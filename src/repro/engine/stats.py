@@ -2,61 +2,46 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterator
 
+class CounterSet(dict[str, int]):
+    """A named bag of integer counters: a ``dict`` whose missing keys read
+    as zero.
 
-class CounterSet:
-    """A named bag of integer counters with dictionary-like access.
-
-    Components record events by name (``stats.inc("l2_hit")``) without having
-    to declare each counter up front.  Missing counters read as zero, which
-    keeps result post-processing free of ``KeyError`` handling.
+    Components record events by name without declaring each counter up
+    front.  Hot paths increment in place (``stats["l2_hit"] += 1``) on a
+    set they hold; :meth:`inc` is the same write as a call, for cold
+    paths and for a delegate writing another component's set.  Reading a
+    missing counter creates no key, while any increment (``+= 0``
+    included) does, so key existence records that a site ran.
     """
 
-    __slots__ = ("_counters",)
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self._counters: dict[str, int] = defaultdict(int)
+    def __missing__(self, name: str) -> int:
+        return 0
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount`` (may be negative)."""
-        self._counters[name] += amount
-
-    def __getitem__(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
-    def __setitem__(self, name: str, value: int) -> None:
-        self._counters[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counters
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
+        self[name] += amount
 
     def as_dict(self) -> dict[str, int]:
         """A plain-dict snapshot of all counters."""
-        return dict(self._counters)
+        return dict(self)
 
     def merge(self, other: "CounterSet") -> None:
         """Add every counter of ``other`` into this set."""
-        for name, value in other._counters.items():
-            self._counters[name] += value
+        for name, value in other.items():
+            self[name] += value
 
     def ratio(self, numerator: str, *denominator_parts: str) -> float:
         """``numerator / sum(denominator_parts)`` or 0.0 if the denominator
         is zero.  Convenient for hit rates: ``ratio("l2_hit", "l2_hit",
         "l2_miss")``.
         """
-        denom = sum(self._counters.get(p, 0) for p in denominator_parts)
+        denom = sum(self[p] for p in denominator_parts)
         if denom == 0:
             return 0.0
-        return self._counters.get(numerator, 0) / denom
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        items = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
-        return f"CounterSet({items})"
+        return self[numerator] / denom
 
 
 class LatencyAccumulator:

@@ -12,12 +12,19 @@ runtime.
 
 from __future__ import annotations
 
+from repro.engine.stats import CounterSet
+from repro.structures.tlb import SetAssociativeTLB
 from repro.workloads.trace import CUStream
 
 
 class ComputeUnit:
     """Replay state of one CU.  Behaviour lives in
-    :class:`repro.gpu.gpu_device.GPUDevice`; this object is the bookkeeping.
+    :class:`repro.gpu.gpu_device.GPUDevice`, which reads these fields
+    directly on every issue; this object is the bookkeeping.
+
+    Run ``index`` of execution round ``execution_round`` issues next; a
+    run is measured when it lies in the first round, past the ``warmup``
+    prefix.  ``stats`` is the application's counter set, fetched once.
     """
 
     __slots__ = (
@@ -33,9 +40,13 @@ class ComputeUnit:
         "execution_round",
         "measured_remaining",
         "rerun",
-        "_vpns",
-        "_gaps",
-        "_repeats",
+        "vpns",
+        "gaps",
+        "repeats",
+        "num_runs",
+        "warmup",
+        "l1_tlb",
+        "stats",
     )
 
     def __init__(
@@ -46,6 +57,8 @@ class ComputeUnit:
         stream: CUStream,
         slots: int,
         rerun: bool,
+        l1_tlb: SetAssociativeTLB,
+        stats: CounterSet,
     ) -> None:
         self.gpu_id = gpu_id
         self.cu_id = cu_id
@@ -59,47 +72,15 @@ class ComputeUnit:
         self.execution_round = 0
         self.measured_remaining = stream.measured_runs
         self.rerun = rerun
-        # The replay loop reads one (vpn, gap, repeats) triple per issued
-        # run; indexing numpy arrays allocates a numpy scalar each time, so
+        # The issue path reads one (vpn, gap, repeats) triple per run;
+        # indexing numpy arrays allocates a numpy scalar each time, so
         # materialise plain-int lists once up front (``tolist`` yields
         # Python ints, bit-identical to ``int(arr[i])``).
-        self._vpns: list[int] = stream.vpns.tolist()
-        self._gaps: list[int] = stream.gaps.tolist()
-        self._repeats: list[int] = stream.repeats.tolist()
-
-    @property
-    def measured(self) -> bool:
-        """Post-warmup runs of the first execution round count toward
-        statistics."""
-        return self.execution_round == 0 and self.index >= self.stream.warmup_runs
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every run of the stream has been issued."""
-        return self.index >= self.stream.num_runs
-
-    def advance(self) -> bool:
-        """Move to the next run; wraps to a re-execution round if enabled.
-
-        Returns ``True`` if another run is available to issue.
-        """
-        self.index += 1
-        if self.index < self.stream.num_runs:
-            return True
-        if self.rerun and self.stream.num_runs > 0:
-            self.index = 0
-            self.execution_round += 1
-            return True
-        return False
-
-    def current_vpn(self) -> int:
-        """Virtual page of the run about to issue."""
-        return self._vpns[self.index]
-
-    def current_gap(self) -> int:
-        """Issue distance (cycles) of the run about to issue."""
-        return self._gaps[self.index]
-
-    def current_repeats(self) -> int:
-        """Burst length of the run about to issue."""
-        return self._repeats[self.index]
+        self.vpns: list[int] = stream.vpns.tolist()
+        self.gaps: list[int] = stream.gaps.tolist()
+        self.repeats: list[int] = stream.repeats.tolist()
+        self.num_runs = stream.num_runs
+        self.warmup = stream.warmup_runs
+        self.l1_tlb = l1_tlb
+        """This CU's private L1 TLB."""
+        self.stats = stats

@@ -16,7 +16,7 @@ from repro.config.system import SystemConfig
 from repro.gpu.ats import ATSRequest
 from repro.gpu.compute_unit import ComputeUnit
 from repro.iommu.page_walker import WalkTicket
-from repro.structures.tlb import SetAssociativeTLB, pack_key, pack_payload, unpack_key
+from repro.structures.tlb import FRAME_SHIFT, OWNER_SHIFT, PID_BITS, SetAssociativeTLB
 from repro.workloads.trace import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -30,9 +30,9 @@ class GPUDevice:
         self.gpu_id = gpu_id
         self.config = config
         self.system = system
+        self.queue = system.queue
         l2 = config.gpu.l2_tlb
         self.l2_tlb = SetAssociativeTLB(l2.num_entries, l2.associativity)
-        self.l1_tlbs: dict[int, SetAssociativeTLB] = {}
         self.cus: list[ComputeUnit] = []
         # MSHR: TLB key -> (CU, measured, trace) waiters for the in-flight
         # fill.  The trace slot is None unless the request was
@@ -41,6 +41,9 @@ class GPUDevice:
         self._l1_config = config.gpu.l1_tlb
         self._l2_latency = config.gpu.l2_tlb.lookup_latency
         self._l1_latency = config.gpu.l1_tlb.lookup_latency
+        self._l1l2_latency = self._l1_latency + self._l2_latency
+        # The owner field of every payload this GPU's fills write.
+        self._owner_field = (gpu_id + 1) << OWNER_SHIFT
         # Figure 23 variant: a device-memory page table walked locally,
         # with only local faults escalating to the IOMMU.
         self.local_tables = None
@@ -53,8 +56,8 @@ class GPUDevice:
         """Attach one application's CU streams to this GPU (the workload's
         placements are checked by :meth:`Workload.check_placements`)."""
         l1 = self._l1_config
+        stats = self.system.stats_for(placement.pid)
         for cu_id, stream in zip(placement.cu_ids, placement.streams):
-            self.l1_tlbs[cu_id] = SetAssociativeTLB(l1.num_entries, l1.associativity)
             self.cus.append(
                 ComputeUnit(
                     gpu_id=self.gpu_id,
@@ -63,6 +66,8 @@ class GPUDevice:
                     stream=stream,
                     slots=self.config.gpu.slots_per_cu,
                     rerun=rerun,
+                    l1_tlb=SetAssociativeTLB(l1.num_entries, l1.associativity),
+                    stats=stats,
                 )
             )
 
@@ -78,131 +83,134 @@ class GPUDevice:
             return
         self._started = True
         for cu in self.cus:
-            if cu.stream.num_runs:
-                self.system.queue.schedule(cu.current_gap(), self._issue, cu)
+            if cu.num_runs:
+                self.queue.schedule(cu.gaps[0], self._issue, cu)
 
     # -- issue path ----------------------------------------------------------
 
     def _issue(self, cu: ComputeUnit) -> None:
-        if self.system.halted:
+        system = self.system
+        if system.halted:
             return
-        queue = self.system.queue
+        queue = self.queue
         now = queue.now
         pid = cu.pid
-        vpn = cu.current_vpn()
-        measured = cu.measured
-        repeats = cu.current_repeats()
-        stats = self.system.stats_for(pid) if measured else None
+        index = cu.index
+        vpn = cu.vpns[index]
+        # Post-warmup runs of the first execution round count toward
+        # statistics.
+        measured = cu.execution_round == 0 and index >= cu.warmup
 
-        key = pack_key(pid, vpn)
-        hit = self.l1_tlbs[cu.cu_id].lookup(key) is not None
-        if stats is not None:
-            if pid not in self.system.measure_start:
-                self.system.note_measure_start(pid)
-            stats.inc("runs")
-            stats.inc("accesses", repeats)
+        key = (vpn << PID_BITS) | pid
+        hit = cu.l1_tlb.lookup(key) is not None
+        if measured:
+            if pid not in system.measure_start:
+                system.note_measure_start(pid)
+            repeats = cu.repeats[index]
+            stats = cu.stats
+            stats["runs"] += 1
+            stats["accesses"] += repeats
             if hit:
                 # The whole burst hits the just-touched L1 entry.
-                stats.inc("l1_hit", repeats)
+                stats["l1_hit"] += repeats
             else:
-                stats.inc("l1_miss")
-                stats.inc("l1_hit", repeats - 1)
+                stats["l1_miss"] += 1
+                stats["l1_hit"] += repeats - 1
 
         # Telemetry: sample this issue for span tracing.  Every hook in
         # this file is guarded on the hub — a system without telemetry
         # takes the exact pre-telemetry path (pinned by the goldens).
-        hub = self.system.telemetry
-        trace = None
-        if hub is not None and measured:
-            trace = hub.maybe_sample(self.gpu_id, cu.cu_id, pid, vpn, now)
-
+        hub = system.telemetry
         if hit:
             if hub is not None and measured:
+                trace = hub.maybe_sample(self.gpu_id, cu.cu_id, pid, vpn, now)
                 hub.record_latency("l1_hit", self._l1_latency)
-            if trace is not None:
-                trace.add_complete("l1_lookup", now, now + self._l1_latency,
-                                   outcome="hit")
-                trace.close_root(now + self._l1_latency, outcome="l1_hit")
-                hub.complete(trace)
+                if trace is not None:
+                    trace.add_complete("l1_lookup", now, now + self._l1_latency,
+                                       outcome="hit")
+                    trace.close_root(now + self._l1_latency, outcome="l1_hit")
+                    hub.complete(trace)
             self._finish_run(cu, measured)
         else:
-            if trace is not None:
-                trace.add_complete("l1_lookup", now, now + self._l1_latency,
-                                   outcome="miss")
+            trace = None
+            if hub is not None and measured:
+                trace = hub.maybe_sample(self.gpu_id, cu.cu_id, pid, vpn, now)
+                if trace is not None:
+                    trace.add_complete("l1_lookup", now, now + self._l1_latency,
+                                       outcome="miss")
             cu.outstanding += 1
             queue.schedule_after(
-                self._l1_latency + self._l2_latency,
-                self._l2_lookup, cu, key, measured, trace,
+                self._l1l2_latency, self._l2_lookup, cu, key, measured, trace
             )
 
-        if cu.advance():
-            cu.ready_time = now + cu.current_gap()
-            if cu.outstanding < cu.slots:
-                queue.schedule(cu.ready_time, self._issue, cu)
-            else:
-                cu.waiting_for_slot = True
+        # Move to the next run, wrapping to a re-execution round if the
+        # CU reruns its stream.
+        index += 1
+        if index >= cu.num_runs:
+            if not cu.rerun:
+                cu.index = index
+                return
+            index = 0
+            cu.execution_round += 1
+        cu.index = index
+        cu.ready_time = ready = now + cu.gaps[index]
+        if cu.outstanding < cu.slots:
+            queue.schedule(ready, self._issue, cu)
+        else:
+            cu.waiting_for_slot = True
 
     def _l2_lookup(
         self, cu: ComputeUnit, key: int, measured: bool, trace=None
     ) -> None:
-        pid = cu.pid
-        stats = self.system.stats_for(pid) if measured else None
         hub = self.system.telemetry
-        now = self.system.queue.now
+        now = self.queue.now
+        stats = cu.stats
         payload = self.l2_tlb.lookup(key)
         if payload is not None:
-            if stats is not None:
-                stats.inc("l2_hit")
+            if measured:
+                stats["l2_hit"] += 1
             if hub is not None and measured:
-                hub.record_latency("l2_hit", self._l1_latency + self._l2_latency)
+                hub.record_latency("l2_hit", self._l1l2_latency)
             if trace is not None:
                 trace.add_complete("l2_lookup", now - self._l2_latency, now,
                                    outcome="hit")
                 trace.close_root(now, outcome="l2_hit")
                 hub.complete(trace)
-            self.l1_tlbs[cu.cu_id].insert(key, payload)
+            cu.l1_tlb.insert(key, payload)
             self._translation_done(cu, measured)
             return
-        if stats is not None:
-            stats.inc("l2_miss")
+        if measured:
+            stats["l2_miss"] += 1
         if trace is not None:
             trace.add_complete("l2_lookup", now - self._l2_latency, now,
                                outcome="miss")
         waiters = self.mshr.get(key)
         if waiters is not None:
             waiters.append((cu, measured, trace))
-            if stats is not None:
-                stats.inc("l2_mshr_merge")
+            if measured:
+                stats["l2_mshr_merge"] += 1
             if trace is not None:
                 trace.begin("mshr_wait", now)
             return
         self.mshr[key] = [(cu, measured, trace)]
-        vpn = unpack_key(key)[1]
-        request = ATSRequest(
-            gpu_id=self.gpu_id,
-            pid=pid,
-            vpn=vpn,
-            issue_time=now,
-            measured=measured,
-            trace=trace,
-        )
+        request = ATSRequest(self.gpu_id, cu.pid, key >> PID_BITS, now, measured, trace)
         if self.local_walkers is not None:
-            if stats is not None:
-                stats.inc("local_walks")
+            if measured:
+                stats["local_walks"] += 1
             if trace is not None:
                 trace.begin("local_walk", now)
-            ticket = WalkTicket(pid, vpn, 0, request, now)
+            ticket = WalkTicket(request.pid, request.vpn, 0, request, now)
             if self.local_walkers.request(ticket) is not None:
                 self._run_local_walk(ticket)
         else:
             self.system.policy.on_l2_miss(self, request)
 
     def _run_local_walk(self, ticket: WalkTicket) -> None:
-        self.system.queue.schedule_after(ticket.cycles, self._local_walk_done, ticket)
+        self.queue.schedule_after(ticket.cycles, self._local_walk_done, ticket)
 
     def _local_walk_done(self, ticket: WalkTicket) -> None:
         """A device-memory page-table walk finished (Figure 23 variant)."""
-        now = self.system.queue.now
+        now = self.queue.now
         started = self.local_walkers.finish(ticket, now)
         if started is not None:
             self._run_local_walk(started)
@@ -226,21 +234,23 @@ class GPUDevice:
         """A translation response arrived (from the IOMMU TLB, a remote L2,
         or a page walk).  Fill L2 per policy, then wake every MSHR waiter;
         the L1s take the L2's entry."""
-        key = pack_key(pid, vpn)
+        key = (vpn << PID_BITS) | pid
         if self.local_tables is not None:
             # Install the mapping in the device-memory page table so future
             # misses resolve locally (Figure 23 variant).
             self.local_tables.table_for(pid).map(vpn, ppn)
-        payload = pack_payload(ppn, self.gpu_id, spill_budget)
+        payload = (ppn << FRAME_SHIFT) | self._owner_field | spill_budget
         self._insert_l2(key, payload)
-        waiters = self.mshr.pop(key, [])
+        waiters = self.mshr.pop(key, None)
+        if not waiters:
+            return
         hub = self.system.telemetry
-        now = self.system.queue.now
+        now = self.queue.now
         for cu, measured, trace in waiters:
-            self.l1_tlbs[cu.cu_id].insert(key, payload)
+            cu.l1_tlb.insert(key, payload)
             if measured:
-                stats = self.system.stats_for(pid)
-                stats.inc("translations_filled")
+                stats = cu.stats
+                stats["translations_filled"] += 1
             if trace is not None:
                 trace.end("mshr_wait", now)
                 trace.close_root(now, outcome="filled")
@@ -256,32 +266,39 @@ class GPUDevice:
 
     def _insert_l2(self, key: int, payload: int) -> None:
         policy = self.system.policy
-        refresh = key in self.l2_tlb
-        victim = self.l2_tlb.insert(key, payload)
+        l2 = self.l2_tlb
+        refresh = key in l2
+        victim = l2.insert(key, payload)
         if not refresh:
             # Refreshes must not re-register with the tracker: the filter
             # stores one fingerprint per resident translation.
             policy.on_l2_fill(self, key, payload)
         if victim is not None:
-            policy.on_l2_eviction(self, *victim)
+            policy.on_l2_eviction(self, victim[0], victim[1])
 
     def _translation_done(self, cu: ComputeUnit, measured: bool) -> None:
+        """A translation of ``cu`` completed: its run retires, and a CU
+        stalled on a full issue window resumes."""
         cu.outstanding -= 1
         self._finish_run(cu, measured)
         if cu.waiting_for_slot and cu.outstanding < cu.slots:
             cu.waiting_for_slot = False
             if not self.system.halted:
-                now = self.system.queue.now
-                self.system.queue.schedule(max(now, cu.ready_time), self._issue, cu)
+                now = self.queue.now
+                ready = cu.ready_time
+                self.queue.schedule(ready if ready > now else now, self._issue, cu)
 
     def _finish_run(self, cu: ComputeUnit, measured: bool) -> None:
+        """A run of ``cu`` retired: an L1 hit at issue, or a completed
+        translation."""
+        system = self.system
         # Every retired run is forward progress; the watchdog stalls out
         # only when this marker stops moving.
-        self.system.progress_marker += 1
+        system.progress_marker += 1
         if measured:
             cu.measured_remaining -= 1
             if cu.measured_remaining == 0:
-                self.system.note_cu_first_run_done(cu)
+                system.note_cu_first_run_done(cu)
 
     # -- services for policies ------------------------------------------------
 
@@ -306,18 +323,18 @@ class GPUDevice:
         """Back-invalidation (strictly-inclusive ablation / TLB shootdown).
         Removes the translation from the L2 and every CU's L1."""
         found = self.l2_tlb.remove(key) is not None
-        for l1 in self.l1_tlbs.values():
-            found = (l1.remove(key) is not None) or found
+        for cu in self.cus:
+            found = (cu.l1_tlb.remove(key) is not None) or found
         return found
 
     def shootdown(self, pid: int | None = None) -> None:
         """Full local TLB shootdown (Section 4.4)."""
         if pid is None:
             self.l2_tlb.invalidate_all()
-            for l1 in self.l1_tlbs.values():
-                l1.invalidate_all()
+            for cu in self.cus:
+                cu.l1_tlb.invalidate_all()
         else:
             self.l2_tlb.invalidate_pid(pid)
-            for l1 in self.l1_tlbs.values():
-                l1.invalidate_pid(pid)
+            for cu in self.cus:
+                cu.l1_tlb.invalidate_pid(pid)
         self.system.policy.on_gpu_shootdown(self.gpu_id, pid)

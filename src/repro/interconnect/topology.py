@@ -50,18 +50,14 @@ class Topology:
         self.iommu_to_gpu_probe = [
             Link(f"iommu~>gpu{g}", peer_latency, peer_bw) for g in range(num_gpus)
         ]
-
-    def gpu_to_iommu(self, gpu_id: int, now: int) -> int:
-        """Arrival time at the IOMMU of a message sent by ``gpu_id`` now."""
-        return self.to_iommu[gpu_id].send(now)
-
-    def iommu_to_gpu(self, gpu_id: int, now: int) -> int:
-        """Arrival time at ``gpu_id`` of a message sent by the IOMMU now."""
-        return self.from_iommu[gpu_id].send(now)
-
-    def probe_to_gpu(self, gpu_id: int, now: int) -> int:
-        """Arrival time of a remote-L2 probe at ``gpu_id``."""
-        return self.iommu_to_gpu_probe[gpu_id].send(now)
+        # Per GPU, each link's bound ``send(now) -> arrival``: the one way
+        # both backends put a message on a host or probe link.
+        self.send_to_iommu = [link.send for link in self.to_iommu]
+        """Per GPU, the send of its up-link to the IOMMU."""
+        self.send_from_iommu = [link.send for link in self.from_iommu]
+        """Per GPU, the send of the IOMMU's down-link to it."""
+        self.send_probe = [link.send for link in self.iommu_to_gpu_probe]
+        """Per GPU, the send of the remote-L2 probe link to it."""
 
     def gpu_to_gpu(self, src: int, dst: int, now: int) -> int:
         """Arrival time of a peer-fabric message from ``src`` to ``dst``."""

@@ -32,6 +32,12 @@ from repro.structures.tlb import SetAssociativeTLB
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import MultiGPUSystem
 
+#: Per response source, the per-application and IOMMU counters it bumps.
+_SOURCE_COUNTERS = {
+    source: (f"served_{source}", f"responses_{source}")
+    for source in ("iommu", "walk", "pending")
+}
+
 
 class IOMMU:
     """The shared translation agent every GPU's ATS traffic lands on."""
@@ -39,6 +45,7 @@ class IOMMU:
     def __init__(self, config: SystemConfig, system: "MultiGPUSystem") -> None:
         self.config = config
         self.system = system
+        self.queue = system.queue
         # Figure 3's infinite IOMMU TLB is the unbounded geometry.
         tlb = config.iommu.tlb
         self.tlb = SetAssociativeTLB(
@@ -52,6 +59,7 @@ class IOMMU:
         self.stats = CounterSet()
         self._lookup_latency = config.iommu.tlb.lookup_latency
         self._fault_latency = config.iommu.fault_handling_latency
+        self._spill_budget = config.spill_budget
         # Servicing the PRI batches: faults serviced (the batcher counts
         # the batching), and each fault's report-to-service cycles.
         self.pri_service = CounterSet()
@@ -61,11 +69,13 @@ class IOMMU:
 
     def receive(self, request: ATSRequest) -> None:
         """An ATS packet arrived over the host link."""
-        self.stats.inc("requests")
-        self.system.record_iommu_request(request)
+        self.stats["requests"] += 1
+        stream = self.system.iommu_stream
+        if stream is not None and request.measured:
+            stream.append((request.pid, request.vpn))
         if request.trace is not None:
-            request.trace.begin("iommu_lookup", self.system.queue.now)
-        self.system.queue.schedule_after(
+            request.trace.begin("iommu_lookup", self.queue.now)
+        self.queue.schedule_after(
             self._lookup_latency, self.system.policy.on_iommu_request, request
         )
 
@@ -80,16 +90,16 @@ class IOMMU:
     def lookup(self, request: ATSRequest) -> int | None:
         """IOMMU TLB lookup for ``request``, with per-application stats:
         the entry's payload, or ``None``."""
-        payload = self.tlb.lookup(request.tlb_key)
+        payload = self.tlb.lookup(request.key)
         hit = payload is not None
         if request.measured:
             stats = self.system.stats_for(request.pid)
-            stats.inc("iommu_lookup")
-            stats.inc("iommu_hit" if hit else "iommu_miss")
-        self.stats.inc("tlb_hit" if hit else "tlb_miss")
+            stats["iommu_lookup"] += 1
+            stats["iommu_hit" if hit else "iommu_miss"] += 1
+        self.stats["tlb_hit" if hit else "tlb_miss"] += 1
         if request.trace is not None:
             request.trace.end(
-                "iommu_lookup", self.system.queue.now, outcome="hit" if hit else "miss"
+                "iommu_lookup", self.queue.now, outcome="hit" if hit else "miss"
             )
         return payload
 
@@ -100,27 +110,24 @@ class IOMMU:
         walker ticket (cancellable while the walk is queued); the result
         reaches ``policy.on_walk_complete``."""
         if request.measured:
-            self.system.stats_for(request.pid).inc("walks")
+            stats = self.system.stats_for(request.pid)
+            stats["walks"] += 1
         ticket = WalkTicket(
-            request.pid, request.vpn, request.gpu_id, request, self.system.queue.now
+            request.pid, request.vpn, request.gpu_id, request, self.queue.now
         )
         if self.walkers.request(ticket) is not None:
-            self._run_walk(ticket)
+            self.queue.schedule_after(ticket.cycles, self._walk_done, ticket)
         return ticket
-
-    def _run_walk(self, ticket: WalkTicket) -> None:
-        """Schedule the completion of a started walk."""
-        self.system.queue.schedule_after(ticket.cycles, self._walk_done, ticket)
 
     def _walk_done(self, ticket: WalkTicket) -> None:
         system = self.system
-        now = system.queue.now
+        now = self.queue.now
         if system.telemetry is not None:
             # Service time = queue wait + walk latency, per ticket.
             system.telemetry.record_latency("walk_service", now - ticket.enqueue_time)
         started = self.walkers.finish(ticket, now)
         if started is not None:
-            self._run_walk(started)
+            self.queue.schedule_after(started.cycles, self._walk_done, started)
         system.policy.on_walk_complete(ticket.owner, ticket.ppn)
 
     def report_fault(self, request: ATSRequest) -> None:
@@ -129,11 +136,11 @@ class IOMMU:
         if request.measured:
             self.system.stats_for(request.pid).inc("page_faults")
         self.stats.inc("page_faults")
-        action = self.pri.report((request, self.system.queue.now))
+        action = self.pri.report((request, self.queue.now))
         if isinstance(action, list):
             self._send_pri_batch(action)
         elif action is not None:
-            self.system.queue.schedule_after(self.pri.timeout, self._pri_timeout, action)
+            self.queue.schedule_after(self.pri.timeout, self._pri_timeout, action)
 
     def _pri_timeout(self, generation: int) -> None:
         batch = self.pri.expire(generation)
@@ -141,11 +148,11 @@ class IOMMU:
             self._send_pri_batch(batch)
 
     def _send_pri_batch(self, batch: list[Any]) -> None:
-        self.system.queue.schedule_after(self._fault_latency, self._pri_batch_done, batch)
+        self.queue.schedule_after(self._fault_latency, self._pri_batch_done, batch)
 
     def _pri_batch_done(self, batch: list[Any]) -> None:
         system = self.system
-        now = system.queue.now
+        now = self.queue.now
         for request, reported_at in batch:
             ppn = system.page_tables.map_page(request.pid, request.vpn)
             self.pri_service.inc("faults_serviced")
@@ -168,35 +175,36 @@ class IOMMU:
         ``source`` tags the responder (``iommu``/``walk``/``pending``) for
         per-application accounting.
         """
-        spill_budget = self.config.spill_budget
-        queue = self.system.queue
+        served, responses = _SOURCE_COUNTERS[source]
+        system = self.system
+        down = system.topology.send_from_iommu
+        fill = system.gpu_fills
+        queue = self.queue
         now = queue.now
-        hub = self.system.telemetry
+        hub = system.telemetry
         for request in waiters:
-            if request.trace is not None:
-                request.trace.end("pending_wait", now)
-            arrival = self.system.topology.iommu_to_gpu(request.gpu_id, now)
-            if request.trace is not None:
-                request.trace.add_complete("response", now, arrival,
-                                           outcome=source)
+            trace = request.trace
+            if trace is not None:
+                trace.end("pending_wait", now)
+            gpu_id = request.gpu_id
+            arrival = down[gpu_id](now)
+            if trace is not None:
+                trace.add_complete("response", now, arrival, outcome=source)
             queue.schedule(
-                arrival,
-                self.system.gpus[request.gpu_id].receive_fill,
-                request.pid,
-                request.vpn,
-                ppn,
-                spill_budget,
+                arrival, fill[gpu_id], request.pid, request.vpn, ppn,
+                self._spill_budget,
             )
             if request.measured:
-                stats = self.system.stats_for(request.pid)
-                stats.inc(f"served_{source}")
+                pid = request.pid
+                stats = system.stats_for(pid)
+                stats[served] += 1
                 latency = arrival - request.issue_time
-                self.system.latency_for(request.pid).record(latency)
+                system.latency_for(pid).record(latency)
                 if hub is not None:
                     hub.record_latency("l2_miss", latency)
                     hub.record_latency(source, latency)
-                    hub.record_app_latency(request.pid, latency)
-        self.stats.inc(f"responses_{source}", len(waiters))
+                    hub.record_app_latency(pid, latency)
+        self.stats[responses] += len(waiters)
 
     # -- shootdown (Section 4.4) -------------------------------------------------------
 

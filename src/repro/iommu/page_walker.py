@@ -112,7 +112,7 @@ class WalkerPool:
     def request(self, ticket: WalkTicket) -> WalkTicket | None:
         """Admit a new walk: start it now (returned, with its outcome) if
         a walker thread is free, else queue it (``None``)."""
-        self.stats.inc("walks_requested")
+        self.stats["walks_requested"] += 1
         if self.busy < self.capacity:
             self._start(ticket, ticket.enqueue_time)
             return ticket
@@ -126,7 +126,16 @@ class WalkerPool:
         self.busy -= 1
         if self._dws:
             self._busy_per_gpu[ticket.gpu_id] -= 1
-        nxt = self._next_dws() if self._dws else self._next_fifo()
+            nxt = self._next_dws()
+        else:
+            # FIFO: the oldest queued walk that was not cancelled.
+            nxt = None
+            fifo = self._queues[0]
+            while fifo:
+                queued = fifo.popleft()
+                if queued.state == _QUEUED:
+                    nxt = queued
+                    break
         if nxt is not None:
             self._start(nxt, now)
         return nxt
@@ -140,7 +149,7 @@ class WalkerPool:
         if ticket.state != _QUEUED:
             return False
         ticket.state = _CANCELLED
-        self.stats.inc("walks_cancelled")
+        self.stats["walks_cancelled"] += 1
         return True
 
     def pending(self) -> int:
@@ -157,23 +166,15 @@ class WalkerPool:
         if self._dws:
             self._busy_per_gpu[ticket.gpu_id] += 1
         stats = self.stats
-        stats.inc("walks_dispatched")
+        stats["walks_dispatched"] += 1
         ppn = self.page_tables.translate(ticket.pid, ticket.vpn)
         if ppn is not None:
             ticket.ppn = ppn
             ticket.cycles = self._hit_cycles
         else:
-            stats.inc("walks_faulted")
+            stats["walks_faulted"] += 1
             touched = self.page_tables.walk(ticket.pid, ticket.vpn).levels_touched
             ticket.cycles = walk_cycles(self._walk_latency, touched, self._levels)
-
-    def _next_fifo(self) -> WalkTicket | None:
-        fifo = self._queues[0]
-        while fifo:
-            ticket = fifo.popleft()
-            if ticket.state == _QUEUED:
-                return ticket
-        return None
 
     def _next_dws(self) -> WalkTicket | None:
         """The freed slot goes to the most under-served backlogged GPU.
@@ -203,5 +204,5 @@ class WalkerPool:
             return None
         self._steal_rotor = (best_gpu + 1) % num_gpus
         if self._busy_per_gpu[best_gpu] >= self._allocation:
-            self.stats.inc("walks_stolen")
+            self.stats["walks_stolen"] += 1
         return queues[best_gpu].popleft()

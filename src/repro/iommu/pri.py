@@ -43,7 +43,7 @@ class PRIQueue:
         generation of the timer to arm, ``timeout`` cycles from now, when
         ``fault`` is the first to pend; else ``None``.
         """
-        self.stats.inc("faults_reported")
+        self.stats["faults_reported"] += 1
         pending = self._pending
         pending.append(fault)
         if len(pending) >= self.batch_size:
@@ -57,14 +57,14 @@ class PRIQueue:
         now, or ``None`` when a flush since then made the timer stale."""
         if generation != self.generation or not self._pending:
             return None
-        self.stats.inc("timeout_batches")
+        self.stats["timeout_batches"] += 1
         return self._flush()
 
     def _flush(self) -> list[Any]:
         batch = self._pending
         self._pending = []
         self.generation += 1
-        self.stats.inc("batches")
+        self.stats["batches"] += 1
         return batch
 
     @property

@@ -28,6 +28,7 @@ from repro.structures.tlb import pack_payload, unpack_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.gpu_device import GPUDevice
+    from repro.iommu.pending_table import PendingEntry
     from repro.sim.system import MultiGPUSystem
 
 
@@ -51,28 +52,14 @@ class TranslationPolicy(ABC):
     def __init__(self, system: "MultiGPUSystem", **options: Any) -> None:
         check_no_options(self.name, options)
         self.system = system
-
-    # -- convenience accessors -------------------------------------------------
-
-    @property
-    def iommu(self):
+        self.iommu = system.iommu
         """The system's IOMMU device."""
-        return self.system.iommu
-
-    @property
-    def queue(self):
+        self.queue = system.queue
         """The global event queue."""
-        return self.system.queue
-
-    @property
-    def topology(self):
-        """The interconnect topology (latencies live here)."""
-        return self.system.topology
-
-    @property
-    def gpus(self):
+        self.topology = system.topology
+        """The interconnect topology: its links and their bound sends."""
+        self.gpus = system.gpus
         """All GPU devices, indexed by GPU id."""
-        return self.system.gpus
 
     # -- GPU-side hooks ----------------------------------------------------------
 
@@ -82,7 +69,7 @@ class TranslationPolicy(ABC):
         Default: emit the ATS packet to the IOMMU over the host link.
         """
         now = self.queue.now
-        arrival = self.topology.gpu_to_iommu(gpu.gpu_id, now)
+        arrival = self.topology.send_to_iommu[gpu.gpu_id](now)
         if request.trace is not None:
             request.trace.add_complete("host_link", now, arrival, outcome="ok")
         self.queue.schedule(arrival, self.iommu.receive, request)
@@ -114,17 +101,11 @@ class TranslationPolicy(ABC):
 
     # -- shared machinery: dedup + walk + fault handling ------------------------------
 
-    def _attach_or_none(self, request: ATSRequest):
-        """Merge ``request`` into an existing pending entry if one exists.
-
-        Returns the pending entry when merged (caller should stop), or
-        ``None`` when the caller owns the miss.  Requests arriving after
-        the entry was served but before stragglers resolved are answered
-        immediately from the recorded result.
-        """
-        pending = self.iommu.pending.get(request.tlb_key)
-        if pending is None:
-            return None
+    def _attach(self, request: ATSRequest, pending: "PendingEntry") -> None:
+        """Merge ``request`` into the pending entry already open for its
+        key.  A request arriving after the entry was served, but before
+        its stragglers resolved, is answered at once from the recorded
+        result."""
         if pending.served:
             assert pending.result_ppn is not None
             self.iommu.respond([request], pending.result_ppn, source="pending")
@@ -132,10 +113,10 @@ class TranslationPolicy(ABC):
             if request.trace is not None:
                 request.trace.begin("pending_wait", self.queue.now)
             pending.waiters.append(request)
-        return pending
 
-    def _start_walk(self, request: ATSRequest) -> None:
-        pending = self.iommu.pending[request.tlb_key]
+    def _start_walk(self, request: ATSRequest, pending: "PendingEntry") -> None:
+        """Start the walk that answers ``pending``, the entry ``request``
+        opened."""
         pending.walk_pending = True
         if request.trace is not None:
             request.trace.begin("page_walk", self.queue.now)
@@ -144,7 +125,7 @@ class TranslationPolicy(ABC):
     def on_walk_complete(self, request: ATSRequest, ppn: int | None) -> None:
         """The walk started for ``request`` finished: ``ppn`` is the frame,
         or ``None`` when the walk faulted."""
-        pending = self.iommu.pending[request.tlb_key]
+        pending = self.iommu.pending[request.key]
         pending.walk_pending = False
         if ppn is None:
             if request.trace is not None:
@@ -160,39 +141,42 @@ class TranslationPolicy(ABC):
             return
         if request.trace is not None:
             request.trace.end("page_walk", self.queue.now, outcome="ok")
-        self._deliver_walk_result(request, ppn)
+        self._deliver_walk_result(request, pending, ppn)
 
     def on_fault_serviced(self, request: ATSRequest, ppn: int) -> None:
         """The PRI batch holding ``request``'s fault mapped it to ``ppn``."""
         if request.trace is not None:
             request.trace.end("pri_fault", self.queue.now, outcome="ok")
-        self.iommu.pending[request.tlb_key].fault_pending = False
-        self._deliver_walk_result(request, ppn)
+        pending = self.iommu.pending[request.key]
+        pending.fault_pending = False
+        self._deliver_walk_result(request, pending, ppn)
 
-    def _deliver_walk_result(self, request: ATSRequest, ppn: int) -> None:
-        """A walk (or fault service) produced ``ppn``; serve the waiters
-        unless a racing responder beat it, then apply the policy's fill
-        rule via :meth:`_fill_levels_after_walk`."""
-        pending = self.iommu.pending[request.tlb_key]
+    def _deliver_walk_result(
+        self, request: ATSRequest, pending: "PendingEntry", ppn: int
+    ) -> None:
+        """A walk (or fault service) produced ``ppn`` for ``pending``;
+        serve the waiters unless a racing responder beat it, then apply
+        the policy's fill rule via :meth:`_fill_levels_after_walk`."""
+        iommu = self.iommu
         if pending.served:
             self.iommu.stats.inc("walks_wasted")
         else:
             pending.served = True
             pending.result_ppn = ppn
             self._fill_levels_after_walk(request, ppn)
-            self.iommu.respond(pending.waiters, ppn, source="walk")
+            iommu.respond(pending.waiters, ppn, source="walk")
             pending.waiters.clear()
-        self.iommu.pending.maybe_remove(pending)
+        iommu.pending.maybe_remove(pending)
 
     def _fill_levels_after_walk(self, request: ATSRequest, ppn: int) -> None:
         """Which TLB levels a walk result populates.  Default: also the
         IOMMU TLB (inclusive behaviour), owned by the requester with a
         spill budget of 1; least-inclusive designs override to skip it."""
         victim = self.iommu.tlb.insert(
-            request.tlb_key, pack_payload(ppn, request.gpu_id, 1)
+            request.key, pack_payload(ppn, request.gpu_id, 1)
         )
         if victim is not None:
-            self.on_iommu_tlb_evicted(*victim)
+            self.on_iommu_tlb_evicted(victim[0], victim[1])
 
     def _victim_arrived(self, gpu_id: int, key: int, payload: int) -> None:
         """An L2 victim of ``gpu_id`` reached the IOMMU TLB (the victim-TLB
@@ -200,4 +184,4 @@ class TranslationPolicy(ABC):
         ppn, _, budget = unpack_payload(payload)
         victim = self.iommu.tlb.insert(key, pack_payload(ppn, gpu_id, budget))
         if victim is not None:
-            self.on_iommu_tlb_evicted(*victim)
+            self.on_iommu_tlb_evicted(victim[0], victim[1])

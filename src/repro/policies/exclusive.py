@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.gpu.ats import ATSRequest
 from repro.policies.base import TranslationPolicy
-from repro.structures.tlb import unpack_payload
+from repro.structures.tlb import FRAME_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.gpu_device import GPUDevice
@@ -28,15 +28,18 @@ class ExclusivePolicy(TranslationPolicy):
     least_inclusive = True
 
     def on_iommu_request(self, request: ATSRequest) -> None:
-        payload = self.iommu.lookup(request)
+        iommu = self.iommu
+        payload = iommu.lookup(request)
         if payload is not None:
-            self.iommu.tlb.remove(request.tlb_key)
-            self.iommu.respond([request], unpack_payload(payload)[0], source="iommu")
+            iommu.tlb.remove(request.key)
+            iommu.respond([request], payload >> FRAME_SHIFT, source="iommu")
             return
-        if self._attach_or_none(request) is not None:
+        pending = iommu.pending.get(request.key)
+        if pending is not None:
+            self._attach(request, pending)
             return
-        self.iommu.pending.create(request.tlb_key, request, request.issue_time)
-        self._start_walk(request)
+        pending = iommu.pending.create(request.key, request, request.issue_time)
+        self._start_walk(request, pending)
 
     def _fill_levels_after_walk(self, request: ATSRequest, ppn: int) -> None:
         # Least-inclusive fill: the walk result goes only to the L2/L1 of
@@ -44,5 +47,5 @@ class ExclusivePolicy(TranslationPolicy):
         return
 
     def on_l2_eviction(self, gpu: "GPUDevice", key: int, payload: int) -> None:
-        arrival = self.topology.gpu_to_iommu(gpu.gpu_id, self.queue.now)
+        arrival = self.topology.send_to_iommu[gpu.gpu_id](self.queue.now)
         self.queue.schedule(arrival, self._victim_arrived, gpu.gpu_id, key, payload)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.gpu.ats import ATSRequest
 from repro.policies.base import TranslationPolicy
-from repro.structures.tlb import unpack_payload
+from repro.structures.tlb import FRAME_SHIFT
 
 
 class MostlyInclusivePolicy(TranslationPolicy):
@@ -20,11 +20,14 @@ class MostlyInclusivePolicy(TranslationPolicy):
     name = "baseline"
 
     def on_iommu_request(self, request: ATSRequest) -> None:
-        payload = self.iommu.lookup(request)
+        iommu = self.iommu
+        payload = iommu.lookup(request)
         if payload is not None:
-            self.iommu.respond([request], unpack_payload(payload)[0], source="iommu")
+            iommu.respond([request], payload >> FRAME_SHIFT, source="iommu")
             return
-        if self._attach_or_none(request) is not None:
+        pending = iommu.pending.get(request.key)
+        if pending is not None:
+            self._attach(request, pending)
             return
-        self.iommu.pending.create(request.tlb_key, request, request.issue_time)
-        self._start_walk(request)
+        pending = iommu.pending.create(request.key, request, request.issue_time)
+        self._start_walk(request, pending)

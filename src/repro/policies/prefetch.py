@@ -64,5 +64,5 @@ class SequentialPrefetchPolicy(MostlyInclusivePolicy):
             issue_time=self.queue.now,
             measured=False,  # prefetches never contribute to statistics
         )
-        arrival = self.topology.gpu_to_iommu(gpu.gpu_id, self.queue.now)
+        arrival = self.topology.send_to_iommu[gpu.gpu_id](self.queue.now)
         self.queue.schedule(arrival, self.iommu.receive, prefetch)

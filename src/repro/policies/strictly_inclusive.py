@@ -19,7 +19,8 @@ class StrictlyInclusivePolicy(MostlyInclusivePolicy):
 
     def on_iommu_tlb_evicted(self, key: int, payload: int) -> None:
         now = self.queue.now
+        send = self.topology.send_from_iommu
         self.iommu.stats.inc("back_invalidations")
         for gpu in self.gpus:
-            arrival = self.topology.iommu_to_gpu(gpu.gpu_id, now)
+            arrival = send[gpu.gpu_id](now)
             self.queue.schedule(arrival, gpu.invalidate, key)

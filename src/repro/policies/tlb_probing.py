@@ -61,7 +61,7 @@ class TLBProbingPolicy(MostlyInclusivePolicy):
         state.remaining -= 1
         if state.found:
             return
-        payload = self.gpus[neighbor].probe_l2(request.tlb_key, remove_on_hit=False)
+        payload = self.gpus[neighbor].probe_l2(request.key, remove_on_hit=False)
         if payload is not None:
             state.found = True
             self.iommu.stats.inc("ring_probe_hits")

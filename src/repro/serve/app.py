@@ -472,14 +472,8 @@ class ServeApp:
             self.pool.semaphore.release()
         self.store.finish_task(task)
         self.drained["completed"] += 1
-        await self.journal.write_async({
-            "event": "task",
-            "digest": task.digest,
-            "label": task.label,
-            "client": task.client,
-            "status": task.state,
-            "attempts": task.attempts,
-        })
+        # No await between the terminal state and its events: a caller
+        # that sees the job terminal must find job_done already queued.
         finished = {
             "event": "task_finished",
             **task.describe(),
@@ -495,6 +489,14 @@ class ServeApp:
                     "event": "job_done",
                     "state": self.store.job_state(job),
                 })
+        await self.journal.write_async({
+            "event": "task",
+            "digest": task.digest,
+            "label": task.label,
+            "client": task.client,
+            "status": task.state,
+            "attempts": task.attempts,
+        })
 
     def _heartbeat(self, task: TaskRecord, elapsed: float) -> None:
         """Per-second progress events while a task's worker runs.

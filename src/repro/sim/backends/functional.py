@@ -320,11 +320,11 @@ def run_functional(
     fault_latency = config.iommu.fault_handling_latency
 
     # The event engine's links, walker pool, PRI batcher and pending table
-    # (IOMMU.__init__); the link senders are bound once per link.
+    # (IOMMU.__init__); the topology binds each link's sender once.
     topology = Topology(num_gpus, config.interconnect)
-    up_send = [link.send for link in topology.to_iommu]
-    down_send = [link.send for link in topology.from_iommu]
-    probe_send = [link.send for link in topology.iommu_to_gpu_probe]
+    up_send = topology.send_to_iommu
+    down_send = topology.send_from_iommu
+    probe_send = topology.send_probe
     gpu_to_gpu = topology.gpu_to_gpu
     walkers = WalkerPool(page_tables, config.iommu, num_gpus)
     walk_finish = walkers.finish
@@ -634,7 +634,8 @@ def run_functional(
                         heap, (now + l1l2_lat, seq, _L2_LOOKUP, cu, key, vpn, measured)
                     )
                     seq += 1
-                # ComputeUnit.advance + issue-window bookkeeping.
+                # Next run (as GPUDevice._issue moves on) + issue-window
+                # bookkeeping.
                 i += 1
                 if i < nruns:
                     cu.index = i

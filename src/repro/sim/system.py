@@ -19,13 +19,12 @@ methodology:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any
+from typing import Any, Callable
 
 from repro.config.system import IOMMUConfig, SystemConfig
 from repro.engine.event_queue import EventQueue
 from repro.engine.stats import CounterSet, LatencyAccumulator
 from repro.engine.watchdog import SimulationStalledError, Watchdog
-from repro.gpu.ats import ATSRequest
 from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.gpu_device import GPUDevice
 from repro.iommu.iommu import IOMMU
@@ -83,10 +82,26 @@ class MultiGPUSystem:
         self._pid_latency: dict[int, LatencyAccumulator] = {
             pid: LatencyAccumulator() for pid in workload.pids
         }
+        # The per-application accessors are the dicts' own lookups, so a
+        # hot path fetching a set pays no Python-level call.
+        self.stats_for: Callable[[int], CounterSet] = self._pid_stats.__getitem__
+        """The per-application counter set of a pid."""
+        self.latency_for: Callable[[int], LatencyAccumulator] = (
+            self._pid_latency.__getitem__
+        )
+        """The per-application translation-latency accumulator of a pid."""
         self.exec_time: dict[int, int] = {}
         self.measure_start: dict[int, int] = {}
+        self.iommu_stream: list[tuple[int, int]] | None = (
+            [] if record_iommu_stream else None
+        )
+        """The measured ``(pid, vpn)`` requests reaching the IOMMU, in
+        arrival order, when recording is on."""
 
         self.gpus = [GPUDevice(g, config, self) for g in range(config.num_gpus)]
+        self.gpu_fills = [gpu.receive_fill for gpu in self.gpus]
+        """Per GPU, its bound ``receive_fill``: where every translation
+        response lands."""
         self.iommu = IOMMU(config, self)
         rerun = workload.kind == "multi"
         for placement in workload.placements:
@@ -109,9 +124,6 @@ class MultiGPUSystem:
         # The policy is built last: it may inspect the fully wired system.
         self.policy = make_policy(policy, self, **(policy_options or {}))
 
-        self._stream_recorder: list[tuple[int, int]] | None = (
-            [] if record_iommu_stream else None
-        )
         self.snapshot_interval = snapshot_interval
         self.snapshots: list[Snapshot] = []
         self.shootdown_interval = shootdown_interval
@@ -133,19 +145,6 @@ class MultiGPUSystem:
             gpu.attach_local_translation(tables, pool)
 
     # -- measurement services ---------------------------------------------------
-
-    def stats_for(self, pid: int) -> CounterSet:
-        """The per-application counter set for ``pid``."""
-        return self._pid_stats[pid]
-
-    def latency_for(self, pid: int) -> LatencyAccumulator:
-        """The per-application translation-latency accumulator."""
-        return self._pid_latency[pid]
-
-    def record_iommu_request(self, request: ATSRequest) -> None:
-        """Append to the IOMMU request stream when recording is enabled."""
-        if self._stream_recorder is not None and request.measured:
-            self._stream_recorder.append((request.pid, request.vpn))
 
     def note_measure_start(self, pid: int) -> None:
         """The first measured run of ``pid`` just issued; execution time
@@ -319,7 +318,7 @@ class MultiGPUSystem:
             walker_queue_wait_mean=self.iommu.walkers.queue_wait.mean,
             tracker_stats=tracker_stats,
             snapshots=list(self.snapshots),
-            iommu_stream=self._stream_recorder,
+            iommu_stream=self.iommu_stream,
             events_executed=self.queue.events_executed,
             metadata=self._result_metadata(),
             telemetry=telemetry_summary,

@@ -248,7 +248,13 @@ class SetAssociativeTLB:
         return sum(len(s) for s in self.sets)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._set_of(key)
+        # One set probe: every L2 fill tests for a refresh this way.
+        tlb_set = self.only_set
+        if tlb_set is None:
+            vpn = key >> PID_BITS
+            mask = self.index_mask
+            tlb_set = self.sets[vpn & mask if mask >= 0 else vpn % self.num_sets]
+        return key in tlb_set
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Every resident ``(key, payload)``: set by set, least recent

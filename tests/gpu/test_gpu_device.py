@@ -144,7 +144,7 @@ class TestFills:
         system.run()
         gpu = system.gpus[0]
         assert pack_key(1, 5) in gpu.l2_tlb
-        assert pack_key(1, 5) in gpu.l1_tlbs[0]
+        assert pack_key(1, 5) in gpu.cus[0].l1_tlb
 
     def test_second_access_hits_locally(self, tiny_config):
         workload = one_gpu_workload([5] + list(range(100, 104)) + [5], gap=2000)
@@ -161,7 +161,7 @@ class TestFills:
         gpu = system.gpus[0]
         assert gpu.invalidate(pack_key(1, 5)) is True
         assert pack_key(1, 5) not in gpu.l2_tlb
-        assert pack_key(1, 5) not in gpu.l1_tlbs[0]
+        assert pack_key(1, 5) not in gpu.cus[0].l1_tlb
         assert gpu.invalidate(pack_key(1, 5)) is False
 
 

@@ -42,13 +42,13 @@ class TestTopology:
 
     def test_host_links_use_host_latency(self):
         topo = self.make(host_link_latency=300)
-        assert topo.gpu_to_iommu(0, 0) == 300
-        assert topo.iommu_to_gpu(3, 0) == 300
+        assert topo.send_to_iommu[0](0) == 300
+        assert topo.send_from_iommu[3](0) == 300
 
     def test_peer_links_use_peer_latency(self):
         topo = self.make(peer_link_latency=100)
         assert topo.gpu_to_gpu(0, 1, 0) == 100
-        assert topo.probe_to_gpu(2, 0) == 100
+        assert topo.send_probe[2](0) == 100
 
     def test_self_send_is_free(self):
         topo = self.make()
@@ -56,9 +56,9 @@ class TestTopology:
 
     def test_remote_latency_scale(self):
         topo = self.make(peer_link_latency=100, remote_latency_scale=3.5)
-        assert topo.probe_to_gpu(0, 0) == 350
+        assert topo.send_probe[0](0) == 350
         # Host latency is NOT scaled (Figure 20 varies only remote access).
-        assert topo.gpu_to_iommu(0, 0) == 300
+        assert topo.send_to_iommu[0](0) == 300
 
     def test_ring_neighbors(self):
         topo = self.make(num_gpus=4)
@@ -67,10 +67,10 @@ class TestTopology:
 
     def test_traffic_accounting(self):
         topo = self.make()
-        topo.gpu_to_iommu(0, 0)
-        topo.iommu_to_gpu(1, 0)
+        topo.send_to_iommu[0](0)
+        topo.send_from_iommu[1](0)
         topo.gpu_to_gpu(0, 1, 0)
-        topo.probe_to_gpu(2, 0)
+        topo.send_probe[2](0)
         assert topo.total_host_traffic() == 2
         assert topo.total_peer_traffic() == 2
 

@@ -12,6 +12,8 @@ queue drains.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -110,11 +112,14 @@ def _missed(*, remote_entry: bool, race_ptw: bool, walk_faults: bool):
     controls whether GPU 1's L2 holds the translation (probe hit) or not
     (tracker false positive), and ``walk_faults`` whether the page table
     maps it."""
-    system = MultiGPUSystem(
-        _tiny_config(), _tiny_workload(), "least-tlb",
-        policy_options={"race_ptw": race_ptw}, prefault=False,
-    )
-    system.queue = RacingQueue()
+    # Every component binds the queue at construction, so the racing queue
+    # is the one the system builds.
+    with mock.patch("repro.sim.system.EventQueue", RacingQueue):
+        system = MultiGPUSystem(
+            _tiny_config(), _tiny_workload(), "least-tlb",
+            policy_options={"race_ptw": race_ptw}, prefault=False,
+        )
+    assert isinstance(system.queue, RacingQueue)
     if not walk_faults:
         system.page_tables.table_for(PID).map(VPN, PPN)
     system.policy.tracker.register(1, PID, VPN)

@@ -96,7 +96,7 @@ def test_every_run_completes_and_translations_are_correct(policy, gpu_vpns):
     tables = system.page_tables
     tlbs = [system.iommu.tlb]
     for gpu in system.gpus:
-        tlbs += [gpu.l2_tlb, *gpu.l1_tlbs.values()]
+        tlbs += [gpu.l2_tlb, *(cu.l1_tlb for cu in gpu.cus)]
     for tlb in tlbs:
         for key, payload in tlb.items():
             assert tables.walk(*unpack_key(key)).ppn == unpack_payload(payload)[0]

@@ -8,10 +8,11 @@ real tiny simulation provides the result payload.
 
 import asyncio
 import threading
+import time
 
 import pytest
 
-from repro.serve.app import ServeApp, ServeSettings
+from repro.serve.app import ServeApp, ServeJournal, ServeSettings
 from repro.serve.requests import parse_job
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import JobOutcome
@@ -84,6 +85,14 @@ def drain_queue(queue):
     return events
 
 
+class SlowJournal(ServeJournal):
+    """A journal on a slow disk: every write blocks its worker thread."""
+
+    def write(self, event):
+        time.sleep(0.05)
+        super().write(event)
+
+
 class TestInflightDedup:
     def test_identical_submissions_execute_once(self, tmp_path, tiny_result):
         async def main():
@@ -117,6 +126,32 @@ class TestInflightDedup:
 
     async def _shutdown(self, app):
         await app.drain()
+
+    def test_terminal_job_already_holds_its_events(self, tmp_path, tiny_result):
+        """Once ``job_terminal(job)`` holds, every subscriber queue already
+        holds ``task_finished`` and ``job_done``: no await separates a
+        task's terminal state from its events, however slow the journal."""
+        async def main():
+            executor = GatedExecutor(tiny_result, gated=True)
+            app = make_app(tmp_path, executor)
+            app.journal = SlowJournal(app.journal.path)
+            await app.start()
+            _s, b1, _ = app.submit({"jobs": [JOB]}, "alice")
+            await wait_until(lambda: app.pool.busy == 1)
+            _s, b2, _ = app.submit({"jobs": [JOB]}, "bob")
+            subscribers = [app.subscribe(b1["job"]), app.subscribe(b2["job"])]
+            executor.gate.set()
+            deadline = time.monotonic() + 15
+            while not all(app.job_terminal(job) for job, _queue in subscribers):
+                assert time.monotonic() < deadline, "jobs never became terminal"
+                await asyncio.sleep(0)
+            for _job, queue in subscribers:
+                kinds = [e["event"] for e in drain_queue(queue)]
+                assert "task_finished" in kinds
+                assert kinds[-1] == "job_done"
+            await app.drain()
+
+        asyncio.run(main())
 
     def test_resubmit_after_completion_hits_cache(self, tmp_path, tiny_result):
         async def main():

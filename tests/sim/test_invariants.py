@@ -61,7 +61,7 @@ class TestViolationsAreCaught:
     def test_pending_served_without_result(self):
         system = self._system()
         request = ATSRequest(gpu_id=0, pid=1, vpn=5, issue_time=0)
-        entry = system.iommu.pending.create(request.tlb_key, request, 0)
+        entry = system.iommu.pending.create(request.key, request, 0)
         entry.served = True  # but result_ppn is still None
         entry.waiters.clear()
         with pytest.raises(InvariantViolation, match="served without a result"):
@@ -70,7 +70,7 @@ class TestViolationsAreCaught:
     def test_pending_unserved_without_waiters(self):
         system = self._system()
         request = ATSRequest(gpu_id=0, pid=1, vpn=5, issue_time=0)
-        entry = system.iommu.pending.create(request.tlb_key, request, 0)
+        entry = system.iommu.pending.create(request.key, request, 0)
         entry.waiters.clear()
         with pytest.raises(InvariantViolation, match="no waiters"):
             system.invariants.check()
@@ -101,7 +101,7 @@ class TestViolationsAreCaught:
     def test_completion_leak_detected(self):
         system = self._system()
         request = ATSRequest(gpu_id=0, pid=1, vpn=5, issue_time=0)
-        system.iommu.pending.create(request.tlb_key, request, 0)
+        system.iommu.pending.create(request.key, request, 0)
         with pytest.raises(InvariantViolation, match="pending table holds"):
             system.invariants.check(final=True)
 

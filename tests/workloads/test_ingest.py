@@ -8,6 +8,7 @@ its peak RSS under a fixed bound).
 """
 
 import gzip
+import hashlib
 import subprocess
 import sys
 import time
@@ -420,6 +421,15 @@ class TestDigest:
         b = synthesize_k6_trace(second / "k6_same.trc.gz", accesses=500, seed=4)
         assert a.read_bytes() == b.read_bytes()
         assert trace_digest(a) == trace_digest(b)
+
+    def test_synthesised_records_are_pinned(self, tmp_path):
+        # The decompressed text of a seeded synthesis is pinned, so a
+        # faster writer (or another gzip level) cannot change the records.
+        path = synthesize_k6_trace(tmp_path / "k6.trc.gz", accesses=5_000, seed=7)
+        text = gzip.decompress(path.read_bytes())
+        assert hashlib.sha256(text).hexdigest() == (
+            "0a5b4a4932ff9cf48e2f1e8915df267d9a5396a0cf0b3687785aa47bb5964f26"
+        )
 
     def test_changes_with_content(self, tmp_path):
         path = tmp_path / "a.trc"
