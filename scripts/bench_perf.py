@@ -134,13 +134,19 @@ def measure_kernel(scale: float = SCALE, samples: int = SAMPLES) -> list[dict]:
 def measure_fastpath(
     kernel_rows: list[dict], scale: float = SCALE, samples: int = SAMPLES
 ) -> list[dict]:
-    """Functional-backend throughput on the same kernel cases.
+    """Functional-backend throughput (system build and run) on the same
+    kernel cases.
 
     ``speedup_vs_event`` relates each case to the event-engine row just
     measured, so both sides of the ratio come from the same machine state.
     """
     event_rows = {row["name"]: row for row in kernel_rows}
-    rows = measure_simulation(run_functional, scale, samples)
+    rows = measure_simulation(
+        lambda config, workload, policy: run_functional(
+            MultiGPUSystem(config, workload, policy)
+        ),
+        scale, samples,
+    )
     for row in rows:
         event = event_rows.get(row["name"])
         speedup = (

@@ -61,8 +61,8 @@ class LeastTLBPolicy(TranslationPolicy):
 
     Options
     -------
-    Resolved by :func:`repro.core.protocol.least_tlb_options`, which the
-    functional backend calls too.
+    Resolved by :func:`repro.core.protocol.least_tlb_options`; the
+    functional backend reads the resolved values off the built policy.
 
     mode:
         ``"single"`` (sharing semantics, Algorithm 1) or ``"multi"``
@@ -103,9 +103,10 @@ class LeastTLBPolicy(TranslationPolicy):
             self.receiver_policy, config.num_gpus, config.seed
         )
         self._l2_lookup_latency = config.gpu.l2_tlb.lookup_latency
-        self._probe_removes = probe_removes_entry(self.mode)
-        # Per GPU, the name of the counter of spills it receives.
-        self._spills_to = [f"spills_to_gpu{g}" for g in range(config.num_gpus)]
+        self.probe_removes = probe_removes_entry(self.mode)
+        """Whether a remote hit removes the entry from the probed L2."""
+        self.spills_to = [f"spills_to_gpu{g}" for g in range(config.num_gpus)]
+        """Per GPU, the name of the IOMMU counter of spills it receives."""
 
     # -- IOMMU request handling (Algorithms 1 & 2, lookup) -----------------------
 
@@ -157,7 +158,7 @@ class LeastTLBPolicy(TranslationPolicy):
     ) -> None:
         pending.remote_pending = False
         payload = self.gpus[target].probe_l2(
-            request.key, remove_on_hit=self._probe_removes
+            request.key, remove_on_hit=self.probe_removes
         )
         if request.trace is not None:
             request.trace.end(
@@ -268,7 +269,7 @@ class LeastTLBPolicy(TranslationPolicy):
             return
         receiver = self.receivers.select(self.iommu.eviction_counters)
         self.iommu.stats.inc("spills")
-        self.iommu.stats.inc(self._spills_to[receiver])
+        self.iommu.stats.inc(self.spills_to[receiver])
         arrival = self.topology.send_probe[receiver](self.queue.now)
         self.queue.schedule(
             arrival,

@@ -28,21 +28,6 @@ class CounterSet(dict[str, int]):
         """A plain-dict snapshot of all counters."""
         return dict(self)
 
-    def merge(self, other: "CounterSet") -> None:
-        """Add every counter of ``other`` into this set."""
-        for name, value in other.items():
-            self[name] += value
-
-    def ratio(self, numerator: str, *denominator_parts: str) -> float:
-        """``numerator / sum(denominator_parts)`` or 0.0 if the denominator
-        is zero.  Convenient for hit rates: ``ratio("l2_hit", "l2_hit",
-        "l2_miss")``.
-        """
-        denom = sum(self[p] for p in denominator_parts)
-        if denom == 0:
-            return 0.0
-        return self[numerator] / denom
-
 
 class LatencyAccumulator:
     """Accumulates a latency distribution without storing every sample.
@@ -70,21 +55,6 @@ class LatencyAccumulator:
         self.total += latency
         if latency > self.max:
             self.max = latency
-
-    def merge(self, other: "LatencyAccumulator") -> None:
-        """Fold ``other``'s samples into this accumulator, losslessly —
-        per-GPU or per-app distributions combine into system-wide ones
-        without dropping ``count``/``min``/``max``."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.min = other.min
-        else:
-            self.min = min(self.min, other.min)
-        self.count += other.count
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
 
     @property
     def mean(self) -> float:

@@ -105,7 +105,7 @@ class GPUDevice:
         hit = cu.l1_tlb.lookup(key) is not None
         if measured:
             if pid not in system.measure_start:
-                system.note_measure_start(pid)
+                system.note_measure_start(pid, now)
             repeats = cu.repeats[index]
             stats = cu.stats
             stats["runs"] += 1
@@ -298,7 +298,7 @@ class GPUDevice:
         if measured:
             cu.measured_remaining -= 1
             if cu.measured_remaining == 0:
-                system.note_cu_first_run_done(cu)
+                system.note_cu_first_run_done(cu, self.queue.now)
 
     # -- services for policies ------------------------------------------------
 

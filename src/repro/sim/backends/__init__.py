@@ -1,15 +1,17 @@
 """Simulation backends.
 
-Two backends execute a workload:
+Both backends run one built :class:`repro.sim.system.MultiGPUSystem`;
+they differ only in the run loop:
 
-* ``event`` — the full discrete-event engine
-  (:class:`repro.sim.system.MultiGPUSystem`), modelling latency and
-  contention explicitly.  Always available; always correct.
-* ``functional`` — :func:`run_functional`, an exact-schedule replay that
-  produces **bit-identical** counters, sharing degrees, and latency means
-  for statistics-only runs at a fraction of the cost.  Raises
-  :class:`BackendUnsupported` outside its replayable scope (fault
-  injection, telemetry, snapshots, …); such a run needs the event engine.
+* ``event`` — :meth:`MultiGPUSystem.run`, the full discrete-event engine,
+  modelling latency and contention explicitly.  Always available; always
+  correct.
+* ``functional`` — :func:`run_functional`, an exact-schedule replay over
+  the same system's state that produces **bit-identical** results for
+  statistics-only runs at a fraction of the cost.  Raises
+  :class:`BackendUnsupported` for a system outside its replayable scope
+  (other policies, telemetry, snapshots, …); such a run needs the event
+  engine.
 
 ``docs/backends.md`` documents the scope and the cross-validation gates
 (`scripts/check_fidelity.py`, the nightly CI fidelity job) that keep the

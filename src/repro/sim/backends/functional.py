@@ -5,53 +5,45 @@ The event engine (:mod:`repro.engine` + :mod:`repro.sim.system`) executes a
 workload as a heap of ``(time, seq, callback, args)`` events whose callbacks
 thread through GPU devices, policies, the IOMMU, the walker pool, and link
 objects.  For statistics-only runs (hit/miss/eviction/spill counters,
-sharing degrees, latency means) none of that object machinery is needed —
+sharing degrees, latency means) the callback indirection is not needed —
 only the *decisions* it makes and the *order* it makes them in.
 
-This module replays the **identical event schedule** — same events, at the
-same cycles, in the same same-cycle FIFO order — through one flat loop:
+:func:`run_functional` is a second run loop over the engine's own
+:class:`~repro.sim.system.MultiGPUSystem`.  It replays the **identical
+event schedule** — same events, at the same cycles, in the same
+same-cycle FIFO order — through one flat loop:
 
 * events are plain tuples ``(time, seq, code, args...)`` on one ``heapq``;
   ``code`` is a small int dispatched by an if/elif ladder ordered by
   frequency (no callback indirection, no ATSRequest allocation);
-* every TLB is the event engine's own
-  :class:`~repro.structures.tlb.SetAssociativeTLB` over the same packed
-  keys and payloads; the per-access reads (the L1 probe, the L2 probe)
-  and the L1 fills run inline on its set lists, every other update calls
-  its methods, and the IOMMU TLB keeps the Eviction Counters itself;
-* every message crosses the event engine's own
-  :class:`~repro.interconnect.topology.Topology` links through
-  :meth:`~repro.interconnect.link.Link.send`;
-* the page tables and the Local TLB Tracker are the event engine's own
-  :class:`~repro.structures.page_table.PageTableManager` and
-  :class:`~repro.core.tracker.LocalTLBTracker` (flat PTE dicts; cuckoo
-  partitions sharing one memoised key geometry), built in the same order
-  from the same seed, so every frame number, walk depth, bucket and RNG
-  draw is the engine's by construction;
-* the IOMMU's pending table, walker pool (FIFO or DWS) and PRI fault
-  batcher are the engine's own
-  :class:`~repro.iommu.pending_table.PendingTable`,
-  :class:`~repro.iommu.page_walker.WalkerPool` and
-  :class:`~repro.iommu.pri.PRIQueue`: they decide and count, and the
-  replay schedules what they return on its heap;
+* the state is the system's: its ``ComputeUnit``\\ s, L1/L2 TLBs and MSHRs,
+  the per-application counter sets and latency accumulators, the IOMMU's
+  TLB (which keeps the Eviction Counters), pending table, walker pool and
+  PRI batcher, the ``Topology`` links, the page tables, and the policy's
+  tracker and spill-receiver selector.  The per-access reads (the L1
+  probe, the L2 probe) and the L1 fills run inline on the TLBs' set
+  lists; every other update calls the structures' methods;
 * protocol decisions (spill receiver, probe target, budget gates) come
   from :mod:`repro.core.protocol` — the same kernel the event engine
-  calls — so the two backends cannot drift.
+  calls — so the two backends cannot drift;
+* the measurement rule (:meth:`MultiGPUSystem.note_cu_first_run_done`),
+  the stall check and the result assembly are the system's, shared with
+  :meth:`MultiGPUSystem.run`.
 
 Because the schedule is identical, every observable of
 :class:`repro.sim.results.SimulationResult` — ``total_cycles``,
 ``events_executed``, per-application counters, latency means, IOMMU and
 walker counters, tracker statistics, metadata — is **bit-identical** to the
-event engine's.  The speedup is a constant factor (no object graph, no
-guard branches for telemetry, no attribute chains), not an
+event engine's.  The speedup is a constant factor (no callback per event,
+no guard branches for telemetry, no request objects), not an
 approximation.
 
 Scope: the replay covers the statistics-relevant configuration space —
 ``baseline``/``mostly-inclusive``/``least-tlb`` policies under either
 walker scheduler, no telemetry / snapshots / shootdowns / invariant checks /
-watchdog / local page tables.  Anything else raises
-:class:`BackendUnsupported`; run such a configuration on the event engine
-(``backend="event"``).
+watchdog / local page tables.  :func:`_check_supported` reads the built
+system and raises :class:`BackendUnsupported` for anything else; run such
+a configuration on the event engine (``backend="event"``).
 """
 
 from __future__ import annotations
@@ -59,43 +51,29 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any
 
-from repro.config.system import SystemConfig
+from repro.core.least_tlb import LeastTLBPolicy
 from repro.core.protocol import (
-    SpillReceiverSelector,
     choose_probe_target,
-    least_tlb_options,
-    probe_removes_entry,
     should_reenter_iommu,
     should_spill_victim,
 )
-from repro.core.tracker import LocalTLBTracker
-from repro.engine.watchdog import SimulationStalledError
-from repro.interconnect.topology import Topology
-from repro.iommu.page_walker import WalkerPool, WalkTicket
-from repro.iommu.pending_table import PendingTable
-from repro.iommu.pri import PRIQueue
-from repro.policies.base import check_no_options
+from repro.iommu.page_walker import WalkTicket
+from repro.policies.mostly_inclusive import MostlyInclusivePolicy
 from repro.sim.backends import BackendUnsupported
-from repro.sim.results import AppResult, SimulationResult
-from repro.structures.page_table import PageTableManager
+from repro.sim.results import SimulationResult
+from repro.sim.system import MultiGPUSystem
 from repro.structures.tlb import (
     BUDGET_MASK,
     FRAME_SHIFT,
     PID_BITS,
     PID_MASK,
-    SetAssociativeTLB,
     pack_payload,
 )
-from repro.workloads.trace import Workload
 
 
-#: Policies the functional backend replays, mapped to the name the event
-#: engine's policy class reports.
-_SUPPORTED_POLICIES = {
-    "baseline": "baseline",
-    "mostly-inclusive": "baseline",
-    "least-tlb": "least-tlb",
-}
+#: The policy classes the replay runs.  Subclasses override hooks the
+#: replay restates inline, so each must be exactly one of these.
+_REPLAYED_POLICIES = (MostlyInclusivePolicy, LeastTLBPolicy)
 
 # Event codes, ordered by typical frequency (the dispatch ladder tests them
 # in this order).  Tuple layouts are documented at each handler; ``key``
@@ -116,260 +94,131 @@ _PRI_BATCH = 10  # (batch)
 # the pending table's waiter, a walk ticket's owner and a PRI fault.
 
 
-class _CU:
-    """Replay state of one compute unit (mirror of ComputeUnit plus its L1
-    TLB's set lists and a reference to its GPU's shared state).
-
-    The ``c_*`` fields accumulate this CU's measured counters as plain
-    ints; they are folded into the per-PID counter dicts once, after the
-    replay (same totals, same key-existence, ~3 dict operations saved per
-    measured event).
-    """
-
-    __slots__ = (
-        "gid",
-        "pid",
-        "vpns",
-        "gaps",
-        "reps",
-        "nruns",
-        "warmup",
-        "slots",
-        "rerun",
-        "index",
-        "round",
-        "outstanding",
-        "waiting",
-        "ready",
-        "measured_remaining",
-        "l1_only",
-        "l1_sets",
-        "l1_mask",
-        "l1_nsets",
-        "gpu",
-        "c_runs",
-        "c_acc",
-        "c_l1h",
-        "c_l1m",
-        "c_l2h",
-        "c_l2m",
-        "c_merge",
-        "c_filled",
-    )
-
-
-class _GPU:
-    """Per-GPU shared state: the L2 TLB (and its set lists, for the inline
-    probe) and the MSHR table."""
-
-    __slots__ = ("gid", "l2", "l2_sets", "l2_mask", "l2_nsets", "mshr", "cus")
-
-    def __init__(self, gid: int, l2: SetAssociativeTLB) -> None:
-        self.gid = gid
-        self.l2 = l2
-        self.l2_sets = l2.sets
-        self.l2_mask = l2.index_mask
-        self.l2_nsets = l2.num_sets
-        self.mshr: dict[int, list[tuple[_CU, bool]]] = {}
-        self.cus: list[_CU] = []
-
-
-def _check_supported(config: SystemConfig, **system_kwargs: Any) -> None:
-    """Reject every configuration whose observables depend on machinery the
-    functional backend does not replay."""
-    if config.local_page_tables:
+def _check_supported(system: MultiGPUSystem) -> None:
+    """Reject every built system whose observables depend on machinery
+    the functional backend does not replay."""
+    policy = system.policy
+    if type(policy) not in _REPLAYED_POLICIES:
+        raise BackendUnsupported(
+            f"functional backend does not support policy {policy.name!r} "
+            "(supported: baseline, mostly-inclusive, least-tlb)"
+        )
+    if system.config.local_page_tables:
         raise BackendUnsupported(
             "functional backend does not model local page tables (Figure 23)"
         )
-    defaults: dict[str, Any] = {
-        "snapshot_interval": 0,
-        "shootdown_interval": 0,
-        "check_invariants": False,
-        "watchdog": False,
-        "telemetry": None,
+    options: dict[str, Any] = {
+        "snapshot_interval": system.snapshot_interval,
+        "shootdown_interval": system.shootdown_interval,
+        "check_invariants": system.invariants is not None,
+        "watchdog": system.watchdog is not None,
+        "telemetry": None if system.telemetry is None else system.telemetry.config,
     }
-    for key, value in system_kwargs.items():
-        if key not in defaults:
+    for name, value in options.items():
+        if value:
             raise BackendUnsupported(
-                f"functional backend does not accept system option {key!r}"
-            )
-        if value != defaults[key]:
-            raise BackendUnsupported(
-                f"functional backend does not support {key}={value!r}; "
+                f"functional backend does not support {name}={value!r}; "
                 "use the event backend"
             )
 
 
 def run_functional(
-    config: SystemConfig,
-    workload: Workload,
-    policy: str = "baseline",
-    *,
-    policy_options: dict[str, Any] | None = None,
+    system: MultiGPUSystem,
     max_cycles: int | None = None,
     max_events: int | None = None,
-    record_iommu_stream: bool = False,
-    prefault: bool = True,
-    **system_kwargs: Any,
 ) -> SimulationResult:
-    """Replay ``workload`` under ``policy`` and return a
-    :class:`SimulationResult` bit-identical to the event engine's.
+    """Run ``system`` on the replay loop and return a
+    :class:`SimulationResult` bit-identical to ``system.run(...)``'s.
 
-    Raises :class:`BackendUnsupported` for configurations outside the
-    replayable scope (telemetry, snapshots, …), and the event engine's own
-    errors for a bad policy option or placement.
+    Raises :class:`BackendUnsupported` for a system outside the replayable
+    scope (telemetry, snapshots, …).  The system must be freshly built:
+    the replay schedules every CU's first issue itself.
     """
-    policy_name = _SUPPORTED_POLICIES.get(policy.lower())
-    if policy_name is None:
-        raise BackendUnsupported(
-            f"functional backend does not support policy {policy!r} "
-            "(supported: baseline, mostly-inclusive, least-tlb)"
-        )
-    policy_options = policy_options or {}
-    is_least = policy_name == "least-tlb"
-    if is_least:
-        mode, race_ptw, remote_probes, spilling, receiver_policy = (
-            least_tlb_options(workload.kind, **policy_options)
-        )
-    else:
-        check_no_options(policy_name, policy_options)
-        mode, race_ptw, remote_probes, spilling, receiver_policy = (
-            "single", True, True, False, "counter"
-        )
-    _check_supported(config, **system_kwargs)
-    workload.check_placements(config.num_gpus)
+    _check_supported(system)
+    config = system.config
+    policy = system.policy
+    iommu = system.iommu
+    gpus = system.gpus
+    page_tables = system.page_tables
 
-    # -- construction (mirrors MultiGPUSystem.__init__ order) ---------------
-    num_gpus = config.num_gpus
-    page_tables = PageTableManager(levels=config.page_table_levels)
+    # The policy's resolved options and its least-TLB state.
+    is_least = type(policy) is LeastTLBPolicy
+    if is_least:
+        mode = policy.mode
+        race_ptw = policy.race_ptw
+        remote_probes = policy.remote_probes
+        spilling = policy.spilling
+        tracker = policy.tracker
+        select_receiver = policy.receivers.select
+        probe_removes = policy.probe_removes
+        spills_to = policy.spills_to
+    else:
+        # Never read: the baseline neither probes a peer nor spills.
+        mode = race_ptw = remote_probes = spilling = probe_removes = None
+        tracker = select_receiver = spills_to = None
+
+    # Per GPU, its L2's set lists and index geometry (for the inline
+    # probe), its L2 and its MSHR table.
+    l2_tlbs = [gpu.l2_tlb for gpu in gpus]
+    l2_sets = [tlb.sets for tlb in l2_tlbs]
+    l2_masks = [tlb.index_mask for tlb in l2_tlbs]
+    l2_nsets = [tlb.num_sets for tlb in l2_tlbs]
+    mshrs = [gpu.mshr for gpu in gpus]
+
+    stats_for = system.stats_for
+    latency_for = system.latency_for
+    measure_start = system.measure_start
+    note_measure_start = system.note_measure_start
+    note_done = system.note_cu_first_run_done
+    stream_rec = system.iommu_stream
+
+    # -- protocol-global scalars -------------------------------------------
     l1_cfg = config.gpu.l1_tlb
     l2_cfg = config.gpu.l2_tlb
     l1_assoc = l1_cfg.associativity
-
-    gpus = [
-        _GPU(g, SetAssociativeTLB(l2_cfg.num_entries, l2_cfg.associativity))
-        for g in range(num_gpus)
-    ]
-
-    pcs: dict[int, dict[str, int]] = {pid: {} for pid in workload.pids}
-    lat_count: dict[int, int] = {pid: 0 for pid in workload.pids}
-    lat_total: dict[int, int] = {pid: 0 for pid in workload.pids}
-    exec_time: dict[int, int] = {}
-    measure_start: dict[int, int] = {}
-
-    rerun = workload.kind == "multi"
-    for placement in workload.placements:
-        gpu = gpus[placement.gpu_id]
-        for stream in placement.streams:
-            cu = _CU()
-            cu.gid = placement.gpu_id
-            cu.pid = placement.pid
-            cu.vpns = stream.vpns.tolist()
-            cu.gaps = stream.gaps.tolist()
-            cu.reps = stream.repeats.tolist()
-            cu.nruns = stream.num_runs
-            cu.warmup = stream.warmup_runs
-            cu.slots = config.gpu.slots_per_cu
-            cu.rerun = rerun
-            cu.index = 0
-            cu.round = 0
-            cu.outstanding = 0
-            cu.waiting = False
-            cu.ready = 0
-            cu.measured_remaining = stream.measured_runs
-            cu.c_runs = cu.c_acc = cu.c_l1h = cu.c_l1m = 0
-            cu.c_l2h = cu.c_l2m = cu.c_merge = cu.c_filled = 0
-            l1 = SetAssociativeTLB(l1_cfg.num_entries, l1_assoc)
-            cu.l1_only = l1.only_set
-            cu.l1_sets = l1.sets
-            cu.l1_mask = l1.index_mask
-            cu.l1_nsets = l1.num_sets
-            cu.gpu = gpu
-            gpu.cus.append(cu)
-
-    remaining: dict[int, int] = {}
-    for gpu in gpus:
-        for cu in gpu.cus:
-            if cu.measured_remaining:
-                remaining[cu.pid] = remaining.get(cu.pid, 0) + 1
-    pids_pending = set(remaining)
-
-    if prefault:
-        for pid, vpns in workload.footprints.items():
-            page_tables.prefault(pid, vpns.tolist())
-
-    tracker = (
-        LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
-        if is_least
-        else None
-    )
-    receivers = (
-        SpillReceiverSelector(receiver_policy, num_gpus, config.seed)
-        if is_least
-        else None
-    )
-    multi_probe_removes = probe_removes_entry(mode)
-
-    stream_rec: list[tuple[int, int]] | None = [] if record_iommu_stream else None
-
-    # -- protocol-global scalars -------------------------------------------
     l1l2_lat = l1_cfg.lookup_latency + l2_cfg.lookup_latency
     l2_lookup_lat = l2_cfg.lookup_latency
     iommu_lookup_lat = config.iommu.tlb.lookup_latency
     cfg_budget = config.spill_budget
     fault_latency = config.iommu.fault_handling_latency
 
-    # The event engine's links, walker pool, PRI batcher and pending table
-    # (IOMMU.__init__); the topology binds each link's sender once.
-    topology = Topology(num_gpus, config.interconnect)
+    # The system's links, walker pool, PRI batcher, pending table and IOMMU
+    # TLB; the topology binds each link's sender once.
+    topology = system.topology
     up_send = topology.send_to_iommu
     down_send = topology.send_from_iommu
     probe_send = topology.send_probe
     gpu_to_gpu = topology.gpu_to_gpu
-    walkers = WalkerPool(page_tables, config.iommu, num_gpus)
+    walkers = iommu.walkers
     walk_finish = walkers.finish
     walk_cancel = walkers.cancel
-    pri = PRIQueue(config.iommu)
+    pri = iommu.pri
     pri_expire = pri.expire
-    pending = PendingTable()
+    pending = iommu.pending
     pend_get = pending.get
     pend_create = pending.create
     maybe_remove = pending.maybe_remove
-
-    # The IOMMU TLB, built as IOMMU.__init__ builds it; it keeps the
-    # Eviction Counters (``ec``) through every insert and remove.
-    io_cfg = config.iommu.tlb
-    io_tlb = SetAssociativeTLB(
-        None if config.iommu.infinite_tlb else io_cfg.num_entries,
-        io_cfg.associativity,
-        owners=num_gpus,
-    )
+    io_tlb = iommu.tlb
     ec = io_tlb.owner_counts
 
-    ist: dict[str, int] = {}  # IOMMU CounterSet mirror
-    # The three hottest IOMMU counters run as plain ints and fold into
-    # ``ist`` after the loop (they are +1 increments, so key-existence ⇔
-    # a positive count, exactly like the engine's defaultdict).
-    ist_requests = 0
-    ist_hit = 0
-    ist_miss = 0
+    ist = iommu.stats
     probe_rotor = 0
 
     heap: list[tuple] = []
     seq = 0
     now = 0
-    executed = 0
-    halted = False
+    halted = system.halted
 
     # -- closures shared by several handlers --------------------------------
     # (the hottest paths — run completion, L1 fill, translation completion —
     # are inlined directly in the dispatch ladder; these cover colder edges)
 
     # The closures below take ``now``/``seq`` as parameters and return the
-    # advanced ``seq``; every enclosing name they only read is re-bound as
-    # a default argument.  Both moves keep the replay loop's hottest names
-    # (``heap``, ``now``, ``seq``, the counter dicts) plain fast locals of
-    # ``run_functional`` instead of cell variables shared with closures.
+    # advanced ``seq``; every enclosing name they read is bound as a
+    # default argument, never captured.  Both moves keep the replay loop's
+    # hottest names (``heap``, ``now``, ``seq``, the per-GPU lists) plain
+    # fast locals of ``run_functional`` instead of cell variables shared
+    # with closures.
 
     def spill_iommu_victim(
         vkey,
@@ -382,16 +231,16 @@ def run_functional(
         _ec=ec,
         _probe=probe_send,
         _spilling=spilling,
-        _select=receivers.select if receivers is not None else None,
+        _select=select_receiver,
+        _spills_to=spills_to,
     ):
         """LeastTLBPolicy.on_iommu_tlb_evicted."""
         budget = vval & BUDGET_MASK
         if not should_spill_victim(_spilling, budget):
             return seq
         receiver = _select(_ec)
-        _ist["spills"] = _ist.get("spills", 0) + 1
-        skey = f"spills_to_gpu{receiver}"
-        _ist[skey] = _ist.get(skey, 0) + 1
+        _ist["spills"] += 1
+        _ist[_spills_to[receiver]] += 1
         _push(
             _heap,
             (
@@ -407,7 +256,7 @@ def run_functional(
         return seq + 1
 
     def insert_l2(
-        gpu,
+        g,
         key,
         vpn,
         value,
@@ -420,23 +269,26 @@ def run_functional(
         _tracker=tracker,
         _spilling=spilling,
         _up=up_send,
+        _tlbs=l2_tlbs,
+        _sets=l2_sets,
+        _masks=l2_masks,
+        _nsets=l2_nsets,
     ):
         """GPUDevice._insert_l2 with the policy's fill/eviction hooks."""
-        mask = gpu.l2_mask
-        refresh = key in gpu.l2_sets[vpn & mask if mask >= 0 else vpn % gpu.l2_nsets]
-        victim = gpu.l2.insert(key, value)
+        mask = _masks[g]
+        refresh = key in _sets[g][vpn & mask if mask >= 0 else vpn % _nsets[g]]
+        victim = _tlbs[g].insert(key, value)
         if refresh:
             # Duplicate fill: the payload was refreshed, no tracker churn.
             return seq
         if _least:
-            _tracker.register(gpu.gid, key & PID_MASK, vpn)
+            _tracker.register(g, key & PID_MASK, vpn)
             if victim is not None:
                 vkey, vval = victim
-                _tracker.unregister(gpu.gid, vkey & PID_MASK, vkey >> PID_BITS)
+                _tracker.unregister(g, vkey & PID_MASK, vkey >> PID_BITS)
                 if not should_reenter_iommu(_spilling, vval & BUDGET_MASK):
-                    _ist["spilled_discarded"] = _ist.get("spilled_discarded", 0) + 1
+                    _ist["spilled_discarded"] += 1
                 else:
-                    g = gpu.gid
                     _push(_heap, (_up[g](now), seq, _VICTIM, g, vkey, vval))
                     seq += 1
         # Baseline: victims drop silently (mostly-inclusive semantics).
@@ -451,11 +303,10 @@ def run_functional(
         seq,
         _heap=heap,
         _push=heappush,
-        _pcs=pcs,
+        _stats_for=stats_for,
+        _latency_for=latency_for,
         _ist=ist,
         _down=down_send,
-        _lat_c=lat_count,
-        _lat_t=lat_total,
         _budget=cfg_budget,
     ):
         """IOMMU.respond over the host down-links, budget = config's."""
@@ -466,11 +317,10 @@ def run_functional(
             seq += 1
             if w[5]:
                 pid = w[1]
-                pc = _pcs[pid]
-                pc[skey] = pc.get(skey, 0) + 1
-                _lat_c[pid] += 1
-                _lat_t[pid] += arrival - w[4]
-        _ist[rkey] = _ist.get(rkey, 0) + len(waiters)
+                stats = _stats_for(pid)
+                stats[skey] += 1
+                _latency_for(pid).record(arrival - w[4])
+        _ist[rkey] += len(waiters)
         return seq
 
     def start_walk(
@@ -480,14 +330,14 @@ def run_functional(
         seq,
         _heap=heap,
         _push=heappush,
-        _pcs=pcs,
+        _stats_for=stats_for,
         _request=walkers.request,
     ):
         """policy._start_walk + IOMMU.start_walk."""
         p.walk_pending = True
         if req[5]:
-            pc = _pcs[req[1]]
-            pc["walks"] = pc.get("walks", 0) + 1
+            stats = _stats_for(req[1])
+            stats["walks"] += 1
         ticket = WalkTicket(req[1], req[2], req[0], req, now)
         p.walk_ticket = ticket
         if _request(ticket) is None:
@@ -509,7 +359,7 @@ def run_functional(
     ):
         """policy._deliver_walk_result (walk success or serviced fault)."""
         if p.served:
-            _ist["walks_wasted"] = _ist.get("walks_wasted", 0) + 1
+            _ist["walks_wasted"] += 1
         else:
             p.served = True
             p.result_ppn = ppn
@@ -529,7 +379,7 @@ def run_functional(
         seq,
         _heap=heap,
         _push=heappush,
-        _pcs=pcs,
+        _stats_for=stats_for,
         _ist=ist,
         _report=pri.report,
         _flat=fault_latency,
@@ -537,9 +387,9 @@ def run_functional(
     ):
         """IOMMU.report_fault."""
         if req[5]:
-            pc = _pcs[req[1]]
-            pc["page_faults"] = pc.get("page_faults", 0) + 1
-        _ist["page_faults"] = _ist.get("page_faults", 0) + 1
+            stats = _stats_for(req[1])
+            stats["page_faults"] += 1
+        _ist["page_faults"] += 1
         action = _report(req)
         if action is None:
             return seq
@@ -552,11 +402,15 @@ def run_functional(
     # -- start events (GPUDevice.start, in gpu/cu order) ---------------------
     for gpu in gpus:
         for cu in gpu.cus:
-            if cu.nruns:
+            if cu.num_runs:
                 heappush(heap, (cu.gaps[0], seq, _ISSUE, cu))
                 seq += 1
 
     # -- the replay loop -----------------------------------------------------
+    # Every event popped is executed, so the count is ``seq - len(heap)``,
+    # as for EventQueue.events_executed; a run with no cycle or event
+    # bound (the common case) tests none per event.
+    bounded = max_cycles is not None or max_events is not None
     until = float("inf") if max_cycles is None else max_cycles
     cap = float("inf") if max_events is None else max_events
     pop = heappop
@@ -565,129 +419,94 @@ def run_functional(
     frame_shift = FRAME_SHIFT
 
     while heap:
-        head = heap[0]
-        if head[0] > until:
-            if until > now:
-                now = int(until)
-            break
-        if executed >= cap:
-            break
+        if bounded:
+            if heap[0][0] > until:
+                if until > now:
+                    now = int(until)
+                break
+            if seq - len(heap) >= cap:
+                break
         ev = pop(heap)
         now = ev[0]
-        executed += 1
         code = ev[2]
 
-        if code == 0:  # _ISSUE: (cu)
+        if code == 0:  # _ISSUE: (cu) — GPUDevice._issue
             if halted:
                 continue
             cu = ev[3]
-            # An issue whose successor lands strictly before every queued
-            # event is executed inline instead of round-tripping the heap:
-            # nothing can touch this CU's state in between, ``executed``
-            # still counts it, and skipping its (push, pop) pair leaves the
-            # relative push order — hence every seq tie-break — unchanged.
             pid = cu.pid
-            vpns = cu.vpns
-            gaps = cu.gaps
-            reps = cu.reps
-            nruns = cu.nruns
-            warmup = cu.warmup
-            slots = cu.slots
-            m_runs = m_acc = m_hit = m_miss = 0
-            while True:
-                i = cu.index
-                vpn = vpns[i]
-                measured = cu.round == 0 and i >= warmup
-                key = (vpn << pid_bits) | pid
-                s = cu.l1_only
-                if s is None:
-                    m = cu.l1_mask
-                    s = cu.l1_sets[vpn & m if m >= 0 else vpn % cu.l1_nsets]
-                hit = key in s
+            i = cu.index
+            vpn = cu.vpns[i]
+            measured = cu.execution_round == 0 and i >= cu.warmup
+            key = (vpn << pid_bits) | pid
+            l1 = cu.l1_tlb
+            s = l1.only_set
+            if s is None:
+                m = l1.index_mask
+                s = l1.sets[vpn & m if m >= 0 else vpn % l1.num_sets]
+            hit = key in s
+            if hit:
+                s.move_to_end(key)
+            if measured:
+                if pid not in measure_start:
+                    note_measure_start(pid, now)
+                rep = cu.repeats[i]
+                stats = cu.stats
+                stats["runs"] += 1
+                stats["accesses"] += rep
                 if hit:
-                    s.move_to_end(key)
+                    stats["l1_hit"] += rep
+                else:
+                    stats["l1_miss"] += 1
+                    stats["l1_hit"] += rep - 1
+            if hit:
                 if measured:
-                    if pid not in measure_start:
-                        measure_start[pid] = now
-                    rep = reps[i]
-                    m_runs += 1
-                    m_acc += rep
-                    if hit:
-                        m_hit += rep
-                    else:
-                        m_miss += 1
-                        m_hit += rep - 1
-                if hit:
-                    if measured:
-                        cu.measured_remaining -= 1
-                        if cu.measured_remaining == 0:
-                            left = remaining[pid] - 1
-                            remaining[pid] = left
-                            if left == 0:
-                                exec_time[pid] = now - measure_start.get(pid, 0)
-                                pids_pending.discard(pid)
-                                if not pids_pending:
-                                    halted = True
-                else:
-                    cu.outstanding += 1
-                    push(
-                        heap, (now + l1l2_lat, seq, _L2_LOOKUP, cu, key, vpn, measured)
-                    )
-                    seq += 1
-                # Next run (as GPUDevice._issue moves on) + issue-window
-                # bookkeeping.
-                i += 1
-                if i < nruns:
+                    cu.measured_remaining -= 1
+                    if cu.measured_remaining == 0:
+                        note_done(cu, now)
+                        halted = system.halted
+            else:
+                cu.outstanding += 1
+                push(heap, (now + l1l2_lat, seq, _L2_LOOKUP, cu, key, vpn, measured))
+                seq += 1
+            # Next run, wrapping to a re-execution round if the CU reruns
+            # its stream.
+            i += 1
+            if i >= cu.num_runs:
+                if not cu.rerun:
                     cu.index = i
-                elif cu.rerun and nruns > 0:
-                    cu.index = 0
-                    cu.round += 1
-                else:
-                    break
-                rt = now + gaps[cu.index]
-                cu.ready = rt
-                if cu.outstanding >= slots:
-                    cu.waiting = True
-                    break
-                if (
-                    not halted
-                    and rt <= until
-                    and executed < cap
-                    and (not heap or rt < heap[0][0])
-                ):
-                    now = rt
-                    executed += 1
                     continue
+                i = 0
+                cu.execution_round += 1
+            cu.index = i
+            rt = now + cu.gaps[i]
+            cu.ready_time = rt
+            if cu.outstanding < cu.slots:
                 push(heap, (rt, seq, _ISSUE, cu))
                 seq += 1
-                break
-            # Fold the chain's counters into the CU accumulators; they land
-            # in the per-app counter dicts once, after the loop.
-            if m_runs:
-                cu.c_runs += m_runs
-                cu.c_acc += m_acc
-                cu.c_l1h += m_hit
-            if m_miss:
-                cu.c_l1m += m_miss
+            else:
+                cu.waiting_for_slot = True
 
         elif code == 1:  # _L2_LOOKUP: (cu, key, vpn, measured)
             cu = ev[3]
             key = ev[4]
             vpn = ev[5]
             measured = ev[6]
-            gpu = cu.gpu
-            m2 = gpu.l2_mask
-            s2 = gpu.l2_sets[vpn & m2 if m2 >= 0 else vpn % gpu.l2_nsets]
+            g = cu.gpu_id
+            m2 = l2_masks[g]
+            s2 = l2_sets[g][vpn & m2 if m2 >= 0 else vpn % l2_nsets[g]]
             value = s2.get(key)
             if value is not None:
                 s2.move_to_end(key)
                 if measured:
-                    cu.c_l2h += 1
+                    stats = cu.stats
+                    stats["l2_hit"] += 1
                 # inlined fill_l1 + translation_done
-                s = cu.l1_only
+                l1 = cu.l1_tlb
+                s = l1.only_set
                 if s is None:
-                    m = cu.l1_mask
-                    s = cu.l1_sets[vpn & m if m >= 0 else vpn % cu.l1_nsets]
+                    m = l1.index_mask
+                    s = l1.sets[vpn & m if m >= 0 else vpn % l1.num_sets]
                 if key in s:
                     s[key] = value
                     s.move_to_end(key)
@@ -699,32 +518,26 @@ def run_functional(
                 if measured:
                     cu.measured_remaining -= 1
                     if cu.measured_remaining == 0:
-                        pid = cu.pid
-                        left = remaining[pid] - 1
-                        remaining[pid] = left
-                        if left == 0:
-                            exec_time[pid] = now - measure_start.get(pid, 0)
-                            pids_pending.discard(pid)
-                            if not pids_pending:
-                                halted = True
-                if cu.waiting and cu.outstanding < cu.slots:
-                    cu.waiting = False
+                        note_done(cu, now)
+                        halted = system.halted
+                if cu.waiting_for_slot and cu.outstanding < cu.slots:
+                    cu.waiting_for_slot = False
                     if not halted:
-                        rt = cu.ready
+                        rt = cu.ready_time
                         push(heap, (rt if rt > now else now, seq, _ISSUE, cu))
                         seq += 1
                 continue
             if measured:
-                cu.c_l2m += 1
-            mshr = gpu.mshr
+                stats = cu.stats
+                stats["l2_miss"] += 1
+            mshr = mshrs[g]
             waiters = mshr.get(key)
             if waiters is not None:
-                waiters.append((cu, measured))
+                waiters.append((cu, measured, None))
                 if measured:
-                    cu.c_merge += 1
+                    stats["l2_mshr_merge"] += 1
                 continue
-            mshr[key] = [(cu, measured)]
-            g = gpu.gid
+            mshr[key] = [(cu, measured, None)]
             req = (g, cu.pid, vpn, key, now, measured)
             # policy.on_l2_miss: host up-link to the IOMMU.
             push(heap, (up_send[g](now), seq, _IOMMU_RECEIVE, req))
@@ -734,18 +547,17 @@ def run_functional(
             g = ev[3]
             key = ev[4]
             vpn = ev[5]
-            gpu = gpus[g]
             value = pack_payload(ev[7], g, ev[8])
-            seq = insert_l2(gpu, key, vpn, value, now, seq)
-            waiters = gpu.mshr.pop(key, None)
+            seq = insert_l2(g, key, vpn, value, now, seq)
+            waiters = mshrs[g].pop(key, None)
             if waiters:
-                pid = ev[6]
-                for cu, measured in waiters:
+                for cu, measured, _ in waiters:
                     # inlined fill_l1 + translation_done
-                    s = cu.l1_only
+                    l1 = cu.l1_tlb
+                    s = l1.only_set
                     if s is None:
-                        m = cu.l1_mask
-                        s = cu.l1_sets[vpn & m if m >= 0 else vpn % cu.l1_nsets]
+                        m = l1.index_mask
+                        s = l1.sets[vpn & m if m >= 0 else vpn % l1.num_sets]
                     if key in s:
                         s[key] = value
                         s.move_to_end(key)
@@ -755,26 +567,22 @@ def run_functional(
                         s[key] = value
                     cu.outstanding -= 1
                     if measured:
-                        cu.c_filled += 1
+                        stats = cu.stats
+                        stats["translations_filled"] += 1
                         cu.measured_remaining -= 1
                         if cu.measured_remaining == 0:
-                            left = remaining[pid] - 1
-                            remaining[pid] = left
-                            if left == 0:
-                                exec_time[pid] = now - measure_start.get(pid, 0)
-                                pids_pending.discard(pid)
-                                if not pids_pending:
-                                    halted = True
-                    if cu.waiting and cu.outstanding < cu.slots:
-                        cu.waiting = False
+                            note_done(cu, now)
+                            halted = system.halted
+                    if cu.waiting_for_slot and cu.outstanding < cu.slots:
+                        cu.waiting_for_slot = False
                         if not halted:
-                            rt = cu.ready
+                            rt = cu.ready_time
                             push(heap, (rt if rt > now else now, seq, _ISSUE, cu))
                             seq += 1
 
         elif code == 3:  # _IOMMU_RECEIVE: (req)
             req = ev[3]
-            ist_requests += 1
+            ist["requests"] += 1
             if stream_rec is not None and req[5]:
                 stream_rec.append((req[1], req[2]))
             push(heap, (now + iommu_lookup_lat, seq, _IOMMU_LOOKUP, req))
@@ -785,14 +593,11 @@ def run_functional(
             key = req[3]
             value = io_tlb.lookup(key)
             if req[5]:
-                pc = pcs[req[1]]
-                pc["iommu_lookup"] = pc.get("iommu_lookup", 0) + 1
-                if value is not None:
-                    pc["iommu_hit"] = pc.get("iommu_hit", 0) + 1
-                else:
-                    pc["iommu_miss"] = pc.get("iommu_miss", 0) + 1
+                stats = stats_for(req[1])
+                stats["iommu_lookup"] += 1
+                stats["iommu_hit" if value is not None else "iommu_miss"] += 1
             if value is not None:
-                ist_hit += 1
+                ist["tlb_hit"] += 1
                 if is_least:
                     # Victim-TLB move: the entry migrates to the requester.
                     io_tlb.remove(key)
@@ -801,7 +606,7 @@ def run_functional(
                     now, seq,
                 )
                 continue
-            ist_miss += 1
+            ist["tlb_miss"] += 1
             p = pend_get(key)
             if p is not None:
                 if p.served:
@@ -824,8 +629,8 @@ def run_functional(
                 p.remote_pending = True
                 target, probe_rotor = choose_probe_target(targets, probe_rotor)
                 if req[5]:
-                    pc = pcs[req[1]]
-                    pc["tracker_positive"] = pc.get("tracker_positive", 0) + 1
+                    stats = stats_for(req[1])
+                    stats["tracker_positive"] += 1
                 arrival = probe_send[target](now)
                 push(heap, (arrival + l2_lookup_lat, seq, _PROBE, req, target, p))
                 seq += 1
@@ -859,20 +664,19 @@ def run_functional(
             p.remote_pending = False
             key = req[3]
             vpn = req[2]
-            tgpu = gpus[target]
-            m2 = tgpu.l2_mask
-            s2 = tgpu.l2_sets[vpn & m2 if m2 >= 0 else vpn % tgpu.l2_nsets]
+            m2 = l2_masks[target]
+            s2 = l2_sets[target][vpn & m2 if m2 >= 0 else vpn % l2_nsets[target]]
             value = s2.get(key)
             if value is not None:
-                if multi_probe_removes:
+                if probe_removes:
                     del s2[key]
                 else:
                     s2.move_to_end(key)
                 if mode == "multi":
                     tracker.unregister(target, req[1], vpn)
-                ist["remote_hits"] = ist.get("remote_hits", 0) + 1
+                ist["remote_hits"] += 1
                 if p.served:
-                    ist["remote_wasted"] = ist.get("remote_wasted", 0) + 1
+                    ist["remote_wasted"] += 1
                 else:
                     p.served = True
                     ppn = value >> frame_shift
@@ -889,14 +693,11 @@ def run_functional(
                         seq += 1
                         if w[5]:
                             pid = w[1]
-                            pc = pcs[pid]
-                            pc["remote_hit"] = pc.get("remote_hit", 0) + 1
-                            pc["served_remote"] = pc.get("served_remote", 0) + 1
-                            lat_count[pid] += 1
-                            lat_total[pid] += arrival - w[4]
-                    ist["responses_remote"] = ist.get("responses_remote", 0) + len(
-                        waiters
-                    )
+                            stats = stats_for(pid)
+                            stats["remote_hit"] += 1
+                            stats["served_remote"] += 1
+                            latency_for(pid).record(arrival - w[4])
+                    ist["responses_remote"] += len(waiters)
                     p.waiters = []
                     # Squash the racing walk if it is still queued.
                     ticket = p.walk_ticket
@@ -905,9 +706,7 @@ def run_functional(
                             p.walk_pending = False
                             p.walk_ticket = None
             else:
-                ist["tracker_false_positives"] = (
-                    ist.get("tracker_false_positives", 0) + 1
-                )
+                ist["tracker_false_positives"] += 1
                 if not p.served and not (
                     p.walk_pending or p.remote_pending or p.fault_pending
                 ):
@@ -924,7 +723,7 @@ def run_functional(
 
         elif code == 8:  # _SPILL: (gpu_id, key, vpn, payload)
             # GPUDevice.receive_spill: insert only, no MSHR waiters.
-            seq = insert_l2(gpus[ev[3]], ev[4], ev[5], ev[6], now, seq)
+            seq = insert_l2(ev[3], ev[4], ev[5], ev[6], now, seq)
 
         elif code == 9:  # _PRI_TIMEOUT: (generation) — IOMMU._pri_timeout
             batch = pri_expire(ev[3])
@@ -940,107 +739,13 @@ def run_functional(
                 p.fault_pending = False
                 seq = deliver(req, p, ppn, now, seq)
 
-    # -- stall checks (mirror MultiGPUSystem.run) ----------------------------
-    if pids_pending and max_cycles is None:
-        diagnostics = {
+    executed = seq - len(heap)
+    if max_cycles is None:
+        system.check_stalled(max_events, {
+            "backend": "functional",
             "cycle": now,
             "events_executed": executed,
             "queue_length": len(heap),
-            "pids_pending": sorted(pids_pending),
-            "backend": "functional",
-        }
-        if max_events is not None and heap:
-            diagnostics["reason"] = f"max_events={max_events} exhausted"
-            raise SimulationStalledError(
-                f"event cap of {max_events} events exhausted with "
-                "applications still outstanding",
-                diagnostics,
-            )
-        if not heap:
-            diagnostics["reason"] = "event queue drained"
-            raise SimulationStalledError(
-                "event queue drained with applications still outstanding "
-                "(a response was lost and nothing re-drives the request)",
-                diagnostics,
-            )
-
-    # -- fold the scalar accumulators into the counter dicts -----------------
-    # Key existence matches the event engine (its CounterSet creates keys
-    # even for +0 increments): runs/accesses/l1_hit appear with the first
-    # measured issue, every other key with its first non-zero increment.
-    for gpu in gpus:
-        for cu in gpu.cus:
-            pc = pcs[cu.pid]
-            if cu.c_runs:
-                pc["runs"] = pc.get("runs", 0) + cu.c_runs
-                pc["accesses"] = pc.get("accesses", 0) + cu.c_acc
-                pc["l1_hit"] = pc.get("l1_hit", 0) + cu.c_l1h
-            if cu.c_l1m:
-                pc["l1_miss"] = pc.get("l1_miss", 0) + cu.c_l1m
-            if cu.c_l2h:
-                pc["l2_hit"] = pc.get("l2_hit", 0) + cu.c_l2h
-            if cu.c_l2m:
-                pc["l2_miss"] = pc.get("l2_miss", 0) + cu.c_l2m
-            if cu.c_merge:
-                pc["l2_mshr_merge"] = pc.get("l2_mshr_merge", 0) + cu.c_merge
-            if cu.c_filled:
-                pc["translations_filled"] = (
-                    pc.get("translations_filled", 0) + cu.c_filled
-                )
-    if ist_requests:
-        ist["requests"] = ist.get("requests", 0) + ist_requests
-    if ist_hit:
-        ist["tlb_hit"] = ist.get("tlb_hit", 0) + ist_hit
-    if ist_miss:
-        ist["tlb_miss"] = ist.get("tlb_miss", 0) + ist_miss
-
-    # -- result assembly (mirror MultiGPUSystem._collect_results) ------------
-    apps: dict[int, AppResult] = {}
-    for pid in workload.pids:
-        count = lat_count[pid]
-        apps[pid] = AppResult(
-            pid=pid,
-            app_name=workload.app_names[pid],
-            gpu_ids=tuple(workload.gpus_for(pid)),
-            instructions=workload.measured_instructions_for(pid),
-            runs=workload.measured_runs_for(pid),
-            accesses=workload.measured_accesses_for(pid),
-            exec_cycles=exec_time.get(pid, now),
-            counters=pcs[pid],
-            mean_translation_latency=lat_total[pid] / count if count else 0.0,
-        )
-    tracker_stats = None
-    if tracker is not None:
-        tstats = tracker.stats
-        tracker_stats = {
-            "registrations": tstats.registrations,
-            "unregistrations": tstats.unregistrations,
-            "queries": tstats.queries,
-            "positives": tstats.positives,
-            "multi_positives": tstats.multi_positives,
-            "false_positives": ist.get("tracker_false_positives", 0),
-            "remote_hits": ist.get("remote_hits", 0),
-        }
-    return SimulationResult(
-        workload_name=workload.name,
-        workload_kind=workload.kind,
-        policy_name=policy_name,
-        total_cycles=now,
-        apps=apps,
-        iommu_counters=ist,
-        walker_counters=walkers.stats.as_dict(),
-        walker_queue_wait_mean=walkers.queue_wait.mean,
-        tracker_stats=tracker_stats,
-        snapshots=[],
-        iommu_stream=stream_rec,
-        events_executed=executed,
-        metadata={
-            "shootdowns": 0,
-            "num_gpus": num_gpus,
-            "page_size": config.page_size,
-            "spill_budget": cfg_budget,
-            "local_page_tables": config.local_page_tables,
-            "seed": config.seed,
-        },
-        telemetry=None,
-    )
+            "queue_head": heap[0][0] if heap else None,
+        })
+    return system.collect_results(now, executed)

@@ -11,11 +11,13 @@ Every experiment in the paper reduces to one of three runs:
 ``scale`` shortens traces proportionally without changing footprints
 (1.0 is the full-length trace).
 
-Every driver accepts ``backend=`` (forwarded through ``simulate``): the
-default ``"event"`` runs the full discrete-event engine, ``"functional"``
-runs the exact-schedule replay of :mod:`repro.sim.backends` — bit-identical
-results, a fraction of the wall-clock, but only within its supported scope
-(it raises :class:`~repro.sim.backends.BackendUnsupported` elsewhere).
+Every driver accepts ``backend=`` (forwarded through ``simulate``).  Both
+backends run one :class:`~repro.sim.system.MultiGPUSystem`, built the same
+way: the default ``"event"`` runs it on the discrete-event engine
+(:meth:`~repro.sim.system.MultiGPUSystem.run`), ``"functional"`` on the
+exact-schedule replay loop of :mod:`repro.sim.backends` — bit-identical
+results in less wall-clock, but only within the replay's scope (it raises
+:class:`~repro.sim.backends.BackendUnsupported` elsewhere).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.workloads.multi_app import (
 )
 from repro.workloads.trace import Workload
 
+
 def simulate(
     config: SystemConfig,
     workload: Workload,
@@ -45,14 +48,12 @@ def simulate(
     max_events: int | None = None,
     **system_kwargs: Any,
 ) -> SimulationResult:
-    """Build a system around ``workload`` and run it to completion."""
+    """Build a system around ``workload`` and run it to completion on
+    ``backend``'s run loop."""
     backend = validate_backend(backend)
-    if backend == "functional":
-        return run_functional(
-            config, workload, policy,
-            max_cycles=max_cycles, max_events=max_events, **system_kwargs,
-        )
     system = MultiGPUSystem(config, workload, policy, **system_kwargs)
+    if backend == "functional":
+        return run_functional(system, max_cycles, max_events)
     return system.run(max_cycles, max_events=max_events)
 
 

@@ -14,6 +14,11 @@ methodology:
 * per-application execution time is the completion cycle of the last run of
   the first execution, from which IPC, normalized performance, and weighted
   speedup derive.
+
+Both backends run this one machine: :meth:`MultiGPUSystem.run` on the
+event queue, :func:`repro.sim.backends.run_functional` on the replay loop.
+Both apply the measurement rule, the stall check and the result assembly
+defined here.
 """
 
 from __future__ import annotations
@@ -146,17 +151,25 @@ class MultiGPUSystem:
 
     # -- measurement services ---------------------------------------------------
 
-    def note_measure_start(self, pid: int) -> None:
-        """The first measured run of ``pid`` just issued; execution time
-        is counted from here (the warmup prefix is excluded)."""
-        self.measure_start.setdefault(pid, self.queue.now)
+    # Both run loops (:meth:`run` and the functional replay) apply the
+    # measurement rule through these two calls, passing their own cycle.
 
-    def note_cu_first_run_done(self, cu: ComputeUnit) -> None:
-        """A CU finished the measured portion of its stream."""
-        self._remaining_cus[cu.pid] -= 1
-        if self._remaining_cus[cu.pid] == 0:
-            self.exec_time[cu.pid] = self.queue.now - self.measure_start.get(cu.pid, 0)
-            self._pids_pending.discard(cu.pid)
+    def note_measure_start(self, pid: int, now: int) -> None:
+        """The first measured run of ``pid`` issued at cycle ``now``;
+        execution time is counted from here (the warmup prefix is
+        excluded)."""
+        self.measure_start.setdefault(pid, now)
+
+    def note_cu_first_run_done(self, cu: ComputeUnit, now: int) -> None:
+        """``cu`` finished the measured portion of its stream at cycle
+        ``now``.  An application's execution time ends when its last CU
+        does, and the machine halts once every application has one."""
+        pid = cu.pid
+        remaining = self._remaining_cus
+        remaining[pid] -= 1
+        if remaining[pid] == 0:
+            self.exec_time[pid] = now - self.measure_start.get(pid, 0)
+            self._pids_pending.discard(pid)
             if not self._pids_pending:
                 self.halted = True
 
@@ -220,28 +233,53 @@ class MultiGPUSystem:
             self.watchdog.arm()
         if self.invariants is not None:
             self.invariants.arm()
-        self.queue.run(until=max_cycles, max_events=max_events)
-        if self._pids_pending and max_cycles is None:
-            # Always-on cheap checks: the queue must never drain (or hit
-            # the event cap) while CUs are still waiting on translations.
-            if max_events is not None and len(self.queue):
-                raise SimulationStalledError(
-                    f"event cap of {max_events} events exhausted with "
-                    "applications still outstanding",
-                    self.stall_diagnostics(f"max_events={max_events} exhausted"),
-                )
-            if not len(self.queue):
-                raise SimulationStalledError(
-                    "event queue drained with applications still outstanding "
-                    "(a response was lost and nothing re-drives the request)",
-                    self.stall_diagnostics("event queue drained"),
-                )
+        queue = self.queue
+        queue.run(until=max_cycles, max_events=max_events)
+        if max_cycles is None:
+            self.check_stalled(max_events, self._queue_state())
         if self.invariants is not None:
             self.invariants.check(final=not self._pids_pending)
-        return self._collect_results()
+        return self.collect_results(queue.now, queue.events_executed)
 
-    def stall_diagnostics(self, reason: str) -> dict[str, Any]:
-        """A structured snapshot of everything in flight, for stall errors."""
+    def _queue_state(self) -> dict[str, Any]:
+        """The event queue's run-loop state, as :meth:`check_stalled`
+        takes it."""
+        queue = self.queue
+        return {
+            "backend": "event",
+            "cycle": queue.now,
+            "events_executed": queue.events_executed,
+            "queue_length": len(queue),
+            "queue_head": queue.peek_time(),
+        }
+
+    def check_stalled(self, max_events: int | None, loop: dict[str, Any]) -> None:
+        """The always-on stall check of both run loops, after a run with no
+        cycle bound: the queue must never drain, or hit the event cap,
+        while CUs still wait on translations.  ``loop`` is the loop's
+        state: its ``backend``, ``cycle``, ``events_executed``,
+        ``queue_length`` and ``queue_head``."""
+        if not self._pids_pending:
+            return
+        if not loop["queue_length"]:
+            raise SimulationStalledError(
+                "event queue drained with applications still outstanding "
+                "(a response was lost and nothing re-drives the request)",
+                self.stall_diagnostics("event queue drained", loop),
+            )
+        if max_events is not None:
+            raise SimulationStalledError(
+                f"event cap of {max_events} events exhausted with "
+                "applications still outstanding",
+                self.stall_diagnostics(f"max_events={max_events} exhausted", loop),
+            )
+
+    def stall_diagnostics(
+        self, reason: str, loop: dict[str, Any] | None = None
+    ) -> dict[str, Any]:
+        """A structured snapshot of everything in flight, for stall errors.
+        ``loop`` is the run loop's state (see :meth:`check_stalled`), the
+        event queue's by default."""
         gpus = {}
         for gpu in self.gpus:
             gpus[f"gpu{gpu.gpu_id}"] = {
@@ -251,11 +289,7 @@ class MultiGPUSystem:
             }
         return {
             "reason": reason,
-            "backend": "event",
-            "cycle": self.queue.now,
-            "events_executed": self.queue.events_executed,
-            "queue_length": len(self.queue),
-            "queue_head": self.queue.peek_time(),
+            **(self._queue_state() if loop is None else loop),
             "pids_pending": sorted(self._pids_pending),
             "pending_table": self.iommu.pending.describe(),
             "gpus": gpus,
@@ -276,7 +310,11 @@ class MultiGPUSystem:
 
     # -- results ------------------------------------------------------------------------
 
-    def _collect_results(self) -> SimulationResult:
+    def collect_results(
+        self, total_cycles: int, events_executed: int
+    ) -> SimulationResult:
+        """The run's result, assembled once for both run loops from the
+        system's counters, the loop's final cycle and its event count."""
         apps: dict[int, AppResult] = {}
         for pid in self.workload.pids:
             apps[pid] = AppResult(
@@ -286,13 +324,13 @@ class MultiGPUSystem:
                 instructions=self.workload.measured_instructions_for(pid),
                 runs=self.workload.measured_runs_for(pid),
                 accesses=self.workload.measured_accesses_for(pid),
-                exec_cycles=self.exec_time.get(pid, self.queue.now),
+                exec_cycles=self.exec_time.get(pid, total_cycles),
                 counters=self._pid_stats[pid].as_dict(),
                 mean_translation_latency=self._pid_latency[pid].mean,
             )
         telemetry_summary = None
         if self.telemetry is not None:
-            self.telemetry.finalize(self.queue.now)
+            self.telemetry.finalize(total_cycles)
             telemetry_summary = self.telemetry.summary()
         tracker_stats = None
         tracker = getattr(self.policy, "tracker", None)
@@ -311,7 +349,7 @@ class MultiGPUSystem:
             workload_name=self.workload.name,
             workload_kind=self.workload.kind,
             policy_name=self.policy.name,
-            total_cycles=self.queue.now,
+            total_cycles=total_cycles,
             apps=apps,
             iommu_counters=self.iommu.stats.as_dict(),
             walker_counters=self.iommu.walkers.stats.as_dict(),
@@ -319,7 +357,7 @@ class MultiGPUSystem:
             tracker_stats=tracker_stats,
             snapshots=list(self.snapshots),
             iommu_stream=self.iommu_stream,
-            events_executed=self.queue.events_executed,
+            events_executed=events_executed,
             metadata=self._result_metadata(),
             telemetry=telemetry_summary,
         )

@@ -33,7 +33,9 @@ from repro.config.system import (
 )
 from repro.sim.backends import BackendUnsupported, run_functional
 from repro.sim.driver import run_single_app, simulate
+from repro.sim.system import MultiGPUSystem
 from repro.structures.tlb import BUDGET_LIMIT, OWNER_LIMIT, PID_LIMIT
+from repro.telemetry import TelemetryConfig
 from repro.workloads.multi_app import build_single_app_workload
 from repro.workloads.trace import CUStream, Placement, Workload
 
@@ -219,32 +221,60 @@ def test_wide_fingerprints_keep_memory_bounded():
 
 class TestScopeRejections:
     """Everything outside the replayed scope must refuse loudly, never
-    silently diverge."""
+    silently diverge.  The scope check reads the built system."""
 
     def _workload(self):
         return build_workload([[0, 1], [2]], "single")
 
+    def _functional(self, config, policy, **system_kwargs):
+        return simulate(
+            config, self._workload(), policy, backend="functional",
+            **system_kwargs,
+        )
+
     def test_unsupported_policy(self):
         with pytest.raises(BackendUnsupported, match="policy 'tlb-probing'"):
-            run_functional(tiny_config(), self._workload(), "tlb-probing")
+            self._functional(tiny_config(), "tlb-probing")
+
+    @pytest.mark.parametrize(
+        "policy", ["strictly-inclusive", "exclusive", "prefetch", "least-tlb-qos"]
+    )
+    def test_policy_subclasses_are_refused(self, policy):
+        # A subclass of a replayed policy overrides hooks the replay
+        # restates inline, so only the exact classes are in scope.
+        with pytest.raises(BackendUnsupported, match=f"policy '{policy}'"):
+            self._functional(tiny_config(), policy)
 
     def test_local_page_tables(self):
         config = dataclasses.replace(tiny_config(), local_page_tables=True)
         with pytest.raises(BackendUnsupported, match="local page tables"):
-            run_functional(config, self._workload(), "baseline")
+            self._functional(config, "baseline")
 
     def test_unknown_system_option(self):
-        with pytest.raises(BackendUnsupported, match="system option"):
-            run_functional(
-                tiny_config(), self._workload(), "baseline", shields="up"
-            )
+        # The same error on both backends, from the system's constructor.
+        for backend in ("event", "functional"):
+            with pytest.raises(TypeError, match="'shields'"):
+                simulate(
+                    tiny_config(), self._workload(), "baseline",
+                    backend=backend, shields="up",
+                )
 
     def test_non_default_system_option(self):
         with pytest.raises(BackendUnsupported, match="snapshot_interval"):
-            run_functional(
-                tiny_config(), self._workload(), "baseline",
-                snapshot_interval=100,
-            )
+            self._functional(tiny_config(), "baseline", snapshot_interval=100)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("shootdown_interval", 100),
+            ("check_invariants", True),
+            ("watchdog", True),
+            ("telemetry", TelemetryConfig()),
+        ],
+    )
+    def test_engine_only_options_are_refused(self, option, value):
+        with pytest.raises(BackendUnsupported, match=f"{option}="):
+            self._functional(tiny_config(), "least-tlb", **{option: value})
 
     @pytest.mark.parametrize("policy", ["baseline", "least-tlb"])
     def test_vpn_wider_than_the_key_field(self, policy):
@@ -287,9 +317,8 @@ class TestScopeRejections:
             )
 
     def test_default_valued_options_accepted(self):
-        result = run_functional(
-            tiny_config(), self._workload(), "baseline",
-            check_invariants=False, watchdog=False,
+        result = self._functional(
+            tiny_config(), "baseline", check_invariants=False, watchdog=False,
         )
         assert result.events_executed > 0
 
@@ -297,5 +326,33 @@ class TestScopeRejections:
         # The paper's default configuration must stay inside the fast
         # path's scope — the benchmarks rely on it.
         workload = build_single_app_workload("FIR", baseline_config(), scale=0.02)
-        result = run_functional(baseline_config(), workload, "least-tlb")
-        assert result.events_executed > 0
+        system = MultiGPUSystem(baseline_config(), workload, "least-tlb")
+        assert run_functional(system).events_executed > 0
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"race_ptw": False},
+        {"remote_probes": False},
+        {"mode": "multi"},
+        {"mode": "single", "spilling": True},
+        {"receiver_policy": "random"},
+    ],
+    ids=str,
+)
+def test_policy_options_are_bit_identical(options):
+    """The replay reads least-TLB's resolved options off the built
+    policy; each one must steer it as it steers the engine."""
+    config = tiny_config(num_gpus=3)
+    workload = build_workload(
+        [list(range(0, 24)) * 3, list(range(12, 36)) * 3, list(range(30, 60)) * 2],
+        "multi",
+    )
+    ref, fast = (
+        simulate(
+            config, workload, "least-tlb", backend=backend, policy_options=options
+        )
+        for backend in ("event", "functional")
+    )
+    assert dataclasses.asdict(fast) == dataclasses.asdict(ref)

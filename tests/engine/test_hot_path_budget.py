@@ -7,9 +7,8 @@ set, plus 10%, so a property chain, a counter method call or another
 per-event method layer that comes back fails here with no timing noise.
 
 The count covers the simulation only: the workload (numpy-heavy) is
-built, and the event engine's system constructed, before counting
-starts.  The replay builds its per-CU state inside ``run_functional``;
-that is a few hundred calls against tens of thousands of events.  A
+built, and the system constructed, before counting starts, so both
+backends count the same work: one run loop over one built system.  A
 warm-up run first imports everything lazily imported.
 
 The budgets were measured on CPython 3.11 only.  Python 3.12 and later
@@ -20,6 +19,7 @@ budgets are looser than they read.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import pytest
 
@@ -49,11 +49,8 @@ def calls_per_event(backend: str, kind: str, workload: str, policy: str,
     one simulation, its workload built beforehand."""
     config = baseline_config()
     built = _MAKE_WORKLOAD[kind](workload, config, scale=scale)
-    if backend == "event":
-        run = MultiGPUSystem(config, built, policy).run
-    else:
-        def run():
-            return run_functional(config, built, policy)
+    system = MultiGPUSystem(config, built, policy)
+    run = system.run if backend == "event" else partial(run_functional, system)
     calls = 0
 
     def profile(frame, event, arg):

@@ -43,26 +43,6 @@ class TestCounterSet:
         assert snapshot == {"a": 1}
         assert stats["a"] == 2
 
-    def test_merge(self):
-        first = CounterSet()
-        second = CounterSet()
-        first.inc("a", 2)
-        second.inc("a", 3)
-        second.inc("b", 1)
-        first.merge(second)
-        assert first["a"] == 5
-        assert first["b"] == 1
-
-    def test_ratio(self):
-        stats = CounterSet()
-        stats.inc("hit", 3)
-        stats.inc("miss", 1)
-        assert stats.ratio("hit", "hit", "miss") == pytest.approx(0.75)
-
-    def test_ratio_zero_denominator(self):
-        stats = CounterSet()
-        assert stats.ratio("hit", "hit", "miss") == 0.0
-
 
 class TestLatencyAccumulator:
     def test_empty_mean_is_zero(self):
@@ -99,26 +79,3 @@ class TestLatencyAccumulator:
         acc.record(7)
         acc.record(0)
         assert acc.min == 0
-
-    def test_merge_is_lossless(self):
-        a, b, combined = (
-            LatencyAccumulator(), LatencyAccumulator(), LatencyAccumulator()
-        )
-        for v in (10, 50):
-            a.record(v)
-            combined.record(v)
-        for v in (5, 500):
-            b.record(v)
-            combined.record(v)
-        a.merge(b)
-        for attr in ("count", "total", "min", "max"):
-            assert getattr(a, attr) == getattr(combined, attr)
-        assert a.mean == pytest.approx(combined.mean)
-
-    def test_merge_empty_is_noop_both_ways(self):
-        a, empty = LatencyAccumulator(), LatencyAccumulator()
-        a.record(42)
-        a.merge(empty)
-        assert a.count == 1 and a.min == 42
-        empty.merge(a)
-        assert empty.count == 1 and empty.min == 42 and empty.max == 42

@@ -5,8 +5,15 @@ import pytest
 from repro.config.presets import baseline_config
 from repro.core.least_tlb import LeastTLBPolicy
 from repro.engine import SimulationStalledError, Watchdog
+from repro.sim.driver import simulate
 from repro.sim.system import MultiGPUSystem
 from repro.workloads.multi_app import build_single_app_workload
+
+#: What every stall report carries, whichever run loop stalled.
+DIAGNOSTIC_KEYS = (
+    "reason", "cycle", "events_executed", "queue_length",
+    "pending_table", "gpus", "walkers", "pri", "interconnect",
+)
 
 
 def make_system(**kwargs):
@@ -116,12 +123,20 @@ class TestStallDetectionEndToEnd:
         with pytest.raises(SimulationStalledError, match="drained"):
             system.run()
 
-    def test_max_events_cap_raises_with_diagnostics(self):
-        system = make_system()
+    @pytest.mark.parametrize("backend", ["event", "functional"])
+    def test_max_events_cap_raises_with_diagnostics(self, backend):
+        # Both run loops share the system's stall check, so the replay's
+        # error carries the engine's full diagnostics.
+        config = baseline_config()
+        workload = build_single_app_workload("MM", config, scale=0.05)
         with pytest.raises(SimulationStalledError) as excinfo:
-            system.run(max_events=200)
+            simulate(config, workload, "least-tlb", backend=backend, max_events=200)
         assert "event cap" in str(excinfo.value)
-        assert excinfo.value.diagnostics["events_executed"] == 200
+        diag = excinfo.value.diagnostics
+        assert diag["events_executed"] == 200
+        assert diag["backend"] == backend
+        for key in DIAGNOSTIC_KEYS:
+            assert key in diag
 
     def test_max_events_generous_cap_completes(self):
         result = make_system().run(max_events=50_000_000)
@@ -132,10 +147,7 @@ class TestStallDetectionEndToEnd:
         with pytest.raises(SimulationStalledError) as excinfo:
             system.run()
         diag = excinfo.value.diagnostics
-        for key in (
-            "reason", "cycle", "events_executed", "queue_length",
-            "pending_table", "gpus", "walkers", "pri", "interconnect",
-        ):
+        for key in DIAGNOSTIC_KEYS:
             assert key in diag
         assert str(excinfo.value).count("|") >= 3  # compact summary line
 
